@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check tidy-check vet build test shuffle race race-runner race-broker race-guardian race-transcode race-vsa race-qoe race-edge fuzz-smoke bench bench-all bench-runner bench-overload bench-transcode bench-saturate bench-sla bench-edge chaos chaos-parallel trace-demo
+.PHONY: check fmt-check tidy-check vet build test shuffle race race-runner race-broker race-guardian race-transcode race-vsa race-qoe race-edge fuzz-smoke bench bench-plan-phase bench-all bench-runner bench-overload bench-transcode bench-saturate bench-sla bench-edge chaos chaos-parallel trace-demo
 
 # The full gate: what CI (and a careful human) runs before merging. The
 # race target covers the plan pipeline's atomic counters and cache; the
@@ -80,9 +80,15 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParser -fuzztime=10s ./internal/mpeg
 	$(GO) test -fuzz=FuzzQoSClause -fuzztime=10s ./internal/vdbms
 
+# The repository's benchmark (bench/README.md): five workloads, seven
+# end-to-end metrics each; `go run ./bench <workload> -trace 1` adds the
+# per-layer metrics. It prints; it writes no file.
+bench:
+	$(GO) run ./bench all
+
 # Plan-phase benchmarks (cold vs warm candidate cache, full sort vs
 # best-first pop), archived as a JSON artifact for diffing across PRs.
-bench:
+bench-plan-phase:
 	$(GO) test -run '^$$' -bench PlanPhase -benchmem ./internal/core | $(GO) run ./cmd/benchjson > BENCH_plan_phase.json
 	@cat BENCH_plan_phase.json
 

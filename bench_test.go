@@ -12,6 +12,7 @@ package quasaq
 // seconds, so each typically runs with b.N == 1.
 
 import (
+	"runtime"
 	"testing"
 
 	"quasaq/internal/core"
@@ -268,6 +269,9 @@ func BenchmarkMetadataLookup(b *testing.B) {
 // BenchmarkSimulatedStreaming measures the event engine's throughput:
 // virtual streaming seconds simulated per wall second for a loaded server.
 func BenchmarkSimulatedStreaming(b *testing.B) {
+	b.ReportAllocs()
+	var events, mallocs uint64
+	var before, after runtime.MemStats
 	for i := 0; i < b.N; i++ {
 		sim := simtime.NewSimulator()
 		c := core.TestbedCluster(sim)
@@ -281,7 +285,14 @@ func BenchmarkSimulatedStreaming(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		// allocs/event covers the streaming phase alone: world build and
+		// admission above are outside it.
+		runtime.ReadMemStats(&before)
 		sim.RunUntil(simtime.Seconds(60))
-		b.ReportMetric(float64(sim.Executed()), "events")
+		runtime.ReadMemStats(&after)
+		events += sim.Executed()
+		mallocs += after.Mallocs - before.Mallocs
 	}
+	b.ReportMetric(float64(events)/float64(b.N), "events")
+	b.ReportMetric(float64(mallocs)/float64(events), "allocs/event")
 }

@@ -40,6 +40,10 @@
 //
 // Horizons are configurable; the defaults match the paper (1000 s for
 // Figure 6, 7000 s for Figure 7).
+//
+// -cpuprofile and -memprofile write pprof profiles of the whole run (the
+// memory profile is the allocation profile, taken after a final GC); read
+// them with `go tool pprof -top FILE`.
 package main
 
 import (
@@ -47,6 +51,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"quasaq/internal/broker"
 	"quasaq/internal/experiments"
@@ -84,6 +90,9 @@ type options struct {
 	satLive       int
 	satGoroutines int
 	satZipf       float64
+
+	cpuProfile string
+	memProfile string
 }
 
 func main() {
@@ -113,11 +122,50 @@ func main() {
 	flag.IntVar(&o.satLive, "live", 20000, "saturate: sliding-window depth of concurrently live sessions")
 	flag.IntVar(&o.satGoroutines, "goroutines", 8, "saturate: concurrent admission loops in the throughput pass")
 	flag.Float64Var(&o.satZipf, "zipf", 1.1, "saturate: video-popularity skew exponent (>1)")
+	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run here")
+	flag.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile of the run here")
 	flag.Parse()
-	if err := run(o); err != nil {
+	if err := profiled(o.cpuProfile, o.memProfile, func() error { return run(o) }); err != nil {
 		fmt.Fprintln(os.Stderr, "qsqbench:", err)
 		os.Exit(1)
 	}
+}
+
+// profiled runs fn under the -cpuprofile and -memprofile flags; with both
+// empty it is fn alone.
+func profiled(cpuPath, memPath string, fn func() error) (err error) {
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
+	if err := fn(); err != nil {
+		return err
+	}
+	if memPath == "" {
+		return nil
+	}
+	f, err := os.Create(memPath)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // settle the statistics the profile reports
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // saveCSV writes one table into the -csv directory when it is set.

@@ -301,9 +301,12 @@ func (n *Net) Call(from, to string, req Request, scope *obs.Scope, done func(Rep
 		return
 	}
 	cfg := n.cfg
-	span := scope.Span("ctrl_rpc", map[string]any{
-		"op": req.Op.String(), "to": to, "tx": req.TxID,
-	})
+	var span *obs.Span // nil when not tracing: no argument is built for it
+	if scope.Enabled() {
+		span = scope.Span("ctrl_rpc", map[string]any{
+			"op": req.Op.String(), "to": to, "tx": req.TxID,
+		})
+	}
 	settled := false
 	var timeoutEv *simtime.Event
 	settle := func(rep Reply, err error, attempts int) {
@@ -321,15 +324,17 @@ func (n *Net) Call(from, to string, req Request, scope *obs.Scope, done func(Rep
 		if err == nil {
 			n.refundRetryToken()
 		}
-		span.SetArg("attempts", attempts)
-		if err != nil {
-			span.SetArg("outcome", "timeout")
-		} else if rep.OK {
-			span.SetArg("outcome", "ok")
-		} else {
-			span.SetArg("outcome", fmt.Sprint(rep.Err))
+		if span != nil {
+			span.SetArg("attempts", attempts)
+			if err != nil {
+				span.SetArg("outcome", "timeout")
+			} else if rep.OK {
+				span.SetArg("outcome", "ok")
+			} else {
+				span.SetArg("outcome", fmt.Sprint(rep.Err))
+			}
+			span.End()
 		}
-		span.End()
 		done(rep, err)
 	}
 	var attempt func(k int)

@@ -97,7 +97,10 @@ func (m *Manager) ServiceAsync(querySite string, id media.VideoID, req qos.Requi
 // candidates, liveness, costing, two-phase reservation, session bind.
 func (m *Manager) serviceAdmit(querySite string, id media.VideoID, req qos.Requirement, opts ServiceOptions, finish func(*Delivery, error)) {
 	m.sessSeq++
-	scope := m.tracer.Scope(querySite, fmt.Sprintf("s%04d %s", m.sessSeq, id))
+	var scope *obs.Scope // nil without a tracer: nothing below formats or builds trace arguments
+	if m.tracer != nil {
+		scope = m.tracer.Scope(querySite, fmt.Sprintf("s%04d %s", m.sessSeq, id))
+	}
 	qn, err := m.cluster.Node(querySite)
 	if err != nil {
 		finish(nil, err)
@@ -105,7 +108,7 @@ func (m *Manager) serviceAdmit(querySite string, id media.VideoID, req qos.Requi
 	}
 	if qn.Down() {
 		m.met.noViablePlan.Inc()
-		scope.Instant("reject", map[string]any{"cause": "query site down"})
+		traceReject(scope, "query site down")
 		finish(nil, fmt.Errorf("core: query site %s: %w", querySite, gara.ErrNodeDown))
 		return
 	}
@@ -118,20 +121,22 @@ func (m *Manager) serviceAdmit(querySite string, id media.VideoID, req qos.Requi
 	}
 	enum := scope.Span("plan_enumerate", nil)
 	plans, hit := m.planCandidates(querySite, v, req)
-	enum.SetArg("cache", cacheLabel(hit))
-	enum.SetArg("plans", len(plans))
-	enum.End()
+	if enum != nil {
+		enum.SetArg("cache", cacheLabel(hit))
+		enum.SetArg("plans", len(plans))
+		enum.End()
+	}
 	m.met.plansGenerated.Add(uint64(len(plans)))
 	if len(plans) == 0 {
 		m.met.noPlan.Inc()
-		scope.Instant("reject", map[string]any{"cause": "no plan"})
+		traceReject(scope, "no plan")
 		finish(nil, fmt.Errorf("%w: %s with %s", ErrNoPlan, id, req))
 		return
 	}
 	live := m.viable(plans)
 	if len(live) == 0 {
 		m.met.noViablePlan.Inc()
-		scope.Instant("reject", map[string]any{"cause": "no viable plan"})
+		traceReject(scope, "no viable plan")
 		finish(nil, fmt.Errorf("%w: every plan for %s touches a down site (%d plans)",
 			ErrNoViablePlan, id, len(plans)))
 		return
@@ -140,7 +145,7 @@ func (m *Manager) serviceAdmit(querySite string, id media.VideoID, req qos.Requi
 		live = excludeSites(live, opts.AvoidSites)
 		if len(live) == 0 {
 			m.met.noViablePlan.Inc()
-			scope.Instant("reject", map[string]any{"cause": "all live plans on avoided sites"})
+			traceReject(scope, "all live plans on avoided sites")
 			finish(nil, fmt.Errorf("%w: every live plan for %s delivers from an avoided site",
 				ErrNoViablePlan, id))
 			return
@@ -155,12 +160,15 @@ func (m *Manager) serviceAdmit(querySite string, id media.VideoID, req qos.Requi
 		if len(live) == 0 {
 			m.met.rejected.Inc()
 			m.met.qosUnsatisfiable.Inc()
-			scope.Instant("reject", map[string]any{"cause": "qos clause unsatisfiable"})
+			traceReject(scope, "qos clause unsatisfiable")
 			finish(nil, fmt.Errorf("%w: %s with %s: %w", ErrRejected, id, req, ErrQoSUnsatisfiable))
 			return
 		}
 	}
-	rank := scope.Span("cost_rank", map[string]any{"viable": len(live)})
+	var rank *obs.Span
+	if scope.Enabled() {
+		rank = scope.Span("cost_rank", map[string]any{"viable": len(live)})
+	}
 	next := m.admissionOrder(live)
 	rank.End()
 	// AvoidSites is per-admission: scrub it before the options become the
@@ -171,7 +179,9 @@ func (m *Manager) serviceAdmit(querySite string, id media.VideoID, req qos.Requi
 	m.tryPlans(d, next, opts, scope, nil, func(p *Plan, lastErr error) {
 		if p != nil {
 			m.met.admitted.Inc()
-			scope.Instant("admit", map[string]any{"site": p.DeliverySite})
+			if scope.Enabled() {
+				scope.Instant("admit", map[string]any{"site": p.DeliverySite})
+			}
 			if m.onAdmit != nil {
 				m.onAdmit(d)
 			}
@@ -179,7 +189,7 @@ func (m *Manager) serviceAdmit(querySite string, id media.VideoID, req qos.Requi
 			return
 		}
 		m.met.rejected.Inc()
-		scope.Instant("reject", map[string]any{"cause": "admission control"})
+		traceReject(scope, "admission control")
 		if lastErr != nil {
 			finish(nil, fmt.Errorf("%w: %s with %s (%d plans): %w", ErrRejected, id, req, len(live), lastErr))
 			return
@@ -198,9 +208,12 @@ func (m *Manager) tryPlans(d *Delivery, next func() (*Plan, bool), opts ServiceO
 		return
 	}
 	m.met.plansTried.Inc()
-	rsv := scope.Span("reserve", map[string]any{
-		"site": p.DeliverySite, "replica": p.Replica.Site,
-	})
+	var rsv *obs.Span
+	if scope.Enabled() {
+		rsv = scope.Span("reserve", map[string]any{
+			"site": p.DeliverySite, "replica": p.Replica.Site,
+		})
+	}
 	m.executeInto(d, p, opts, func(err error) {
 		if err == nil {
 			rsv.SetArg("outcome", "granted")
@@ -208,10 +221,20 @@ func (m *Manager) tryPlans(d *Delivery, next func() (*Plan, bool), opts ServiceO
 			done(p, nil)
 			return
 		}
-		rsv.SetArg("outcome", err.Error())
-		rsv.End()
+		if rsv != nil {
+			rsv.SetArg("outcome", err.Error())
+			rsv.End()
+		}
 		m.tryPlans(d, next, opts, scope, err, done)
 	})
+}
+
+// traceReject records why admission refused a query; the argument map is
+// built only when the scope is tracing.
+func traceReject(scope *obs.Scope, cause string) {
+	if scope.Enabled() {
+		scope.Instant("reject", map[string]any{"cause": cause})
+	}
 }
 
 func cacheLabel(hit bool) string {
@@ -476,13 +499,15 @@ func (m *Manager) bind(d *Delivery, p *Plan, leases []*gara.Lease, opts ServiceO
 	}
 	m.cluster.sessionStarted()
 	d.Session = sess
-	d.streamSpan = d.trace.Span("stream", map[string]any{
-		"site":  streamSite,
-		"video": v.Title,
-		"fps":   p.Delivered.FrameRate,
-	})
-	if p.Remote() {
-		d.streamSpan.SetArg("source", p.Replica.Site)
+	if d.trace.Enabled() {
+		d.streamSpan = d.trace.Span("stream", map[string]any{
+			"site":  streamSite,
+			"video": v.Title,
+			"fps":   p.Delivered.FrameRate,
+		})
+		if p.Remote() {
+			d.streamSpan.SetArg("source", p.Replica.Site)
+		}
 	}
 	return nil
 }

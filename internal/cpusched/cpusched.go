@@ -37,13 +37,45 @@ const DefaultMaxUtilization = 0.85
 var ErrAdmission = errors.New("cpusched: reservation rejected by admission control")
 
 // Task is one unit of CPU work (processing one video frame, one transcode
-// step, one query). Done is invoked exactly once, at completion time.
+// step, one query). done.HandleEvent(arg) is invoked exactly once, at the
+// completion instant (the simulator's Now), unless the job finishes first.
 type Task struct {
-	job       *Job
 	remaining simtime.Time
 	released  simtime.Time
 	deadline  simtime.Time // released + period for reserved jobs
-	done      func(completed simtime.Time)
+	done      simtime.Handler
+	arg       int
+}
+
+// taskRing is a job's FIFO of released tasks, held by value in a power-of-two
+// ring that is allocated on the first Submit and grows by doubling, so a
+// steady stream of submits and completions allocates nothing.
+type taskRing struct {
+	buf     []Task
+	head, n int
+}
+
+func (r *taskRing) push(t Task) {
+	if r.n == len(r.buf) {
+		buf := make([]Task, max(4, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = t
+	r.n++
+}
+
+// front is the next task to run; the pointer is good until the next push.
+func (r *taskRing) front() *Task { return &r.buf[r.head] }
+
+func (r *taskRing) pop() Task {
+	t := r.buf[r.head]
+	r.buf[r.head] = Task{} // drop the handler: a finished session must not stay reachable
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return t
 }
 
 // Job is a stream of tasks belonging to one session or process.
@@ -53,8 +85,8 @@ type Job struct {
 	reserved bool
 	period   simtime.Time
 	slice    simtime.Time
-	tasks    []*Task // released, not yet completed; head is next to run
-	queued   bool    // present in the best-effort run queue
+	tasks    taskRing // released, not yet completed; head is next to run
+	queued   bool     // present in the best-effort run queue
 	finished bool
 }
 
@@ -65,7 +97,7 @@ func (j *Job) Name() string { return j.name }
 func (j *Job) Reserved() bool { return j.reserved }
 
 // Backlog returns the number of released, uncompleted tasks.
-func (j *Job) Backlog() int { return len(j.tasks) }
+func (j *Job) Backlog() int { return j.tasks.n }
 
 // CPU is a single simulated processor shared by reserved and best-effort
 // jobs.
@@ -83,7 +115,10 @@ type CPU struct {
 	readyRes     []*Job // reserved jobs with released tasks
 	readyBE      []*Job // best-effort round-robin queue
 
-	cur *running
+	// The one dispatch in progress (cur.job is nil while idle) and the one
+	// event that ends it, completion or quantum expiry, re-armed per dispatch.
+	cur running
+	ev  simtime.Event
 
 	util       float64
 	dispatches uint64
@@ -106,14 +141,21 @@ func (c *CPU) Instrument(reg *obs.Registry, labels ...string) {
 	c.mUtil = reg.FloatGauge("cpusched_reserved_utilization", labels...)
 }
 
+// running is a dispatch of its job's head task.
 type running struct {
 	job        *Job
-	task       *Task
 	started    simtime.Time
 	quantumEnd simtime.Time // zero for reserved dispatches
-	doneEv     *simtime.Event
-	expiryEv   *simtime.Event
 }
+
+// cpuDone and cpuExpiry are the CPU seen as the target of its two events.
+type (
+	cpuDone   CPU
+	cpuExpiry CPU
+)
+
+func (c *cpuDone) HandleEvent(int)   { (*CPU)(c).onComplete() }
+func (c *cpuExpiry) HandleEvent(int) { (*CPU)(c).onExpiry() }
 
 // New creates a CPU on the simulator with the given scheduling quantum.
 func New(sim *simtime.Simulator, quantum simtime.Time) *CPU {
@@ -136,7 +178,7 @@ func (c *CPU) Dispatches() uint64 { return c.dispatches }
 // BusyTime returns cumulative time the CPU spent executing tasks.
 func (c *CPU) BusyTime() simtime.Time {
 	b := c.busy
-	if c.cur != nil {
+	if c.cur.job != nil {
 		b += c.sim.Now() - c.cur.started
 	}
 	return b
@@ -186,9 +228,12 @@ func (j *Job) Finish() {
 		c.readyBE = removeJob(c.readyBE, j)
 		j.queued = false
 	}
-	j.tasks = nil
-	if c.cur != nil && c.cur.job == j {
+	wasRunning := c.cur.job == j
+	if wasRunning {
 		c.stopCurrent(false)
+	}
+	j.tasks = taskRing{}
+	if wasRunning {
 		c.dispatch()
 	}
 }
@@ -202,10 +247,10 @@ func removeJob(s []*Job, j *Job) []*Job {
 	return s
 }
 
-// Submit releases a task needing the given CPU service time; done is called
-// at its completion instant. Zero-service tasks complete after the dispatch
-// overhead alone.
-func (j *Job) Submit(service simtime.Time, done func(simtime.Time)) {
+// Submit releases a task needing the given CPU service time;
+// done.HandleEvent(arg) is called at its completion instant (done may be
+// nil). Zero-service tasks complete after the dispatch overhead alone.
+func (j *Job) Submit(service simtime.Time, done simtime.Handler, arg int) {
 	if j.finished {
 		return
 	}
@@ -213,16 +258,16 @@ func (j *Job) Submit(service simtime.Time, done func(simtime.Time)) {
 		panic("cpusched: negative service time")
 	}
 	c := j.cpu
-	t := &Task{job: j, remaining: service, released: c.sim.Now(), done: done}
+	t := Task{remaining: service, released: c.sim.Now(), done: done, arg: arg}
 	if j.reserved {
 		t.deadline = t.released + j.period
 	}
-	j.tasks = append(j.tasks, t)
+	j.tasks.push(t)
 	if j.reserved {
 		if !containsJob(c.readyRes, j) {
 			c.readyRes = append(c.readyRes, j)
 		}
-	} else if !j.queued && !(c.cur != nil && c.cur.job == j) {
+	} else if !j.queued && c.cur.job != j {
 		// A job that is currently on the CPU keeps its new task in its own
 		// queue; enqueuing it again would double-schedule it.
 		j.queued = true
@@ -244,7 +289,7 @@ func containsJob(s []*Job, j *Job) bool {
 // maybePreempt interrupts a best-effort dispatch when reserved work becomes
 // ready: the soft-real-time guarantee DSRT provides.
 func (c *CPU) maybePreempt() {
-	if c.cur == nil || c.cur.job.reserved || len(c.readyRes) == 0 {
+	if c.cur.job == nil || c.cur.job.reserved || len(c.readyRes) == 0 {
 		return
 	}
 	c.mPreempts.Inc()
@@ -256,33 +301,35 @@ func (c *CPU) maybePreempt() {
 // of the best-effort queue.
 func (c *CPU) stopCurrent(requeue bool) {
 	r := c.cur
-	if r == nil {
+	if r.job == nil {
 		return
 	}
-	consumed := c.sim.Now() - r.started
-	c.busy += consumed
-	progress := consumed - c.DispatchOverhead
-	if progress < 0 {
-		progress = 0
-	}
-	r.task.remaining -= progress
-	if r.task.remaining < 0 {
-		r.task.remaining = 0
-	}
-	c.sim.Cancel(r.doneEv)
-	c.sim.Cancel(r.expiryEv)
-	c.cur = nil
+	c.charge(r)
+	c.sim.Cancel(&c.ev)
+	c.cur = running{}
 	if requeue && !r.job.finished {
 		if !r.job.queued {
 			r.job.queued = true
-			c.readyBE = append([]*Job{r.job}, c.readyBE...)
+			c.readyBE = append(c.readyBE, nil)
+			copy(c.readyBE[1:], c.readyBE)
+			c.readyBE[0] = r.job
 		}
 	}
 }
 
+// charge books the time the interrupted dispatch r ran: busy time for the
+// CPU, and progress past the dispatch overhead for its task.
+func (c *CPU) charge(r running) {
+	consumed := c.sim.Now() - r.started
+	c.busy += consumed
+	t := r.job.tasks.front()
+	t.remaining -= max(consumed-c.DispatchOverhead, 0)
+	t.remaining = max(t.remaining, 0)
+}
+
 // dispatch starts the next task if the CPU is idle.
 func (c *CPU) dispatch() {
-	if c.cur != nil {
+	if c.cur.job != nil {
 		return
 	}
 	if j := c.pickEDF(); j != nil {
@@ -291,9 +338,9 @@ func (c *CPU) dispatch() {
 	}
 	for len(c.readyBE) > 0 {
 		j := c.readyBE[0]
-		c.readyBE = c.readyBE[1:]
+		c.readyBE = c.readyBE[:copy(c.readyBE, c.readyBE[1:])] // shift down: keeps the capacity
 		j.queued = false
-		if len(j.tasks) == 0 {
+		if j.tasks.n == 0 {
 			continue // drained while queued (e.g. by Finish)
 		}
 		c.start(j, c.sim.Now()+c.quantum)
@@ -306,10 +353,10 @@ func (c *CPU) dispatch() {
 func (c *CPU) pickEDF() *Job {
 	var best *Job
 	for _, j := range c.readyRes {
-		if len(j.tasks) == 0 {
+		if j.tasks.n == 0 {
 			continue
 		}
-		if best == nil || j.tasks[0].deadline < best.tasks[0].deadline {
+		if best == nil || j.tasks.front().deadline < best.tasks.front().deadline {
 			best = j
 		}
 	}
@@ -317,66 +364,51 @@ func (c *CPU) pickEDF() *Job {
 }
 
 func (c *CPU) start(j *Job, quantumEnd simtime.Time) {
-	t := j.tasks[0]
 	c.dispatches++
 	c.mDispatches.Inc()
-	r := &running{job: j, task: t, started: c.sim.Now(), quantumEnd: quantumEnd}
-	c.cur = r
-	runFor := t.remaining + c.DispatchOverhead
-	if quantumEnd > 0 && c.sim.Now()+runFor > quantumEnd {
+	now := c.sim.Now()
+	c.cur = running{job: j, started: now, quantumEnd: quantumEnd}
+	end := now + j.tasks.front().remaining + c.DispatchOverhead
+	if quantumEnd > 0 && end > quantumEnd {
 		// The quantum expires mid-task: schedule expiry, not completion.
-		r.expiryEv = c.sim.ScheduleAt(quantumEnd, func() { c.onExpiry(r) })
+		c.sim.Arm(&c.ev, quantumEnd, (*cpuExpiry)(c), 0)
 		return
 	}
-	r.doneEv = c.sim.Schedule(runFor, func() { c.onComplete(r) })
+	c.sim.Arm(&c.ev, end, (*cpuDone)(c), 0)
 }
 
-func (c *CPU) onComplete(r *running) {
-	if c.cur != r {
-		return // stale event (defensive; cancellation should prevent this)
-	}
+func (c *CPU) onComplete() {
+	r := c.cur
 	now := c.sim.Now()
 	c.busy += now - r.started
 	j := r.job
-	j.tasks = j.tasks[1:]
-	c.cur = nil
-	if j.reserved && len(j.tasks) == 0 {
+	t := j.tasks.pop()
+	c.cur = running{}
+	if j.reserved && j.tasks.n == 0 {
 		c.readyRes = removeJob(c.readyRes, j)
 	}
 	// Within a live quantum a best-effort job keeps the CPU and burns
 	// through its backlog — the paper's "process all the frames that are
 	// overdue within the quantum".
-	if !j.reserved && !j.finished && len(j.tasks) > 0 && now < r.quantumEnd && c.pickEDF() == nil {
+	if !j.reserved && !j.finished && j.tasks.n > 0 && now < r.quantumEnd && c.pickEDF() == nil {
 		c.start(j, r.quantumEnd)
-	} else if !j.reserved && !j.finished && len(j.tasks) > 0 {
+	} else if !j.reserved && !j.finished && j.tasks.n > 0 {
 		if !j.queued {
 			j.queued = true
 			c.readyBE = append(c.readyBE, j)
 		}
 	}
-	if r.task.done != nil {
-		r.task.done(now)
+	if t.done != nil {
+		t.done.HandleEvent(t.arg)
 	}
 	c.dispatch()
 }
 
-func (c *CPU) onExpiry(r *running) {
-	if c.cur != r {
-		return
-	}
-	now := c.sim.Now()
-	consumed := now - r.started
-	c.busy += consumed
-	progress := consumed - c.DispatchOverhead
-	if progress < 0 {
-		progress = 0
-	}
-	r.task.remaining -= progress
-	if r.task.remaining < 0 {
-		r.task.remaining = 0
-	}
+func (c *CPU) onExpiry() {
+	r := c.cur
+	c.charge(r)
 	j := r.job
-	c.cur = nil
+	c.cur = running{}
 	if !j.finished {
 		// Rotate to the tail: classic round-robin.
 		if !j.queued {

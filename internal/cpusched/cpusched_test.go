@@ -17,7 +17,7 @@ func TestSingleTaskRunsImmediately(t *testing.T) {
 	sim, cpu := newCPU()
 	j := cpu.NewBestEffortJob("j")
 	var done simtime.Time
-	j.Submit(3*time.Millisecond, func(at simtime.Time) { done = at })
+	j.Submit(3*time.Millisecond, simtime.Func(func() { done = sim.Now() }), 0)
 	sim.Run()
 	if done != 3*time.Millisecond {
 		t.Fatalf("completion = %v, want 3ms", done)
@@ -31,8 +31,8 @@ func TestBestEffortFIFOWithinJob(t *testing.T) {
 	sim, cpu := newCPU()
 	j := cpu.NewBestEffortJob("j")
 	var order []int
-	j.Submit(time.Millisecond, func(simtime.Time) { order = append(order, 1) })
-	j.Submit(time.Millisecond, func(simtime.Time) { order = append(order, 2) })
+	j.Submit(time.Millisecond, simtime.Func(func() { order = append(order, 1) }), 0)
+	j.Submit(time.Millisecond, simtime.Func(func() { order = append(order, 2) }), 0)
 	sim.Run()
 	if len(order) != 2 || order[0] != 1 {
 		t.Fatalf("order = %v", order)
@@ -47,8 +47,8 @@ func TestRoundRobinAlternatesJobs(t *testing.T) {
 	a := cpu.NewBestEffortJob("a")
 	b := cpu.NewBestEffortJob("b")
 	var tA, tB simtime.Time
-	a.Submit(25*time.Millisecond, func(at simtime.Time) { tA = at })
-	b.Submit(25*time.Millisecond, func(at simtime.Time) { tB = at })
+	a.Submit(25*time.Millisecond, simtime.Func(func() { tA = sim.Now() }), 0)
+	b.Submit(25*time.Millisecond, simtime.Func(func() { tB = sim.Now() }), 0)
 	sim.Run()
 	// a runs [0,10) [20,30) [40,45); b runs [10,20) [30,40) [45,50).
 	if tA != 45*time.Millisecond {
@@ -66,10 +66,10 @@ func TestQuantumBurstsThroughBacklog(t *testing.T) {
 	sim, cpu := newCPU()
 	hog := cpu.NewBestEffortJob("hog")
 	victim := cpu.NewBestEffortJob("victim")
-	hog.Submit(10*time.Millisecond, nil)
+	hog.Submit(10*time.Millisecond, nil, 0)
 	var completions []simtime.Time
 	for i := 0; i < 4; i++ {
-		victim.Submit(time.Millisecond, func(at simtime.Time) { completions = append(completions, at) })
+		victim.Submit(time.Millisecond, simtime.Func(func() { completions = append(completions, sim.Now()) }), 0)
 	}
 	sim.Run()
 	if len(completions) != 4 {
@@ -138,13 +138,13 @@ func TestReservedPreemptsBestEffort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hog.Submit(30*time.Millisecond, nil)
+	hog.Submit(30*time.Millisecond, nil, 0)
 	var resDone, hogDone simtime.Time
 	sim.Schedule(2*time.Millisecond, func() {
-		res.Submit(3*time.Millisecond, func(at simtime.Time) { resDone = at })
+		res.Submit(3*time.Millisecond, simtime.Func(func() { resDone = sim.Now() }), 0)
 	})
 	// Track hog completion via a second task (first has nil callback).
-	hog.Submit(time.Millisecond, func(at simtime.Time) { hogDone = at })
+	hog.Submit(time.Millisecond, simtime.Func(func() { hogDone = sim.Now() }), 0)
 	sim.Run()
 	if resDone != 5*time.Millisecond {
 		t.Fatalf("reserved completed at %v, want 5ms (2ms release + 3ms service)", resDone)
@@ -165,17 +165,17 @@ func TestReservedJobJitterUnderContention(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		hog := cpu.NewBestEffortJob("hog")
-		var spin func(simtime.Time)
-		spin = func(simtime.Time) { hog.Submit(8*time.Millisecond, spin) }
-		hog.Submit(8*time.Millisecond, spin)
+		var spin simtime.Func
+		spin = func() { hog.Submit(8*time.Millisecond, spin, 0) }
+		hog.Submit(8*time.Millisecond, spin, 0)
 	}
 	var completions []simtime.Time
 	for i := 0; i < 50; i++ {
 		release := simtime.Time(i) * period
 		sim.ScheduleAt(release, func() {
-			stream.Submit(2*time.Millisecond, func(at simtime.Time) {
-				completions = append(completions, at)
-			})
+			stream.Submit(2*time.Millisecond, simtime.Func(func() {
+				completions = append(completions, sim.Now())
+			}), 0)
 		})
 	}
 	sim.RunUntil(3 * time.Second)
@@ -198,17 +198,17 @@ func TestBestEffortJobStarvesUnderContention(t *testing.T) {
 	stream := cpu.NewBestEffortJob("stream")
 	for i := 0; i < 10; i++ {
 		hog := cpu.NewBestEffortJob("hog")
-		var spin func(simtime.Time)
-		spin = func(simtime.Time) { hog.Submit(8*time.Millisecond, spin) }
-		hog.Submit(8*time.Millisecond, spin)
+		var spin simtime.Func
+		spin = func() { hog.Submit(8*time.Millisecond, spin, 0) }
+		hog.Submit(8*time.Millisecond, spin, 0)
 	}
 	var completions []simtime.Time
 	for i := 0; i < 50; i++ {
 		release := simtime.Time(i) * period
 		sim.ScheduleAt(release, func() {
-			stream.Submit(2*time.Millisecond, func(at simtime.Time) {
-				completions = append(completions, at)
-			})
+			stream.Submit(2*time.Millisecond, simtime.Func(func() {
+				completions = append(completions, sim.Now())
+			}), 0)
 		})
 	}
 	sim.RunUntil(5 * time.Second)
@@ -231,15 +231,15 @@ func TestEDFOrderAmongReserved(t *testing.T) {
 	// A running reserved task is non-preemptible, so both later reserved
 	// tasks queue up and are dispatched in EDF order when it completes.
 	blocker, _ := cpu.NewReservedJob("blocker", 100*time.Millisecond, 10*time.Millisecond)
-	blocker.Submit(5*time.Millisecond, nil)
+	blocker.Submit(5*time.Millisecond, nil, 0)
 	longP, _ := cpu.NewReservedJob("long", 100*time.Millisecond, 10*time.Millisecond)
 	shortP, _ := cpu.NewReservedJob("short", 20*time.Millisecond, 2*time.Millisecond)
 	var order []string
 	sim.Schedule(time.Millisecond, func() {
-		longP.Submit(time.Millisecond, func(simtime.Time) { order = append(order, "long") })
+		longP.Submit(time.Millisecond, simtime.Func(func() { order = append(order, "long") }), 0)
 	})
 	sim.Schedule(2*time.Millisecond, func() {
-		shortP.Submit(time.Millisecond, func(simtime.Time) { order = append(order, "short") })
+		shortP.Submit(time.Millisecond, simtime.Func(func() { order = append(order, "short") }), 0)
 	})
 	sim.Run()
 	// short's deadline (2+20=22ms) precedes long's (1+100=101ms).
@@ -252,7 +252,7 @@ func TestFinishDropsPendingTasks(t *testing.T) {
 	sim, cpu := newCPU()
 	j := cpu.NewBestEffortJob("j")
 	fired := false
-	j.Submit(time.Hour, func(simtime.Time) { fired = true })
+	j.Submit(time.Hour, simtime.Func(func() { fired = true }), 0)
 	sim.Schedule(time.Millisecond, j.Finish)
 	sim.Run()
 	if fired {
@@ -261,7 +261,7 @@ func TestFinishDropsPendingTasks(t *testing.T) {
 	// CPU must be usable afterwards.
 	k := cpu.NewBestEffortJob("k")
 	var done simtime.Time
-	k.Submit(time.Millisecond, func(at simtime.Time) { done = at })
+	k.Submit(time.Millisecond, simtime.Func(func() { done = sim.Now() }), 0)
 	sim.Run()
 	if done == 0 {
 		t.Fatal("CPU stuck after Finish of running job")
@@ -273,7 +273,7 @@ func TestSubmitAfterFinishIgnored(t *testing.T) {
 	j := cpu.NewBestEffortJob("j")
 	j.Finish()
 	fired := false
-	j.Submit(time.Millisecond, func(simtime.Time) { fired = true })
+	j.Submit(time.Millisecond, simtime.Func(func() { fired = true }), 0)
 	sim.Run()
 	if fired {
 		t.Fatal("submit after finish executed")
@@ -285,7 +285,7 @@ func TestDispatchOverheadAccounting(t *testing.T) {
 	cpu.DispatchOverhead = 160 * time.Microsecond // the paper's 0.16 ms
 	j := cpu.NewBestEffortJob("j")
 	var done simtime.Time
-	j.Submit(5*time.Millisecond, func(at simtime.Time) { done = at })
+	j.Submit(5*time.Millisecond, simtime.Func(func() { done = sim.Now() }), 0)
 	sim.Run()
 	if done != 5*time.Millisecond+160*time.Microsecond {
 		t.Fatalf("completion = %v, want service+overhead", done)
@@ -299,7 +299,7 @@ func TestZeroServiceTask(t *testing.T) {
 	sim, cpu := newCPU()
 	j := cpu.NewBestEffortJob("j")
 	var done bool
-	j.Submit(0, func(simtime.Time) { done = true })
+	j.Submit(0, simtime.Func(func() { done = true }), 0)
 	sim.Run()
 	if !done {
 		t.Fatal("zero-service task never completed")
@@ -314,7 +314,7 @@ func TestNegativeServicePanics(t *testing.T) {
 			t.Fatal("negative service accepted")
 		}
 	}()
-	j.Submit(-time.Millisecond, nil)
+	j.Submit(-time.Millisecond, nil, 0)
 }
 
 func TestBusyTimeConservation(t *testing.T) {
@@ -323,12 +323,98 @@ func TestBusyTimeConservation(t *testing.T) {
 	b := cpu.NewBestEffortJob("b")
 	total := 0 * time.Millisecond
 	for i := 0; i < 5; i++ {
-		a.Submit(7*time.Millisecond, nil)
-		b.Submit(3*time.Millisecond, nil)
+		a.Submit(7*time.Millisecond, nil, 0)
+		b.Submit(3*time.Millisecond, nil, 0)
 		total += 10 * time.Millisecond
 	}
 	sim.Run()
 	if cpu.BusyTime() != total {
 		t.Fatalf("busy = %v, want %v", cpu.BusyTime(), total)
+	}
+}
+
+// counter is a completion target that allocates nothing to call.
+type counter struct{ n int }
+
+func (c *counter) HandleEvent(arg int) { c.n += arg }
+
+// lateSubmit releases a task on its job when its event fires; the event's
+// argument is the service time.
+type lateSubmit struct {
+	j    *Job
+	done simtime.Handler
+}
+
+func (l *lateSubmit) HandleEvent(service int) { l.j.Submit(simtime.Time(service), l.done, 1) }
+
+func TestSubmitToCompletionAllocatesNothing(t *testing.T) {
+	sim, cpu := newCPU()
+	res, err := cpu.NewReservedJob("res", 40*time.Millisecond, 4*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, other := cpu.NewBestEffortJob("be"), cpu.NewBestEffortJob("other")
+	done := &counter{}
+	late := &lateSubmit{j: res, done: done}
+	// One cycle holds every dispatch outcome: be outlasts its quantum and
+	// round-robins with other (expiry), a reserved task released at once and
+	// another released mid-quantum each preempt be, and all four complete.
+	cycle := func() {
+		be.Submit(25*time.Millisecond, done, 1)
+		other.Submit(12*time.Millisecond, done, 1)
+		res.Submit(2*time.Millisecond, done, 1)
+		sim.Post(sim.Now()+3*time.Millisecond, late, int(2*time.Millisecond))
+		sim.Run()
+	}
+	cycle() // first use sizes the rings, the run queues and the event heap
+	d0 := cpu.Dispatches()
+	if a := testing.AllocsPerRun(50, cycle); a != 0 {
+		t.Fatalf("steady-state cycle allocated %.1f times, want 0", a)
+	}
+	if done.n != 4*52 {
+		t.Fatalf("%d tasks completed, want %d", done.n, 4*52)
+	}
+	// 4 completions + 2 preemptions + at least 2 quantum expiries per cycle.
+	if per := float64(cpu.Dispatches()-d0) / 51; per < 8 {
+		t.Fatalf("%.1f dispatches per cycle: the cycle no longer preempts and expires", per)
+	}
+}
+
+// A job finished with one task on the CPU and more queued must stay silent
+// while the CPU re-arms the same event and the ring slots for its successor.
+func TestFinishedJobStaysSilentAfterReuse(t *testing.T) {
+	for _, reserved := range []bool{false, true} {
+		sim, cpu := newCPU()
+		j := cpu.NewBestEffortJob("j")
+		if reserved {
+			var err error
+			if j, err = cpu.NewReservedJob("j", 40*time.Millisecond, 4*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stale := &counter{}
+		for i := 0; i < 3; i++ {
+			j.Submit(5*time.Millisecond, stale, 1)
+		}
+		sim.RunUntil(2 * time.Millisecond)
+		j.Finish()
+		j.Finish() // idempotent: must not cancel the successor's dispatch
+		if sim.Pending() != 0 || j.Backlog() != 0 {
+			t.Fatalf("reserved=%v: after Finish %d events pending, backlog %d", reserved, sim.Pending(), j.Backlog())
+		}
+		k := cpu.NewBestEffortJob("k")
+		fresh := &counter{}
+		for i := 0; i < 5; i++ {
+			k.Submit(5*time.Millisecond, fresh, 1)
+		}
+		j.Finish()
+		j.Submit(time.Millisecond, stale, 1) // ignored
+		sim.Run()
+		if stale.n != 0 {
+			t.Fatalf("reserved=%v: finished job's callbacks fired %d times", reserved, stale.n)
+		}
+		if fresh.n != 5 || cpu.BusyTime() != 27*time.Millisecond {
+			t.Fatalf("reserved=%v: successor completed %d/5, busy %v (want 27ms)", reserved, fresh.n, cpu.BusyTime())
+		}
 	}
 }

@@ -119,7 +119,7 @@ func runFig5Panel(cfg Fig5Config, quasaq bool, contention int, label string) (*D
 			// Housekeeping bursts of 8-30 ms every 150-800 ms: long enough
 			// that a best-effort stream occasionally waits a quantum or
 			// two, which is where VDBMS's GOP-level jitter comes from.
-			daemon.Submit(simtime.Time(drng.Uniform(8e6, 30e6)), nil)
+			daemon.Submit(simtime.Time(drng.Uniform(8e6, 30e6)), nil, 0)
 			sim.Schedule(simtime.Time(drng.Uniform(150e6, 800e6)), tick)
 		}
 		sim.Schedule(simtime.Time(drng.Uniform(0, 150e6)), tick)

@@ -197,7 +197,7 @@ func TestLeaseCPUJobIsSchedulable(t *testing.T) {
 		t.Fatal(err)
 	}
 	var done simtime.Time
-	l.CPUJob().Submit(2*time.Millisecond, func(at simtime.Time) { done = at })
+	l.CPUJob().Submit(2*time.Millisecond, simtime.Func(func() { done = sim.Now() }), 0)
 	sim.Run()
 	if done != 2*time.Millisecond {
 		t.Fatalf("reserved job completion = %v", done)

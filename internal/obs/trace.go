@@ -95,6 +95,10 @@ type Scope struct {
 	thread string
 }
 
+// Enabled reports whether the scope records anything. Callers on hot paths
+// check it before building argument maps, so an untraced run pays nothing.
+func (s *Scope) Enabled() bool { return s != nil }
+
 // Span opens a span named name at the current virtual time. Close it with
 // End; a never-ended span is exported as an open "B" event so mid-stream
 // exports stay valid.

@@ -12,7 +12,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -22,53 +21,43 @@ import (
 // It reuses time.Duration so that callers can write 500*time.Millisecond.
 type Time = time.Duration
 
-// Event is a scheduled callback. It is returned by the Schedule methods so
-// that callers may cancel it before it fires.
+// Handler is the closure-free event target: a receiver plus the integer the
+// event was posted with. A pointer receiver stored in the interface costs no
+// allocation, which is what keeps the per-frame path allocation-free.
+type Handler interface {
+	HandleEvent(arg int)
+}
+
+// Func adapts a plain func to a Handler; the argument is ignored.
+type Func func()
+
+// HandleEvent calls f.
+func (f Func) HandleEvent(int) { f() }
+
+// Event is a scheduled callback. Schedule and ScheduleAt return it so that
+// callers may cancel it before it fires; Arm queues one the caller owns.
 type Event struct {
 	at     Time
 	seq    uint64
-	fn     func()
-	index  int // heap index, -1 once removed
+	h      Handler
+	arg    int
+	index  int32 // heap position + 1; zero while not queued (int32 keeps the Event at 48 bytes)
 	fired  bool
 	cancel bool
+	pooled bool // posted handle-free: returns to the free list when it leaves the queue
 }
 
 // At reports the virtual time the event is (or was) due to fire.
 func (e *Event) At() Time { return e.at }
 
-// Cancelled reports whether Cancel was called before the event fired.
+// Cancelled reports whether Cancel removed the event before it fired.
 func (e *Event) Cancelled() bool { return e.cancel }
 
 // Fired reports whether the event's callback has run.
 func (e *Event) Fired() bool { return e.fired }
 
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+func (e *Event) before(o *Event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
 // Simulator is a single-threaded discrete-event executor. It is not safe for
@@ -77,16 +66,13 @@ func (q *eventQueue) Pop() any {
 type Simulator struct {
 	now    Time
 	seq    uint64
-	queue  eventQueue
-	nEvent uint64 // total events executed (for overhead accounting)
+	queue  []*Event // binary min-heap on (at, seq); seq is unique, so the order is total
+	free   []*Event // recycled handle-free events
+	nEvent uint64   // total events executed (for overhead accounting)
 }
 
 // NewSimulator returns a simulator whose clock reads zero.
-func NewSimulator() *Simulator {
-	s := &Simulator{}
-	heap.Init(&s.queue)
-	return s
-}
+func NewSimulator() *Simulator { return &Simulator{} }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
@@ -94,9 +80,9 @@ func (s *Simulator) Now() Time { return s.now }
 // Executed returns the number of events executed so far.
 func (s *Simulator) Executed() uint64 { return s.nEvent }
 
-// Pending returns the number of events still queued (including cancelled
-// events that have not yet been reaped).
-func (s *Simulator) Pending() int { return s.queue.Len() }
+// Pending returns the number of events still queued. Cancel removes an
+// event at once, so cancelled events are never counted.
+func (s *Simulator) Pending() int { return len(s.queue) }
 
 // Schedule runs fn after delay. A negative delay is an error in the caller;
 // it panics because it would silently reorder causality.
@@ -110,45 +96,128 @@ func (s *Simulator) Schedule(delay Time, fn func()) *Event {
 // ScheduleAt runs fn at absolute virtual time at, which must not precede the
 // current clock.
 func (s *Simulator) ScheduleAt(at Time, fn func()) *Event {
-	if at < s.now {
-		panic(fmt.Sprintf("simtime: schedule at %v before now %v", at, s.now))
-	}
 	if fn == nil {
 		panic("simtime: nil event func")
 	}
-	s.seq++
-	e := &Event{at: at, seq: s.seq, fn: fn}
-	heap.Push(&s.queue, e)
+	e := &Event{}
+	s.Arm(e, at, Func(fn), 0)
 	return e
 }
 
-// Cancel removes the event from the queue if it has not fired. It is safe to
+// Post calls h.HandleEvent(arg) at absolute virtual time at. It returns no
+// handle, so the event cannot be cancelled, and because nobody can hold it
+// the simulator recycles it as soon as it fires: the per-frame way to
+// schedule.
+func (s *Simulator) Post(at Time, h Handler, arg int) {
+	var e *Event
+	if n := len(s.free); n > 0 {
+		e, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		e = &Event{pooled: true}
+	}
+	s.Arm(e, at, h, arg)
+}
+
+// Arm queues the caller-owned event e to call h.HandleEvent(arg) at absolute
+// virtual time at. An event may be armed again once it has fired or been
+// cancelled — a component with one timer outstanding at a time re-arms one
+// Event value instead of allocating per use — but never while it is queued.
+func (s *Simulator) Arm(e *Event, at Time, h Handler, arg int) {
+	if at < s.now {
+		panic(fmt.Sprintf("simtime: schedule at %v before now %v", at, s.now))
+	}
+	if e.index != 0 {
+		panic("simtime: event armed while queued")
+	}
+	s.seq++
+	e.at, e.seq, e.h, e.arg = at, s.seq, h, arg
+	e.fired, e.cancel = false, false
+	s.queue = append(s.queue, e)
+	s.up(len(s.queue) - 1)
+}
+
+// Cancel removes the event from the queue if it is queued. It is safe to
 // cancel an event twice or to cancel one that already fired (a no-op).
 func (s *Simulator) Cancel(e *Event) {
-	if e == nil || e.fired || e.cancel {
+	if e == nil || e.index == 0 {
 		return
 	}
 	e.cancel = true
-	if e.index >= 0 {
-		heap.Remove(&s.queue, e.index)
+	s.remove(int(e.index) - 1)
+}
+
+// remove takes the event at heap position i out of the queue and drops its
+// handler, so neither a kept handle nor the free list pins the receiver.
+func (s *Simulator) remove(i int) *Event {
+	q := s.queue
+	e, last := q[i], q[len(q)-1]
+	q[len(q)-1] = nil
+	s.queue = q[:len(q)-1]
+	if e != last {
+		s.queue[i] = last
+		s.up(i)
+		s.down(int(last.index) - 1)
 	}
+	e.index, e.h = 0, nil
+	if e.pooled {
+		s.free = append(s.free, e)
+	}
+	return e
+}
+
+// up and down restore the heap order around position i, keeping each
+// event's index in step.
+func (s *Simulator) up(i int) {
+	q := s.queue
+	e := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = int32(i + 1)
+		i = p
+	}
+	q[i] = e
+	e.index = int32(i + 1)
+}
+
+func (s *Simulator) down(i int) {
+	q := s.queue
+	e := q[i]
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if c+1 < len(q) && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(e) {
+			break
+		}
+		q[i] = q[c]
+		q[i].index = int32(i + 1)
+		i = c
+	}
+	q[i] = e
+	e.index = int32(i + 1)
 }
 
 // Step executes the single earliest event, advancing the clock to its
 // timestamp. It reports false when no events remain.
 func (s *Simulator) Step() bool {
-	for s.queue.Len() > 0 {
-		e := heap.Pop(&s.queue).(*Event)
-		if e.cancel {
-			continue
-		}
-		s.now = e.at
-		e.fired = true
-		s.nEvent++
-		e.fn()
-		return true
+	if len(s.queue) == 0 {
+		return false
 	}
-	return false
+	h, arg := s.queue[0].h, s.queue[0].arg
+	e := s.remove(0)
+	s.now = e.at
+	e.fired = true
+	s.nEvent++
+	h.HandleEvent(arg)
+	return true
 }
 
 // Run executes events until the queue is empty.
@@ -160,11 +229,7 @@ func (s *Simulator) Run() {
 // RunUntil executes events with timestamps <= deadline and then advances the
 // clock to the deadline. Events scheduled beyond the deadline stay queued.
 func (s *Simulator) RunUntil(deadline Time) {
-	for s.queue.Len() > 0 {
-		e := s.queue[0]
-		if e.at > deadline {
-			break
-		}
+	for len(s.queue) > 0 && s.queue[0].at <= deadline {
 		s.Step()
 	}
 	if s.now < deadline {
@@ -173,46 +238,47 @@ func (s *Simulator) RunUntil(deadline Time) {
 }
 
 // Every schedules fn at now+interval, then repeatedly every interval, until
-// fn returns false. It returns a handle to the next pending occurrence's
-// canceller.
+// fn returns false. It returns a handle that stops the repetition.
 func (s *Simulator) Every(interval Time, fn func() bool) *Ticker {
 	if interval <= 0 {
 		panic(fmt.Sprintf("simtime: non-positive ticker interval %v", interval))
 	}
 	t := &Ticker{sim: s, interval: interval, fn: fn}
-	t.arm()
+	s.Arm(&t.next, s.now+interval, t, 0)
 	return t
 }
 
-// Ticker is a repeating event created by Every.
+// Ticker is a repeating event created by Every. It re-arms one Event of its
+// own, so a tick allocates nothing.
 type Ticker struct {
 	sim      *Simulator
 	interval Time
 	fn       func() bool
-	next     *Event
+	next     Event
 	stopped  bool
 }
 
-func (t *Ticker) arm() {
-	t.next = t.sim.Schedule(t.interval, func() {
-		if t.stopped {
-			return
-		}
-		if t.fn() {
-			t.arm()
-		} else {
-			t.stopped = true
-		}
-	})
+// HandleEvent runs one tick and re-arms the ticker while fn asks for more.
+// A tick whose fn stops the ticker and still returns true arms one last
+// occurrence that does nothing; experiment outputs count that event.
+func (t *Ticker) HandleEvent(int) {
+	if t.stopped {
+		return
+	}
+	if t.fn() {
+		t.sim.Arm(&t.next, t.sim.now+t.interval, t, 0)
+	} else {
+		t.stopped = true
+	}
 }
 
-// Stop cancels any pending occurrence. The ticker never fires again.
+// Stop cancels any pending occurrence. The ticker's fn never runs again.
 func (t *Ticker) Stop() {
 	if t.stopped {
 		return
 	}
 	t.stopped = true
-	t.sim.Cancel(t.next)
+	t.sim.Cancel(&t.next)
 }
 
 // Seconds converts a float seconds count to virtual Time, saturating rather

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"container/heap"
 	"testing"
 	"testing/quick"
 	"time"
@@ -235,5 +236,299 @@ func TestExpDurMean(t *testing.T) {
 	mean := sum / n
 	if mean < 950*time.Millisecond || mean > 1050*time.Millisecond {
 		t.Fatalf("ExpDur mean = %v, want ~1s", mean)
+	}
+}
+
+// refSim is the event queue this package used before its typed heap:
+// container/heap over (at, seq). It stays here as the reference the
+// differential test compares the simulator's firing order against.
+type refEvent struct {
+	at    Time
+	seq   uint64
+	fn    func()
+	index int
+}
+
+type refQueue []*refEvent
+
+func (q refQueue) Len() int { return len(q) }
+func (q refQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q refQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index = i
+	q[j].index = j
+}
+func (q *refQueue) Push(x any) {
+	e := x.(*refEvent)
+	e.index = len(*q)
+	*q = append(*q, e)
+}
+func (q *refQueue) Pop() any {
+	old := *q
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	e.index = -1
+	*q = old[:len(old)-1]
+	return e
+}
+
+type refSim struct {
+	now Time
+	seq uint64
+	q   refQueue
+}
+
+func (s *refSim) Now() Time { return s.now }
+
+func (s *refSim) schedule(delay Time, fn func(), _ bool) (cancel func()) {
+	s.seq++
+	e := &refEvent{at: s.now + delay, seq: s.seq, fn: fn}
+	heap.Push(&s.q, e)
+	return func() {
+		if e.index >= 0 {
+			heap.Remove(&s.q, e.index)
+		}
+	}
+}
+
+func (s *refSim) step() bool {
+	if s.q.Len() == 0 {
+		return false
+	}
+	e := heap.Pop(&s.q).(*refEvent)
+	s.now = e.at
+	e.fn()
+	return true
+}
+
+// simLoop drives the real simulator through all three of its entry points:
+// handle-free Post for events the script never cancels, and for the rest
+// Schedule alternating with Arm on caller-owned events that are re-armed
+// once they have fired or been cancelled.
+type simLoop struct {
+	*Simulator
+	n     int
+	owned []*Event // fired or cancelled, free to re-arm
+}
+
+func (l *simLoop) schedule(delay Time, fn func(), cancellable bool) (cancel func()) {
+	if !cancellable {
+		l.Post(l.Now()+delay, Func(fn), 0)
+		return nil
+	}
+	l.n++
+	if l.n%2 == 0 {
+		e := l.Schedule(delay, fn)
+		return func() { l.Cancel(e) }
+	}
+	var e *Event
+	if k := len(l.owned); k > 0 {
+		e, l.owned = l.owned[k-1], l.owned[:k-1]
+	} else {
+		e = new(Event)
+	}
+	release := func() { l.owned = append(l.owned, e) }
+	l.Arm(e, l.Now()+delay, Func(func() { release(); fn() }), 0)
+	return func() {
+		if e.index != 0 {
+			l.Cancel(e)
+			release()
+		}
+	}
+}
+
+func (l *simLoop) step() bool { return l.Step() }
+
+type eventLoop interface {
+	Now() Time
+	schedule(delay Time, fn func(), cancellable bool) (cancel func())
+	step() bool
+}
+
+type firing struct {
+	id int
+	at Time
+}
+
+// runScript plays a seeded random mix of schedules, same-instant bursts,
+// cancels, and callbacks that schedule or cancel, and returns what fired
+// when. Every draw comes from one stream, callbacks included, so two loops
+// that ever disagree on order diverge for the rest of the script.
+func runScript(seed int64, l eventLoop) []firing {
+	rng := NewRand(seed)
+	var log []firing
+	type pending struct {
+		id     int
+		cancel func()
+	}
+	var live []*pending
+	drop := func(p *pending) {
+		for i, x := range live {
+			if x == p {
+				live = append(live[:i], live[i+1:]...)
+				return
+			}
+		}
+	}
+	cancelOne := func() {
+		if len(live) > 0 {
+			p := live[rng.Intn(len(live))]
+			p.cancel()
+			drop(p)
+		}
+	}
+	delay := func() Time { return Time(rng.Intn(6)) * time.Millisecond } // few values: many ties, some zero
+	nextID := 0
+	var add func(d Time, depth int)
+	add = func(d Time, depth int) {
+		p := &pending{id: nextID}
+		nextID++
+		cancellable := rng.Intn(2) == 0
+		p.cancel = l.schedule(d, func() {
+			log = append(log, firing{p.id, l.Now()})
+			drop(p)
+			switch rng.Intn(4) {
+			case 0:
+				if depth < 4 {
+					add(delay(), depth+1)
+				}
+			case 1:
+				cancelOne()
+			}
+		}, cancellable)
+		if cancellable {
+			live = append(live, p)
+		}
+	}
+	for round := 0; round < 2000; round++ {
+		switch rng.Intn(6) {
+		case 0, 1:
+			add(delay(), 0)
+		case 2:
+			d := delay()
+			for k := rng.Intn(8); k >= 0; k-- {
+				add(d, 0)
+			}
+		case 3:
+			cancelOne()
+		default:
+			for k := rng.Intn(4); k >= 0; k-- {
+				l.step()
+			}
+		}
+	}
+	for l.step() {
+	}
+	return append(log, firing{-1, l.Now()})
+}
+
+func TestHeapMatchesContainerHeapReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		want := runScript(seed, &refSim{})
+		sim := NewSimulator()
+		got := runScript(seed, &simLoop{Simulator: sim})
+		if len(want) < 1000 {
+			t.Fatalf("seed %d: script fired only %d events", seed, len(want))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: firing %d = %+v, reference %+v", seed, i, got[i], want[i])
+			}
+		}
+		if sim.Pending() != 0 {
+			t.Fatalf("seed %d: %d events left queued", seed, sim.Pending())
+		}
+	}
+}
+
+type countHandler struct{ n, sum int }
+
+func (c *countHandler) HandleEvent(arg int) { c.n++; c.sum += arg }
+
+func TestPostAndFireAllocateNothing(t *testing.T) {
+	s := NewSimulator()
+	h := &countHandler{}
+	post := func() {
+		for i := 0; i < 32; i++ {
+			s.Post(s.Now()+Time(i%5)*time.Millisecond, h, i)
+		}
+		s.Run()
+	}
+	post() // grows the queue and the free list once
+	if a := testing.AllocsPerRun(100, post); a != 0 {
+		t.Fatalf("Post+fire allocated %.1f times per 32 events, want 0", a)
+	}
+	if h.n != 32*102 {
+		t.Fatalf("fired %d events, want %d", h.n, 32*102)
+	}
+}
+
+func TestScheduleAndFireAllocateOnce(t *testing.T) {
+	s := NewSimulator()
+	fn := func() {}
+	s.Schedule(0, fn)
+	s.Run()
+	if a := testing.AllocsPerRun(100, func() {
+		s.Schedule(time.Millisecond, fn)
+		s.Run()
+	}); a > 1 {
+		t.Fatalf("Schedule+fire allocated %.1f times, want at most 1 (the Event)", a)
+	}
+}
+
+func TestTickerTickAllocatesNothing(t *testing.T) {
+	s := NewSimulator()
+	s.Every(time.Millisecond, func() bool { return true })
+	s.RunUntil(time.Second)
+	if a := testing.AllocsPerRun(100, func() { s.RunUntil(s.Now() + 10*time.Millisecond) }); a != 0 {
+		t.Fatalf("ticker allocated %.1f times per 10 ticks, want 0", a)
+	}
+}
+
+// A recycled event must not pin what it last called, must not be reachable
+// through Cancel, and an owned event must be re-armable exactly when idle.
+func TestEventLifecycle(t *testing.T) {
+	s := NewSimulator()
+	h := &countHandler{}
+	s.Post(time.Millisecond, h, 7)
+	s.Run()
+	if len(s.free) != 1 || s.free[0].h != nil {
+		t.Fatalf("fired Post event not recycled with its handler dropped: %+v", s.free)
+	}
+
+	var e Event
+	s.Arm(&e, s.Now()+time.Millisecond, h, 1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("arming a queued event did not panic")
+			}
+		}()
+		s.Arm(&e, s.Now()+time.Second, h, 2)
+	}()
+	s.Cancel(&e)
+	s.Cancel(&e) // second cancel: no-op
+	if !e.Cancelled() || e.Fired() || e.h != nil || s.Pending() != 0 {
+		t.Fatalf("cancelled owned event: %+v, pending %d", e, s.Pending())
+	}
+	s.Arm(&e, s.Now()+time.Millisecond, h, 3)
+	if e.Cancelled() {
+		t.Fatal("re-armed event still reports cancelled")
+	}
+	s.Run()
+	s.Cancel(&e) // after fire: no-op
+	if !e.Fired() || e.Cancelled() || h.sum != 7+3 {
+		t.Fatalf("re-armed event: %+v, handler sum %d", e, h.sum)
+	}
+	if len(s.free) != 1 {
+		t.Fatalf("owned event leaked into the free list (%d entries)", len(s.free))
 	}
 }

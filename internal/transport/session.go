@@ -102,6 +102,7 @@ type Session struct {
 	nextFrame int
 	pending   int // frames submitted to the CPU, not yet completed
 	gopDone   bool
+	sends     []int // scheduleGOP's scratch: sizes of the GOP's kept frames
 
 	// Farm staging state: completion times of transcoded GOPs keyed by
 	// first-frame index, whether scheduleGOP is parked waiting on one, and
@@ -311,6 +312,22 @@ func (s *Session) StartedAtFrame() int {
 // opposed to a best-effort fallback).
 func (s *Session) Reserved() bool { return s.lease != nil }
 
+// The session seen as the target of its three per-frame events: the next
+// GOP's pacing, a frame's release (argument: its size) and that frame's CPU
+// completion. Posting a receiver and an integer allocates nothing.
+type (
+	gopPacer      Session
+	frameRelease  Session
+	frameComplete Session
+)
+
+func (p *gopPacer) HandleEvent(int)          { (*Session)(p).scheduleGOP() }
+func (p *frameRelease) HandleEvent(size int) { (*Session)(p).sendFrame(size) }
+func (p *frameComplete) HandleEvent(size int) {
+	s := (*Session)(p)
+	s.frameDone(size, s.sim.Now())
+}
+
 // scheduleGOP paces out the kept frames of the GOP beginning at
 // s.nextFrame. Frame release times are shaped by coded size within the GOP
 // (large I frames occupy a proportionally larger share of the GOP's
@@ -351,16 +368,19 @@ func (s *Session) scheduleGOP() {
 	if last > total {
 		last = total
 	}
-	var gopBytes, keptBytes float64
-	var sends []int // sizes of kept frames, in order
+	var keptBytes float64
+	if s.sends == nil {
+		s.sends = make([]int, 0, last-first)
+	}
+	sends := s.sends[:0] // sizes of kept frames, in order
 	for i := first; i < last; i++ {
 		size := s.cfg.Variant.FrameSize(v, i)
 		if s.cfg.Drop.Keep(v.GOP, i) {
 			sends = append(sends, size)
 			keptBytes += float64(size)
 		}
-		gopBytes += float64(size)
 	}
+	s.sends = sends
 	// Window: the ideal GOP interval. The stream is clock-paced (UDP
 	// semantics): when the achieved link share cannot carry the kept bytes
 	// within the window, the excess is lost, not delayed. Loss applies to
@@ -378,9 +398,11 @@ func (s *Session) scheduleGOP() {
 			s.mLost.Add(lossFrac * float64(len(sends)))
 		}
 	}
-	s.cfg.Trace.Instant("gop", map[string]any{
-		"frame": first, "frames": len(sends), "bytes": int64(keptBytes),
-	})
+	if s.cfg.Trace.Enabled() {
+		s.cfg.Trace.Instant("gop", map[string]any{
+			"frame": first, "frames": len(sends), "bytes": int64(keptBytes),
+		})
+	}
 	// Release each kept frame at its byte-proportional position within the
 	// window, submitting its CPU work at release time.
 	var cum float64
@@ -391,9 +413,8 @@ func (s *Session) scheduleGOP() {
 		}
 		cum += float64(fsize)
 		release := s.gopStart + lateShift + simtime.Time(float64(window)*frac)
-		size := fsize
 		s.pending++
-		s.sim.ScheduleAt(release, func() { s.sendFrame(size) })
+		s.sim.Post(release, (*frameRelease)(s), fsize)
 	}
 	s.nextFrame = last
 	s.gopStart += window
@@ -407,10 +428,10 @@ func (s *Session) scheduleGOP() {
 	if now := s.sim.Now(); gopEnd < now {
 		// A farm stall longer than the GOP window pushed real time past the
 		// nominal boundary; resume pacing immediately rather than in the
-		// past (ScheduleAt refuses to rewind the clock).
+		// past (the simulator refuses to rewind the clock).
 		gopEnd = now
 	}
-	s.sim.ScheduleAt(gopEnd, s.scheduleGOP)
+	s.sim.Post(gopEnd, (*gopPacer)(s), 0)
 }
 
 func (s *Session) currentRate() float64 {
@@ -441,7 +462,7 @@ func (s *Session) sendFrame(size int) {
 		return
 	}
 	svc := frameService(size) + s.cfg.ExtraPerFrameCPU
-	s.cpuJob.Submit(svc, func(at simtime.Time) { s.frameDone(size, at) })
+	s.cpuJob.Submit(svc, (*frameComplete)(s), size)
 }
 
 func (s *Session) frameDone(size int, at simtime.Time) {

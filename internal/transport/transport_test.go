@@ -247,9 +247,9 @@ func TestBestEffortShedsUnderCPUBacklog(t *testing.T) {
 	node := gara.NewNode(sim, "srv", gara.DefaultCapacity())
 	for i := 0; i < 120; i++ {
 		hog := node.CPU().NewBestEffortJob("hog")
-		var spin func(simtime.Time)
-		spin = func(simtime.Time) { hog.Submit(8*time.Millisecond, spin) }
-		hog.Submit(8*time.Millisecond, spin)
+		var spin simtime.Func
+		spin = func() { hog.Submit(8*time.Millisecond, spin, 0) }
+		hog.Submit(8*time.Millisecond, spin, 0)
 	}
 	v := testVideo(20)
 	va := dvdVariant(v.FrameRate)
@@ -402,5 +402,39 @@ func TestStreamCPUCostScalesWithQuality(t *testing.T) {
 	c := StreamCPUCost(dvd, 23.97)
 	if c < 0.01 || c > 0.05 {
 		t.Fatalf("DVD stream CPU cost = %v, want ~0.023", c)
+	}
+}
+
+// The steady-state frame path — GOP pacing, frame release, CPU task,
+// completion — is budgeted at no more than one allocation per GOP once the
+// first GOP has sized the session's buffers and the simulator's free list.
+func TestReservedSessionAllocationBudgetPerGOP(t *testing.T) {
+	sim := simtime.NewSimulator()
+	node := gara.NewNode(sim, "srv", gara.DefaultCapacity())
+	v := testVideo(200)
+	va := dvdVariant(v.FrameRate)
+	lease, err := node.Reserve("s", streamDemand(va, v.FrameRate, DropNone, v), v.FrameInterval())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := StartReserved(sim, node, Config{Video: v, Variant: va}, lease, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gop := v.GOPInterval()
+	sim.RunUntil(gop + gop/2) // into the second GOP
+	const gops = 100
+	before := s.FramesDelivered()
+	// AllocsPerRun calls the function once to warm up and once to measure.
+	allocs := testing.AllocsPerRun(1, func() { sim.RunUntil(sim.Now() + gops*gop) })
+	if got, want := s.FramesDelivered()-before, 2*gops*v.GOP.Len(); got != want {
+		t.Fatalf("streamed %d frames in %d GOPs, want %d", got, 2*gops, want)
+	}
+	if s.Done() {
+		t.Fatal("session ended inside the measured window")
+	}
+	t.Logf("%.0f allocations over %d GOPs", allocs, gops)
+	if allocs > gops {
+		t.Fatalf("%.0f allocations over %d GOPs, budget is one per GOP", allocs, gops)
 	}
 }
