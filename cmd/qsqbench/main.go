@@ -84,7 +84,6 @@ type options struct {
 	ctrlLoss    float64
 
 	overloadScale float64
-	benchOut      string
 
 	satSessions   int
 	satLive       int
@@ -117,7 +116,6 @@ func main() {
 	flag.IntVar(&o.ctrlRetries, "ctrl-retries", 2, "admission: control RPC retries after the first attempt")
 	flag.Float64Var(&o.ctrlLoss, "ctrl-loss", 0, "admission: control-message loss probability in [0,1)")
 	flag.Float64Var(&o.overloadScale, "overload-scale", 1, "overload: shrink (<1) or stretch (>1) the ramp and fault times")
-	flag.StringVar(&o.benchOut, "bench", "", "overload/transcode/saturate/sla/edge: archive the run as a JSON benchmark record here")
 	flag.IntVar(&o.satSessions, "sessions", 100000, "saturate: total session arrivals")
 	flag.IntVar(&o.satLive, "live", 20000, "saturate: sliding-window depth of concurrently live sessions")
 	flag.IntVar(&o.satGoroutines, "goroutines", 8, "saturate: concurrent admission loops in the throughput pass")
@@ -311,14 +309,6 @@ func run(o options) error {
 		if err := saveCSV(o.csvDir, "overload.csv", experiments.OverloadTable(points)); err != nil {
 			return err
 		}
-		if o.benchOut != "" {
-			if err := writeFile(o.benchOut, func(w io.Writer) error {
-				return experiments.WriteOverloadJSON(w, cfg, points)
-			}); err != nil {
-				return err
-			}
-			fmt.Println("wrote", o.benchOut)
-		}
 	}
 	if o.exp == "sla" { // not part of -exp all: its drain runs long past the ramp, like overload
 		cfg := experiments.DefaultSLAConfig()
@@ -331,14 +321,6 @@ func run(o options) error {
 		if err := saveCSV(o.csvDir, "sla.csv", experiments.SLATable(points)); err != nil {
 			return err
 		}
-		if o.benchOut != "" {
-			if err := writeFile(o.benchOut, func(w io.Writer) error {
-				return experiments.WriteSLAJSON(w, cfg, points)
-			}); err != nil {
-				return err
-			}
-			fmt.Println("wrote", o.benchOut)
-		}
 	}
 	if o.exp == "edge" { // not part of -exp all: the flash-crowd drain runs long past the ramp
 		cfg := experiments.DefaultEdgeExpConfig()
@@ -350,14 +332,6 @@ func run(o options) error {
 		fmt.Println(experiments.FormatEdge(cfg, points))
 		if err := saveCSV(o.csvDir, "edge.csv", experiments.EdgeTable(points)); err != nil {
 			return err
-		}
-		if o.benchOut != "" {
-			if err := writeFile(o.benchOut, func(w io.Writer) error {
-				return experiments.WriteEdgeJSON(w, cfg, points)
-			}); err != nil {
-				return err
-			}
-			fmt.Println("wrote", o.benchOut)
 		}
 	}
 	if o.exp == "saturate" { // not part of -exp all: its throughput pass is wall-clock, not simulated
@@ -379,14 +353,6 @@ func run(o options) error {
 		if err := saveCSV(o.csvDir, "saturate.csv", experiments.SaturateTable(fidelity)); err != nil {
 			return err
 		}
-		if o.benchOut != "" {
-			if err := writeFile(o.benchOut, func(w io.Writer) error {
-				return experiments.WriteSaturateJSON(w, cfg, fidelity, throughput)
-			}); err != nil {
-				return err
-			}
-			fmt.Println("wrote", o.benchOut)
-		}
 	}
 	if o.exp == "transcode" { // not part of -exp all: its single-copy corpus skews the other figures' protocol
 		cfg := experiments.DefaultTranscodeConfig()
@@ -398,14 +364,6 @@ func run(o options) error {
 		fmt.Println(experiments.FormatTranscode(cfg, points))
 		if err := saveCSV(o.csvDir, "transcode.csv", experiments.TranscodeTable(points)); err != nil {
 			return err
-		}
-		if o.benchOut != "" {
-			if err := writeFile(o.benchOut, func(w io.Writer) error {
-				return experiments.WriteTranscodeJSON(w, cfg, points)
-			}); err != nil {
-				return err
-			}
-			fmt.Println("wrote", o.benchOut)
 		}
 	}
 	if all || o.exp == "overhead" {

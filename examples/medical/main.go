@@ -62,8 +62,8 @@ func main() {
 	fmt.Printf("  -> plan: %s\n", nurseDel.Plan)
 
 	// The two deliveries consume very different resources.
-	physNet := physDel.Plan.DeliveryDemand[1]
-	nurseNet := nurseDel.Plan.DeliveryDemand[1]
+	physNet := physDel.Plan.Demand(quasaq.StageDeliver)[1]
+	nurseNet := nurseDel.Plan.Demand(quasaq.StageDeliver)[1]
 	fmt.Printf("\nbandwidth: physician %.0f KB/s vs nurse %.0f KB/s (%.1fx)\n",
 		physNet/1e3, nurseNet/1e3, physNet/nurseNet)
 

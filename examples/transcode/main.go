@@ -61,8 +61,8 @@ func main() {
 		if i < 3 {
 			fmt.Printf("plan %d: %s\n", i, d.Plan)
 			for j, st := range d.Plan.Stages {
-				fmt.Printf("  stage %d: %-10s site=%-6s work=%.3f cpu-s/s depends=%v\n",
-					j, st.Kind, st.Site, st.Work, st.DependsOn)
+				fmt.Printf("  stage %d: %-10s site=%-6s work=%.3f cpu-s/s\n",
+					j, st.Kind, st.Site, st.Work)
 			}
 		}
 		db.Advance(2 * time.Second)

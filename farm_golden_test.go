@@ -35,7 +35,7 @@ func goldenFarmWorkload(t *testing.T, db *DB) (string, []string) {
 		db.Advance(500 * time.Millisecond)
 	}
 
-	// A mid-playback renegotiation re-plans the staged DAG.
+	// A mid-playback renegotiation re-plans the staged plan.
 	if len(deliveries) > 0 {
 		db.Advance(3 * time.Second)
 		if _, err := db.Renegotiate(deliveries[0], reqs[1]); err != nil {
@@ -61,7 +61,7 @@ func goldenFarmWorkload(t *testing.T, db *DB) (string, []string) {
 	return fmt.Sprintf("%+v", db.Stats()), outcomes
 }
 
-// TestNeutralFarmGoldenEquivalence is the staged-DAG acceptance gate: a DB
+// TestNeutralFarmGoldenEquivalence is the staged-plan acceptance gate: a DB
 // with the zero-config transcoding farm (one instant, free worker) must be
 // byte-identical to a plain DB on the same workload — same Stats, same
 // rejection sequence, same per-delivery observed QoS — even though every

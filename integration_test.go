@@ -188,7 +188,7 @@ func TestIntegrationSecurityEndToEnd(t *testing.T) {
 	if secure.Plan.Encrypt == nil || plain.Plan.Encrypt != nil {
 		t.Fatalf("encryption assignment wrong: plain=%v secure=%v", plain.Plan.Encrypt, secure.Plan.Encrypt)
 	}
-	if secure.Plan.DeliveryDemand[0] <= plain.Plan.DeliveryDemand[0] {
+	if secure.Plan.Demand(StageDeliver)[0] <= plain.Plan.Demand(StageDeliver)[0] {
 		t.Fatal("encryption did not cost CPU")
 	}
 	db.RunUntilIdle()

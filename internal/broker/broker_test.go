@@ -2,6 +2,9 @@ package broker
 
 import (
 	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"quasaq/internal/gara"
@@ -273,4 +276,68 @@ func TestCommitRetryAfterLostAckIsIdempotent(t *testing.T) {
 		t.Fatalf("leases = %d after abort-after-commit", w.nodes["b"].Leases())
 	}
 	w.sim.Run() // the forget timer was cancelled; nothing should fire
+}
+
+// TestBrokerSurvivesConcurrentNodeFaults drives one broker's prepare →
+// commit loop while another goroutine crashes and restores its node: gara
+// fires the prepared leases' revoke callbacks — Broker.drop — on the
+// faulting goroutine, so the transaction tables are shared state. Under
+// -race an unguarded table fails this on every run. At quiesce nothing may
+// be left prepared and the node's books must read exactly zero.
+func TestBrokerSurvivesConcurrentNodeFaults(t *testing.T) {
+	w := newWorld(t, Config{}) // synchronous: no TTL timers, the simulator stays idle
+	b, n := w.bks["b"], w.nodes["b"]
+
+	var stop atomic.Bool
+	var faults sync.WaitGroup
+	faults.Add(1)
+	go func() {
+		defer faults.Done()
+		for !stop.Load() {
+			n.Fail()
+			runtime.Gosched()
+			n.Restore()
+			runtime.Gosched()
+		}
+	}()
+
+	// Prepare in batches, and yield before committing, so a crash finds
+	// prepared leases to revoke while the loop is still using the tables;
+	// keep going until faults have provably dropped entries under it.
+	const batch, wantDropped, maxRounds = 4, 20, 200000
+	req := prepReq(0, 0)
+	req.Vec[qos.ResCPU] = 0.125 // a binary fraction: overlapping leases sum and cancel exactly
+	dropped := 0
+	for round := 0; dropped < wantDropped; round++ {
+		if round == maxRounds {
+			t.Fatalf("only %d prepared entries dropped by faults in %d rounds", dropped, round)
+		}
+		base := uint64(round) * batch
+		var prepared [batch]bool
+		for i := range prepared {
+			req.TxID = base + uint64(i)
+			prepared[i] = b.Handle(req).OK
+		}
+		runtime.Gosched()
+		for i, ok := range prepared {
+			id := base + uint64(i)
+			switch rep := b.Handle(Request{Op: OpCommit, TxID: id}); {
+			case rep.OK:
+				rep.Lease.Release()
+			case ok && errors.Is(rep.Err, ErrUnknownTx):
+				dropped++ // prepared, then revoked by a crash before the commit
+			}
+			b.Handle(Request{Op: OpAbort, TxID: id})
+		}
+	}
+	stop.Store(true)
+	faults.Wait()
+	n.Restore()
+
+	if got := b.PendingPrepares(); got != 0 {
+		t.Fatalf("%d prepares pending at quiesce", got)
+	}
+	if u := n.Usage(); u != (qos.ResourceVector{}) || n.Leases() != 0 {
+		t.Fatalf("node holds %v in %d leases at quiesce", u, n.Leases())
+	}
 }

@@ -10,7 +10,7 @@ import (
 
 // threeParts is a staged plan's reservation list: delivery leg, source
 // relay, and the farm's transcode stage — the multi-participant transaction
-// the stage DAG hands the coordinator.
+// a staged plan hands the coordinator.
 func threeParts() []Participant {
 	return []Participant{
 		{Site: "a", Name: "v", Vec: demand(), Period: simtime.Seconds(1.0 / 25)},
@@ -56,7 +56,7 @@ func TestStagedReserveCommitsAllThreeStages(t *testing.T) {
 	}
 }
 
-// TestPartitionDuringStagedPrepareLeavesNoOrphan is the staged-DAG chaos
+// TestPartitionDuringStagedPrepareLeavesNoOrphan is the staged-plan chaos
 // acceptance case: the coordinator's site partitions while the third
 // stage's PREPARE ack is in flight, after the second stage has already
 // prepared. Retries and the rollback ABORTs are all eaten by the

@@ -176,7 +176,7 @@ func (m *Manager) serviceAdmit(querySite string, id media.VideoID, req qos.Requi
 	dopts := opts
 	dopts.AvoidSites = nil
 	d := &Delivery{mgr: m, video: v, req: req, querySite: querySite, opts: dopts, trace: scope}
-	m.tryPlans(d, next, opts, scope, nil, func(p *Plan, lastErr error) {
+	m.tryPlans(d, next, opts.StartFrame, scope, nil, func(p *Plan, lastErr error) {
 		if p != nil {
 			m.met.admitted.Inc()
 			if scope.Enabled() {
@@ -199,9 +199,9 @@ func (m *Manager) serviceAdmit(querySite string, id media.VideoID, req qos.Requi
 }
 
 // tryPlans walks the costed plan iterator, attempting a two-phase
-// reservation per plan, and continues with the admitted plan or (nil,
-// lastErr) when the iterator is exhausted.
-func (m *Manager) tryPlans(d *Delivery, next func() (*Plan, bool), opts ServiceOptions, scope *obs.Scope, lastErr error, done func(*Plan, error)) {
+// reservation per plan (streaming from frame start), and continues with the
+// admitted plan or (nil, lastErr) when the iterator is exhausted.
+func (m *Manager) tryPlans(d *Delivery, next func() (*Plan, bool), start int, scope *obs.Scope, lastErr error, done func(*Plan, error)) {
 	p, ok := next()
 	if !ok {
 		done(nil, lastErr)
@@ -214,7 +214,7 @@ func (m *Manager) tryPlans(d *Delivery, next func() (*Plan, bool), opts ServiceO
 			"site": p.DeliverySite, "replica": p.Replica.Site,
 		})
 	}
-	m.executeInto(d, p, opts, func(err error) {
+	m.executeInto(d, p, start, func(err error) {
 		if err == nil {
 			rsv.SetArg("outcome", "granted")
 			rsv.End()
@@ -225,7 +225,7 @@ func (m *Manager) tryPlans(d *Delivery, next func() (*Plan, bool), opts ServiceO
 			rsv.SetArg("outcome", err.Error())
 			rsv.End()
 		}
-		m.tryPlans(d, next, opts, scope, err, done)
+		m.tryPlans(d, next, start, scope, err, done)
 	})
 }
 
@@ -255,8 +255,6 @@ func (m *Manager) planCandidates(querySite string, v *media.Video, req qos.Requi
 	})
 }
 
-// excludeSites filters out plans delivering from any listed site, without
-// mutating the input.
 // netFeasible keeps the plans whose priced network vector admits under the
 // requirement's AND-composed thresholds (Requirement.Admits).
 func netFeasible(plans []*Plan, req qos.Requirement) []*Plan {
@@ -269,6 +267,8 @@ func netFeasible(plans []*Plan, req qos.Requirement) []*Plan {
 	return out
 }
 
+// excludeSites filters out plans delivering from any listed site, without
+// mutating the input.
 func excludeSites(plans []*Plan, avoid []string) []*Plan {
 	out := make([]*Plan, 0, len(plans))
 	for _, p := range plans {
@@ -333,14 +333,13 @@ func sliceIter(plans []*Plan) func() (*Plan, bool) {
 }
 
 // executeInto runs one plan's two-phase reservation through the control
-// plane — one PREPARE/COMMIT participant per reservation stage of the
-// plan's DAG (delivery site, source relay, farm transcode), all-or-nothing
-// and TTL-reclaimed — and on success binds the streaming session to d. It
-// is the shared tail of admission and failover: on failover the same
-// Delivery gets a new Plan/Session in place. done receives nil on success
-// or the first refusal/timeout after the coordinator rolled the
-// transaction back.
-func (m *Manager) executeInto(d *Delivery, p *Plan, opts ServiceOptions, done func(error)) {
+// plane — one PREPARE/COMMIT participant per reservation stage of the plan,
+// all-or-nothing and TTL-reclaimed — and on success binds the streaming
+// session, resuming at frame start, to d. It is the shared tail of
+// admission and failover: on failover the same Delivery gets a new
+// Plan/Session in place. done receives nil on success or the first
+// refusal/timeout after the coordinator rolled the transaction back.
+func (m *Manager) executeInto(d *Delivery, p *Plan, start int, done func(error)) {
 	v := d.video
 	period := simtime.Seconds(1 / p.Delivered.FrameRate)
 	stages := p.ReservationStages()
@@ -385,58 +384,27 @@ func (m *Manager) executeInto(d *Delivery, p *Plan, opts ServiceOptions, done fu
 			done(errReservationAbandoned)
 			return
 		}
-		done(m.bind(d, p, leases, opts))
+		done(m.bind(d, p, leases, start))
 	})
 }
 
 // bind starts the streaming session on the committed leases and wires the
 // failure-detection callbacks — the local tail of a successful two-phase
-// reservation. Leases arrive in reservation-stage order; the delivery
-// lease feeds the session, the source and farm leases are held by the
-// delivery and released with it.
-func (m *Manager) bind(d *Delivery, p *Plan, leases []*gara.Lease, opts ServiceOptions) error {
-	v := d.video
-	release := func() {
-		for _, l := range leases {
-			l.Release()
-		}
-	}
-	deliveryNode, err := m.cluster.Node(p.DeliverySite)
-	if err != nil {
-		release()
+// reservation. Leases arrive parallel to the plan's reservation stages and
+// become the delivery's: the session streams on one, the delivery holds the
+// rest and releases them with it. Any failure here returns them all.
+func (m *Manager) bind(d *Delivery, p *Plan, leases []*gara.Lease, start int) error {
+	d.held = leases
+	fail := func(err error) error {
+		d.releaseHeld()
 		return err
 	}
-	lease := leases[0]
-	var sourceLease, farmLease, tailLease *gara.Lease
-	for i, st := range p.ReservationStages() {
-		if i == 0 || i >= len(leases) {
-			continue
-		}
-		switch st.Kind {
-		case StageTailDeliver:
-			tailLease = leases[i]
-		case StageSource:
-			sourceLease = leases[i]
-		case StageTranscode:
-			farmLease = leases[i]
-		}
+	stages := p.ReservationStages()
+	if len(leases) != len(stages) {
+		return fail(fmt.Errorf("core: plan for %s committed %d leases for %d reservation stages",
+			d.video.ID, len(leases), len(stages)))
 	}
-	d.Plan = p
-	d.sourceLease = sourceLease
-	d.farmLease = farmLease
-	d.tailLease = tailLease
-	d.handedOver = false
-	cfg := transport.Config{
-		Video:            v,
-		Variant:          p.DeliveredVariant,
-		Drop:             p.Drop,
-		ExtraPerFrameCPU: p.ExtraPerFrameCPU,
-		TraceFrames:      opts.TraceFrames,
-		Path:             opts.Path,
-		PathSeed:         opts.PathSeed,
-		StartFrame:       opts.StartFrame,
-		Trace:            d.trace,
-	}
+	cfg := d.sessionConfig(p.DeliveredVariant, p.Drop, p.ExtraPerFrameCPU, start)
 	// Staged GOP supply: when a farm is enabled, transcoding plans stream
 	// GOPs through it — offloaded plans because the conversion genuinely
 	// runs there, and inline plans under a *neutral* farm because routing
@@ -445,54 +413,46 @@ func (m *Manager) bind(d *Delivery, p *Plan, leases []*gara.Lease, opts ServiceO
 	// delivery CPU and must not also occupy a farm worker.
 	if m.farm != nil && p.Transcode != nil && (p.FarmOffloaded() || m.farm.Neutral()) {
 		cfg.Farm = m.farm
-		if st := p.TranscodeStage(); st != nil {
-			cfg.FarmWork = st.Work
-		}
+		cfg.FarmWork = p.stage(StageTranscode).Work
 	}
-	// Split plans deliver in two legs: the edge prefix streams first and
-	// hands the viewer over to the tail site's full replica at the split
-	// frame. A resume already past the boundary skips the prefix leg and
-	// starts directly on the tail lease, returning the edge one.
-	sessNode, sessLease, streamSite := deliveryNode, lease, p.DeliverySite
+	// The session streams on the deliver stage's lease. Split plans deliver
+	// in two legs: the edge prefix streams first and hands the viewer over
+	// to the tail site's full replica at the split frame. A resume already
+	// past the boundary skips the prefix leg and starts directly on the
+	// tail lease, returning the edge one.
+	own := deliverStage
 	onDone := m.teardown(d)
 	if p.Split() {
-		if tailLease == nil {
-			release()
-			return fmt.Errorf("core: split plan for %s committed without a tail lease", v.ID)
-		}
-		if opts.StartFrame < p.SplitFrame {
+		if start < p.SplitFrame {
 			cfg.EndFrame = p.SplitFrame
-			onDone = func(*transport.Session) { m.handover(d, opts) }
+			onDone = func(*transport.Session) { m.handover(d) }
 		} else {
-			tn, terr := m.cluster.Node(p.TailReplica.Site)
-			if terr != nil {
-				release()
-				return terr
-			}
-			sessNode, sessLease, streamSite = tn, tailLease, p.TailReplica.Site
-			d.tailLease = nil
-			d.handedOver = true
-			lease.Release()
+			own = tailStage
 		}
 	}
-	sess, err := transport.StartReserved(m.cluster.Sim, sessNode, cfg, sessLease, onDone)
+	node, err := m.cluster.Node(stages[own].Site)
 	if err != nil {
-		release()
-		return err
+		return fail(err)
 	}
-	// Failure detection: the delivery lease's revocation fails the session
-	// (wired inside StartReserved); the session's failure, and a relay,
-	// farm, or parked tail lease's revocation, all land in the manager's
-	// recovery path.
+	d.Plan = p
+	d.handedOver = own == tailStage
+	if d.handedOver {
+		d.held[deliverStage].Release()
+		d.held[deliverStage] = nil
+	}
+	sess, err := transport.StartReserved(m.cluster.Sim, node, cfg, d.held[own], onDone)
+	if err != nil {
+		return fail(err)
+	}
+	d.held[own] = nil // the session's from here on
+	// Failure detection: the session lease's revocation fails the session
+	// (wired inside StartReserved); the session's failure, and any held
+	// lease's revocation, land in the manager's recovery path.
 	sess.SetOnFail(func(_ *transport.Session, cause error) { m.onSessionFail(d, cause) })
-	if sourceLease != nil {
-		sourceLease.SetOnRevoke(func(cause error) { m.onSourceFail(d, cause) })
-	}
-	if farmLease != nil {
-		farmLease.SetOnRevoke(func(cause error) { m.onFarmFail(d, cause) })
-	}
-	if d.tailLease != nil {
-		d.tailLease.SetOnRevoke(func(cause error) { m.onTailFail(d, cause) })
+	for i, l := range d.held {
+		if l != nil {
+			l.SetOnRevoke(func(cause error) { m.onHeldRevoked(d, i, cause) })
+		}
 	}
 	if p.Split() {
 		m.met.splitAdmissions.Inc()
@@ -501,8 +461,8 @@ func (m *Manager) bind(d *Delivery, p *Plan, leases []*gara.Lease, opts ServiceO
 	d.Session = sess
 	if d.trace.Enabled() {
 		d.streamSpan = d.trace.Span("stream", map[string]any{
-			"site":  streamSite,
-			"video": v.Title,
+			"site":  stages[own].Site,
+			"video": d.video.Title,
 			"fps":   p.Delivered.FrameRate,
 		})
 		if p.Remote() {
@@ -525,18 +485,7 @@ func (m *Manager) teardown(d *Delivery) func(*transport.Session) {
 		m.cluster.sessionEnded()
 		d.streamSpan.End()
 		d.trace.Instant("teardown", nil)
-		if d.sourceLease != nil {
-			d.sourceLease.Release()
-			d.sourceLease = nil
-		}
-		if d.farmLease != nil {
-			d.farmLease.Release()
-			d.farmLease = nil
-		}
-		if d.tailLease != nil {
-			d.tailLease.Release()
-			d.tailLease = nil
-		}
+		d.releaseHeld()
 		if d.opts.OnDone != nil {
 			d.opts.OnDone(d)
 		}
@@ -550,31 +499,22 @@ func (m *Manager) teardown(d *Delivery) func(*transport.Session) {
 // continues — no extra sessionStarted/Ended pair. A handover that cannot
 // start is a mid-stream failure at the boundary and takes the normal
 // recovery path.
-func (m *Manager) handover(d *Delivery, opts ServiceOptions) {
+func (m *Manager) handover(d *Delivery) {
 	p := d.Plan
-	tl := d.tailLease
+	tl := d.held[tailStage]
 	if tl == nil {
-		// The tail lease was revoked while the prefix streamed; onTailFail
-		// already failed the session and recovery owns the delivery.
+		// The tail lease was revoked while the prefix streamed;
+		// onHeldRevoked already failed the session and recovery owns the
+		// delivery.
 		return
 	}
+	d.held[tailStage] = nil // the tail session's from here on
 	node, err := m.cluster.Node(p.TailReplica.Site)
 	if err == nil {
-		cfg := transport.Config{
-			Video:            d.video,
-			Variant:          p.DeliveredVariant,
-			Drop:             p.Drop,
-			ExtraPerFrameCPU: p.ExtraPerFrameCPU,
-			TraceFrames:      opts.TraceFrames,
-			Path:             opts.Path,
-			PathSeed:         opts.PathSeed,
-			StartFrame:       p.SplitFrame,
-			Trace:            d.trace,
-		}
+		cfg := d.sessionConfig(p.DeliveredVariant, p.Drop, p.ExtraPerFrameCPU, p.SplitFrame)
 		var sess *transport.Session
 		sess, err = transport.StartReserved(m.cluster.Sim, node, cfg, tl, m.teardown(d))
 		if err == nil {
-			d.tailLease = nil // owned by the tail session now
 			d.handedOver = true
 			m.met.handovers.Inc()
 			sess.SetOnFail(func(_ *transport.Session, cause error) { m.onSessionFail(d, cause) })
@@ -593,7 +533,6 @@ func (m *Manager) handover(d *Delivery, opts ServiceOptions) {
 			return
 		}
 	}
-	d.tailLease = nil
 	tl.Release()
 	m.onSessionFail(d, err)
 }

@@ -64,13 +64,13 @@ func TestGenerateProducesSatisfyingPlans(t *testing.T) {
 		if !req.SatisfiedBy(p.Delivered) {
 			t.Fatalf("plan %s delivers %v, violating %v", p, p.Delivered, req)
 		}
-		if p.DeliveryDemand[qos.ResNetBandwidth] <= 0 {
+		if p.Demand(StageDeliver)[qos.ResNetBandwidth] <= 0 {
 			t.Fatalf("plan %s has no network demand", p)
 		}
-		if p.Remote() && p.SourceDemand[qos.ResNetBandwidth] <= 0 {
+		if p.Remote() && p.Demand(StageSource)[qos.ResNetBandwidth] <= 0 {
 			t.Fatalf("remote plan %s has no source demand", p)
 		}
-		if !p.Remote() && p.SourceDemand != (qos.ResourceVector{}) {
+		if !p.Remote() && p.Demand(StageSource) != (qos.ResourceVector{}) {
 			t.Fatalf("local plan %s has source demand", p)
 		}
 	}
@@ -185,9 +185,10 @@ func TestLRBFig3Example(t *testing.T) {
 	}
 	mk := func(d qos.ResourceVector) *Plan {
 		return &Plan{
-			Replica:        &metadata.Replica{Site: "s1"},
-			DeliverySite:   "s1",
-			DeliveryDemand: d,
+			Replica:      &metadata.Replica{Site: "s1"},
+			DeliverySite: "s1",
+			Stages:       []Stage{{Kind: StageDeliver, Site: "s1", Vec: d}},
+			reserved:     1,
 		}
 	}
 	plan1 := mk(qos.ResourceVector{0.40, 10, 10, 10}) // max bucket: cpu 0.70

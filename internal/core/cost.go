@@ -61,10 +61,9 @@ type LRB struct{}
 func (LRB) Name() string { return "lrb" }
 
 // Cost evaluates Eq. 1 for one plan under the given usage: the maximum
-// bucket fill over every reservation stage of the plan's DAG. For
-// pre-staged plans this visits the delivery then source demands exactly as
-// before; farm-offloaded plans additionally charge the farm tier's CPU
-// bucket, so a congested farm prices its candidates out.
+// bucket fill over every reservation stage of the plan. Farm-offloaded
+// plans thereby charge the farm tier's CPU bucket too, so a congested farm
+// prices its candidates out.
 func (LRB) Cost(p *Plan, usage SiteUsage) float64 {
 	var f float64
 	for _, st := range p.ReservationStages() {
@@ -122,7 +121,7 @@ type MinSum struct{}
 func (MinSum) Name() string { return "min-sum" }
 
 // Cost is the summed normalized bucket demand of one plan, over every
-// reservation stage of its DAG.
+// reservation stage.
 func (MinSum) Cost(p *Plan, usage SiteUsage) float64 {
 	var c float64
 	for _, st := range p.ReservationStages() {
@@ -147,7 +146,7 @@ type StaticCheapest struct{}
 func (StaticCheapest) Name() string { return "static" }
 
 // Cost is the plan's fill ratio against empty sites, maximized over every
-// reservation stage of its DAG.
+// reservation stage.
 func (StaticCheapest) Cost(p *Plan, usage SiteUsage) float64 {
 	var zero qos.ResourceVector
 	var c float64

@@ -4,9 +4,11 @@ import (
 	"testing"
 
 	"quasaq/internal/edgecache"
+	"quasaq/internal/gara"
 	"quasaq/internal/media"
 	"quasaq/internal/qos"
 	"quasaq/internal/simtime"
+	"quasaq/internal/transcode"
 )
 
 // edgeManager wires a testbed cluster with a two-site edge tier on an
@@ -97,7 +99,7 @@ func TestSplitPlanEnumeration(t *testing.T) {
 		if len(stages) < 2 || stages[0].Kind != StageDeliver || stages[1].Kind != StageTailDeliver {
 			t.Fatalf("split reservation order wrong: %v", stages)
 		}
-		if p.TailDemand[qos.ResNetBandwidth] <= 0 {
+		if p.Demand(StageTailDeliver)[qos.ResNetBandwidth] <= 0 {
 			t.Fatalf("tail stage has no network demand: %s", p)
 		}
 	}
@@ -133,11 +135,11 @@ func TestSplitDeliveryHandover(t *testing.T) {
 	d := &Delivery{mgr: m, video: v, req: req, querySite: "srv-a",
 		opts: ServiceOptions{OnDone: func(*Delivery) { done++ }}}
 	var rerr error
-	m.executeInto(d, sp, d.opts, func(err error) { rerr = err })
+	m.executeInto(d, sp, 0, func(err error) { rerr = err })
 	if rerr != nil {
 		t.Fatalf("split reservation failed: %v", rerr)
 	}
-	if d.tailLease == nil {
+	if d.held[tailStage] == nil {
 		t.Fatal("tail lease not parked on the delivery")
 	}
 	sim.Run()
@@ -148,7 +150,7 @@ func TestSplitDeliveryHandover(t *testing.T) {
 	if ms.SplitAdmissions != 1 || ms.Handovers != 1 {
 		t.Fatalf("split counters = admissions %d handovers %d, want 1/1", ms.SplitAdmissions, ms.Handovers)
 	}
-	if !d.handedOver || d.tailLease != nil {
+	if !d.handedOver || d.held[tailStage] != nil {
 		t.Fatal("handover left the delivery in a bad state")
 	}
 	if !d.Session.Done() || d.Session.Position() != v.Frames() {
@@ -191,7 +193,7 @@ func TestSplitResumePastBoundary(t *testing.T) {
 	opts := ServiceOptions{StartFrame: sp.SplitFrame}
 	d := &Delivery{mgr: m, video: v, req: req, querySite: "srv-a", opts: opts}
 	var rerr error
-	m.executeInto(d, sp, opts, func(err error) { rerr = err })
+	m.executeInto(d, sp, opts.StartFrame, func(err error) { rerr = err })
 	if rerr != nil {
 		t.Fatalf("resume reservation failed: %v", rerr)
 	}
@@ -282,6 +284,18 @@ func TestStaleSplitPlanNeverAdmittedAfterEviction(t *testing.T) {
 	}
 }
 
+// firstPlan returns the first candidate of shape pred for v queried at srv-a.
+func firstPlan(t *testing.T, m *Manager, v *media.Video, req qos.Requirement, pred func(*Plan) bool) *Plan {
+	t.Helper()
+	for _, p := range mustCandidates(t, m, "srv-a", v, req) {
+		if pred(p) {
+			return p
+		}
+	}
+	t.Fatal("no candidate plan of the wanted shape")
+	return nil
+}
+
 func mustCandidates(t *testing.T, m *Manager, site string, v *media.Video, req qos.Requirement) []*Plan {
 	t.Helper()
 	plans, _ := m.planCandidates(site, v, req)
@@ -291,42 +305,192 @@ func mustCandidates(t *testing.T, m *Manager, site string, v *media.Video, req q
 	return plans
 }
 
-// TestTailLeaseRevocationFailsDelivery: revoking the parked tail lease while
-// the prefix leg streams fails the delivery immediately (and without
-// failover, abandons it) instead of stalling at the boundary.
-func TestTailLeaseRevocationFailsDelivery(t *testing.T) {
-	sim, _, m, ec := edgeManager(t, edgecache.Config{})
-	v, _ := m.cluster.Engine.Video(1)
-	req := qos.Requirement{} // unconstrained: matches the high-bitrate prefix variant
-	warmPrefix(t, sim, ec, "srv-a", v.ID)
+// stageWorlds are the three plan-shape regimes and the stage each adds to
+// the flat deliver(+source) plan: a non-neutral farm adds the offloaded
+// transcode stage, an edge tier with a warm prefix adds the tail leg.
+var stageWorlds = []struct {
+	name  string
+	build func(t *testing.T) (*simtime.Simulator, *Manager, qos.Requirement)
+	adds  func(*Plan) bool
+}{
+	{"flat", func(t *testing.T) (*simtime.Simulator, *Manager, qos.Requirement) {
+		sim, c := testCluster(t)
+		return sim, NewManager(c, LRB{}), qos.Requirement{MinColorDepth: 8}
+	}, func(p *Plan) bool { return p.Remote() && p.Transcode == nil }},
+	{"farm", func(t *testing.T) (*simtime.Simulator, *Manager, qos.Requirement) {
+		sim, c := testCluster(t)
+		m := NewManager(c, LRB{})
+		if _, err := m.EnableFarm(transcode.FarmConfig{Classes: []transcode.WorkerClass{
+			{Name: "fast", Speed: 4, MinWorkers: 2, MaxWorkers: 2},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		return sim, m, qos.Requirement{MinColorDepth: 8}
+	}, func(p *Plan) bool { return p.Remote() && p.FarmOffloaded() }},
+	{"edge", func(t *testing.T) (*simtime.Simulator, *Manager, qos.Requirement) {
+		sim, _, m, ec := edgeManager(t, edgecache.Config{})
+		warmPrefix(t, sim, ec, "srv-a", 1)
+		return sim, m, qos.Requirement{} // unconstrained: matches the high-bitrate prefix variant
+	}, (*Plan).Split},
+}
 
-	plans, _ := m.planCandidates("srv-a", v, req)
-	var sp *Plan
-	for _, p := range plans {
-		if p.Split() {
-			sp = p
-			break
+// TestStagesBuiltInReservationOrder pins the one plan shape: every
+// generated plan stores its resource-holding stages first, ordered deliver,
+// tail, source, transcode, with no zero vector among them and nothing but
+// zero vectors after them, and ReservationStages hands out that stored
+// prefix rather than a copy.
+func TestStagesBuiltInReservationOrder(t *testing.T) {
+	rank := map[StageKind]int{StageDeliver: 0, StageTailDeliver: 1, StageSource: 2, StageTranscode: 3}
+	for _, w := range stageWorlds {
+		t.Run(w.name, func(t *testing.T) {
+			_, m, req := w.build(t)
+			v, _ := m.cluster.Engine.Video(1)
+			added := 0
+			for _, p := range mustCandidates(t, m, "srv-a", v, req) {
+				if w.adds(p) {
+					added++
+				}
+				rs := p.ReservationStages()
+				if len(rs) == 0 || rs[0].Kind != StageDeliver {
+					t.Fatalf("%s: reserved prefix %v does not start with deliver", p, rs)
+				}
+				for i, st := range rs {
+					if st.Vec == (qos.ResourceVector{}) {
+						t.Fatalf("%s: reserved stage %d (%s) has a zero vector", p, i, st.Kind)
+					}
+					if i > 0 && rank[st.Kind] <= rank[rs[i-1].Kind] {
+						t.Fatalf("%s: stage %s reserved after %s", p, st.Kind, rs[i-1].Kind)
+					}
+				}
+				for _, st := range p.Stages[len(rs):] {
+					if st.Vec != (qos.ResourceVector{}) {
+						t.Fatalf("%s: stage %s holds resources outside the reserved prefix", p, st.Kind)
+					}
+				}
+				if again := p.ReservationStages(); &again[0] != &rs[0] || &rs[0] != &p.Stages[0] || len(again) != len(rs) {
+					t.Fatalf("%s: ReservationStages is not the stored prefix", p)
+				}
+			}
+			if added == 0 {
+				t.Fatal("world generated no plan of the shape it adds")
+			}
+		})
+	}
+}
+
+// TestLeaseConservation: whichever way a delivery ends — the stream
+// completes, the viewer cancels, the session fails, a lease held beside the
+// session's is revoked — every lease of every reservation stage goes back
+// exactly once and every node, the farm pseudo-site included, reads zero.
+// The held-revoked exit on the split plan is the parked-tail case: the
+// delivery fails at once (without failover, is abandoned) instead of
+// stalling at the handover boundary.
+func TestLeaseConservation(t *testing.T) {
+	lastStageSite := func(d *Delivery) string {
+		rs := d.Plan.ReservationStages()
+		return rs[len(rs)-1].Site
+	}
+	exits := []struct {
+		name         string
+		do           func(m *Manager, d *Delivery)
+		done, failed bool
+	}{
+		{"completes", func(*Manager, *Delivery) {}, true, false},
+		{"cancel", func(_ *Manager, d *Delivery) { d.Cancel() }, false, false},
+		{"session-fails", func(m *Manager, d *Delivery) { m.cluster.Nodes[d.Plan.DeliverySite].Fail() }, false, true},
+		{"held-revoked", func(m *Manager, d *Delivery) { m.cluster.Nodes[lastStageSite(d)].Fail() }, false, true},
+	}
+	for _, w := range stageWorlds {
+		for _, exit := range exits {
+			t.Run(w.name+"/"+exit.name, func(t *testing.T) {
+				sim, m, req := w.build(t)
+				v, _ := m.cluster.Engine.Video(1)
+				p := firstPlan(t, m, v, req, w.adds)
+				var done, failed int
+				d := &Delivery{mgr: m, video: v, req: req, querySite: "srv-a", opts: ServiceOptions{
+					OnDone:   func(*Delivery) { done++ },
+					OnFailed: func(*Delivery, error) { failed++ },
+				}}
+				var rerr error
+				m.executeInto(d, p, 0, func(err error) { rerr = err })
+				if rerr != nil {
+					t.Fatalf("reservation failed: %v", rerr)
+				}
+				stages := p.ReservationStages()
+				if len(stages) < 2 || len(d.held) != len(stages) {
+					t.Fatalf("%d leases held for %d reservation stages", len(d.held), len(stages))
+				}
+				for i, l := range d.held {
+					if (l == nil) != (i == deliverStage) {
+						t.Fatalf("held[%d] = %v: the session owns the deliver lease and nothing else", i, l)
+					}
+					if m.cluster.Nodes[stages[i].Site].Leases() != 1 {
+						t.Fatalf("stage %s holds no lease at %s", stages[i].Kind, stages[i].Site)
+					}
+				}
+
+				sim.RunUntil(sim.Now() + simtime.Seconds(0.5))
+				exit.do(m, d)
+				sim.Run()
+
+				if (done == 1) != exit.done || (failed == 1) != exit.failed || done+failed > 1 {
+					t.Fatalf("OnDone fired %d times, OnFailed %d", done, failed)
+				}
+				if d.Failed() != exit.failed {
+					t.Fatalf("Failed() = %v", d.Failed())
+				}
+				if exit.failed && m.Stats().Handovers != 0 {
+					t.Fatal("failed delivery still recorded a handover")
+				}
+				for i, l := range d.held {
+					if l != nil {
+						t.Fatalf("delivery still holds the %s lease", stages[i].Kind)
+					}
+				}
+				if n := m.cluster.OutstandingSessions(); n != 0 {
+					t.Fatalf("outstanding sessions = %d", n)
+				}
+				var granted uint64
+				for site, n := range m.cluster.Nodes {
+					if u := n.Usage(); u != (qos.ResourceVector{}) || n.Leases() != 0 {
+						t.Fatalf("site %s: usage %v, %d leases after the delivery ended", site, u, n.Leases())
+					}
+					reg := m.cluster.Obs
+					g := reg.Counter("gara_leases_granted_total", "site", site).Value()
+					back := reg.Counter("gara_leases_released_total", "site", site).Value() +
+						reg.Counter("gara_leases_revoked_total", "site", site).Value()
+					if g != back {
+						t.Fatalf("site %s: %d leases granted, %d returned", site, g, back)
+					}
+					granted += g
+				}
+				if granted != uint64(len(stages)) {
+					t.Fatalf("%d leases granted for %d reservation stages", granted, len(stages))
+				}
+			})
 		}
 	}
-	if sp == nil {
-		t.Fatal("no split plan")
+}
+
+// TestBindRejectsLeaseCountMismatch: a commit that hands bind fewer leases
+// than the plan has reservation stages is refused and everything it did
+// hand over is released — never a session streaming without its relay.
+func TestBindRejectsLeaseCountMismatch(t *testing.T) {
+	_, c := testCluster(t)
+	m := NewManager(c, LRB{})
+	v, _ := c.Engine.Video(1)
+	req := qos.Requirement{MinColorDepth: 8}
+	p := firstPlan(t, m, v, req, (*Plan).Remote)
+	node := c.Nodes[p.DeliverySite]
+	l, err := node.Reserve(v.Title, p.Demand(StageDeliver), simtime.Seconds(1/p.Delivered.FrameRate))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var failed error
-	d := &Delivery{mgr: m, video: v, req: req, querySite: "srv-a",
-		opts: ServiceOptions{OnFailed: func(_ *Delivery, err error) { failed = err }}}
-	var rerr error
-	m.executeInto(d, sp, d.opts, func(err error) { rerr = err })
-	if rerr != nil {
-		t.Fatalf("reservation failed: %v", rerr)
+	d := &Delivery{mgr: m, video: v, req: req, querySite: "srv-a"}
+	if err := m.bind(d, p, []*gara.Lease{l}, 0); err == nil {
+		t.Fatal("bind accepted one lease for a two-stage plan")
 	}
-	// Crash the tail site mid-prefix: its broker's lease revokes.
-	sim.RunUntil(sim.Now() + simtime.Seconds(0.5))
-	m.cluster.Nodes[sp.TailReplica.Site].Fail()
-	sim.Run()
-	if !d.Failed() || failed == nil {
-		t.Fatal("tail revocation did not abandon the delivery")
-	}
-	if m.Stats().Handovers != 0 {
-		t.Fatal("failed delivery still recorded a handover")
+	if node.Leases() != 0 || d.Session != nil {
+		t.Fatalf("refused bind left %d leases and session %v", node.Leases(), d.Session)
 	}
 }

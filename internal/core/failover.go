@@ -80,34 +80,15 @@ func (m *Manager) noteFailover(ev FailoverEvent) {
 	}
 }
 
-// onSourceFail handles revocation of a remote plan's relay lease: the
-// source of the stream is gone, so the delivery session — though its own
-// resources are intact — can no longer be fed. Fail it; recovery follows
-// through onSessionFail.
-func (m *Manager) onSourceFail(d *Delivery, cause error) {
-	d.sourceLease = nil // already reclaimed by the revocation
-	if d.Session != nil {
-		d.Session.Fail(cause)
-	}
-}
-
-// onFarmFail handles revocation of an offloaded plan's farm-stage lease:
-// the transcoding tier can no longer feed the stream its GOPs, so the
-// session fails and recovery follows through onSessionFail, which will
-// re-plan the DAG (possibly back onto an inline transcode).
-func (m *Manager) onFarmFail(d *Delivery, cause error) {
-	d.farmLease = nil // already reclaimed by the revocation
-	if d.Session != nil {
-		d.Session.Fail(cause)
-	}
-}
-
-// onTailFail handles revocation of a split plan's parked tail-leg lease
-// while the prefix leg still streams: the second half of the video can no
-// longer be served, so the delivery fails now — a recovery from the current
-// position beats a guaranteed stall at the split boundary.
-func (m *Manager) onTailFail(d *Delivery, cause error) {
-	d.tailLease = nil // already reclaimed by the revocation
+// onHeldRevoked handles revocation of a lease the delivery holds beside its
+// session's: a remote plan's source relay, an offloaded plan's farm stage,
+// or a split plan's parked tail leg. The session's own resources are intact
+// but the stream can no longer be fed — or, for the tail, finished, and a
+// recovery from the current position beats a guaranteed stall at the split
+// boundary. Fail it; recovery follows through onSessionFail, which re-plans
+// (possibly back onto an inline transcode or an origin-only delivery).
+func (m *Manager) onHeldRevoked(d *Delivery, i int, cause error) {
+	d.held[i] = nil // already reclaimed by the revocation
 	if d.Session != nil {
 		d.Session.Fail(cause)
 	}
@@ -118,18 +99,7 @@ func (m *Manager) onTailFail(d *Delivery, cause error) {
 // with it, recovery is scheduled after the detector's lag.
 func (m *Manager) onSessionFail(d *Delivery, cause error) {
 	m.cluster.sessionEnded()
-	if d.sourceLease != nil {
-		d.sourceLease.Release()
-		d.sourceLease = nil
-	}
-	if d.farmLease != nil {
-		d.farmLease.Release()
-		d.farmLease = nil
-	}
-	if d.tailLease != nil {
-		d.tailLease.Release()
-		d.tailLease = nil
-	}
+	d.releaseHeld()
 	m.met.sessionFailures.Inc()
 	d.failedAt = m.cluster.Sim.Now()
 	d.failedFrom = d.Plan.DeliverySite
@@ -174,8 +144,6 @@ func (m *Manager) attemptFailover(d *Delivery, attempt int) {
 			ErrNoViablePlan, d.video.ID, len(plans)))
 		return
 	}
-	opts := d.opts
-	opts.StartFrame = d.resumeFrom
 	next := m.admissionOrder(live)
 	var tryNext func(lastErr error)
 	tryNext = func(lastErr error) {
@@ -184,7 +152,7 @@ func (m *Manager) attemptFailover(d *Delivery, attempt int) {
 			m.concludeFailover(d, attempt, lastErr)
 			return
 		}
-		m.executeInto(d, p, opts, func(err error) {
+		m.executeInto(d, p, d.resumeFrom, func(err error) {
 			if errors.Is(err, errReservationAbandoned) {
 				// Cancelled while a reservation was in flight; the leases
 				// are rolled back and recovery is over.
@@ -256,16 +224,7 @@ func (m *Manager) bestEffortFallback(d *Delivery, attempt int) bool {
 		if err != nil {
 			continue
 		}
-		cfg := transport.Config{
-			Video:       d.video,
-			Variant:     rep.Variant,
-			Drop:        transport.DropNone,
-			TraceFrames: d.opts.TraceFrames,
-			Path:        d.opts.Path,
-			PathSeed:    d.opts.PathSeed,
-			StartFrame:  d.resumeFrom,
-			Trace:       d.trace,
-		}
+		cfg := d.sessionConfig(rep.Variant, transport.DropNone, 0, d.resumeFrom)
 		sess, err := transport.StartBestEffort(m.cluster.Sim, node, cfg, func(s *transport.Session) {
 			// A resume at the video's end finishes synchronously inside
 			// StartBestEffort, before d.Session is assigned below.

@@ -53,22 +53,25 @@ var (
 var ErrControlTimeout = broker.ErrControlTimeout
 
 // Delivery is one admitted, executing query: the chosen plan, its streaming
-// session, and the remote-site lease if the plan relays between sites.
+// session, and the committed leases of the plan's other reservation stages.
 // When failover is enabled, Plan and Session are replaced in place on a
 // successful mid-stream recovery — the Delivery is the stable handle.
 type Delivery struct {
 	Plan    *Plan
 	Session *transport.Session
 
-	mgr         *Manager
-	sourceLease *gara.Lease
-	farmLease   *gara.Lease // farm-tier transcode stage, offloaded plans only
-	tailLease   *gara.Lease // split plans: the tail leg's lease, held until handover
-	handedOver  bool        // split plans: the tail leg is (or was) the live session
-	video       *media.Video
-	req         qos.Requirement
-	querySite   string
-	opts        ServiceOptions
+	mgr *Manager
+	// held is the committed lease set, parallel to Plan.ReservationStages().
+	// The live session owns the lease it streams on and its slot is nil
+	// here; every other lease is held by the delivery — revoking one fails
+	// the session — until releaseHeld returns it, a fault reclaims it, or a
+	// split plan's handover passes the tail lease to the tail session.
+	held       []*gara.Lease
+	handedOver bool // split plans: the tail leg is (or was) the live session
+	video      *media.Video
+	req        qos.Requirement
+	querySite  string
+	opts       ServiceOptions
 
 	// Failover state.
 	recovering bool
@@ -162,17 +165,36 @@ func (d *Delivery) Cancel() {
 		d.trace.Instant("cancel", nil)
 	}
 	d.Session.Cancel()
-	if d.sourceLease != nil {
-		d.sourceLease.Release()
-		d.sourceLease = nil
+	d.releaseHeld()
+}
+
+// releaseHeld returns every lease the delivery still holds beside its
+// session's own.
+func (d *Delivery) releaseHeld() {
+	for i, l := range d.held {
+		if l != nil {
+			l.Release()
+			d.held[i] = nil
+		}
 	}
-	if d.farmLease != nil {
-		d.farmLease.Release()
-		d.farmLease = nil
-	}
-	if d.tailLease != nil {
-		d.tailLease.Release()
-		d.tailLease = nil
+}
+
+// sessionConfig is the transport configuration of one streaming leg of the
+// delivery, starting at frame start: the leg's coded variant, drop strategy
+// and per-frame online CPU, under the delivery's service options.
+func (d *Delivery) sessionConfig(variant media.Variant, drop transport.DropStrategy,
+	extraPerFrameCPU simtime.Time, start int) transport.Config {
+
+	return transport.Config{
+		Video:            d.video,
+		Variant:          variant,
+		Drop:             drop,
+		ExtraPerFrameCPU: extraPerFrameCPU,
+		TraceFrames:      d.opts.TraceFrames,
+		Path:             d.opts.Path,
+		PathSeed:         d.opts.PathSeed,
+		StartFrame:       start,
+		Trace:            d.trace,
 	}
 }
 

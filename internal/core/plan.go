@@ -44,12 +44,6 @@ type Plan struct {
 	// ExtraPerFrameCPU is the per-delivered-frame CPU time of the plan's
 	// online activities (transcode + encrypt), submitted with each frame.
 	ExtraPerFrameCPU simtime.Time
-	// DeliveryDemand is the resource vector required at the delivery site.
-	DeliveryDemand qos.ResourceVector
-	// SourceDemand is the resource vector required at the source site when
-	// the replica lives elsewhere (zero otherwise): disk to read the
-	// replica and outbound bandwidth to relay it to the delivery site.
-	SourceDemand qos.ResourceVector
 
 	// TailReplica, on a split plan, is the full replica that streams the
 	// remainder of the video after the edge prefix drains; nil on ordinary
@@ -58,16 +52,18 @@ type Plan struct {
 	// SplitFrame is the GOP-aligned frame where a split plan hands the
 	// stream over from the prefix leg to the tail leg.
 	SplitFrame int
-	// TailDemand is the resource vector reserved at the tail replica's
-	// site for the second delivery leg of a split plan.
-	TailDemand qos.ResourceVector
 
-	// Stages is the plan's execution DAG in pipeline order (source-read →
-	// transcode → deliver), each stage carrying its own demand vector and
-	// site binding with DependsOn precedence edges. DeliveryDemand and
-	// SourceDemand above remain the flat per-site totals the stages roll up
-	// to; admission and the cost models walk ReservationStages.
-	Stages []Stage
+	// Stages is the single record of what the plan runs and reserves, built
+	// once by the generator and read-only afterwards (cached candidate sets
+	// are shared across queries). The order is the reservation order: the
+	// deliver stage first (the scarcest decision), then a split plan's tail
+	// leg, the source relay, and a farm-offloaded transcode. Those stages
+	// hold resources — the reserved prefix, ReservationStages — and the
+	// coordinator PREPAREs them sequentially in this order. A stage with no
+	// demand of its own (the inline transcode, whose cost rides the deliver
+	// stage's CPU) follows the prefix.
+	Stages   []Stage
+	reserved int // length of the reserved prefix
 }
 
 // Remote reports whether the plan relays the replica between sites.
@@ -85,7 +81,7 @@ func (p *Plan) Split() bool { return p.TailReplica != nil }
 // therefore rejects at admit time (ErrQoSUnsatisfiable); runtime
 // deviations from the priced vector are the guardian's concern.
 func (p *Plan) PricedNetQoS() qos.NetQoS {
-	out := qos.NetQoS{ThroughputBps: p.DeliveryDemand[qos.ResNetBandwidth]}
+	out := qos.NetQoS{ThroughputBps: p.Stages[deliverStage].Vec[qos.ResNetBandwidth]}
 	if fps := p.Delivered.FrameRate; fps > 0 {
 		out.DelayMillis = 1000 / fps
 	}
@@ -316,12 +312,14 @@ func (g *Generator) splitPlans(v *media.Video, prefix *metadata.Replica, replica
 				}
 				p.TailReplica = tail
 				p.SplitFrame = split
-				p.TailDemand = p.DeliveryDemand
-				p.TailDemand[qos.ResDiskBandwidth] = tail.Variant.Bitrate
+				// The prefix leg is local and untranscoded, so deliver is its
+				// only stage and the tail leg lands second, in the prefix.
+				tailVec := p.Stages[deliverStage].Vec
+				tailVec[qos.ResDiskBandwidth] = tail.Variant.Bitrate
 				p.Stages = append(p.Stages, Stage{
-					Kind: StageTailDeliver, Site: tail.Site, Suffix: "-tail",
-					Vec: p.TailDemand, DependsOn: []int{len(p.Stages) - 1},
+					Kind: StageTailDeliver, Site: tail.Site, Suffix: "-tail", Vec: tailVec,
 				})
+				p.reserved++
 				g.generated.Add(1)
 				if !yield(p) {
 					return false
@@ -441,7 +439,23 @@ func (g *Generator) build(v *media.Video, rep *metadata.Replica, site string,
 	if framesPerSecond > 0 {
 		extraPerFrame = simtime.Time(float64(simtime.Seconds(1)) * extraPerSecond / framesPerSecond)
 	}
-	p := &Plan{
+	// Stages in reservation order, resource-holding ones first.
+	stages := append(make([]Stage, 0, 3), Stage{Kind: StageDeliver, Site: site, Vec: deliveryDemand})
+	if rep.Site != site {
+		stages = append(stages, Stage{Kind: StageSource, Site: rep.Site, Suffix: "-relay", Vec: sourceDemand})
+	}
+	reserved := len(stages)
+	if target != nil {
+		st := Stage{Kind: StageTranscode, Site: site, Work: transcodeCost}
+		if farmOff {
+			st.Site = g.cfg.Farm.Site
+			st.Suffix = "-transcode"
+			st.Vec[qos.ResCPU] = transcodeCost
+			reserved++
+		}
+		stages = append(stages, st)
+	}
+	return &Plan{
 		Replica:          rep,
 		DeliverySite:     site,
 		Drop:             drop,
@@ -450,42 +464,7 @@ func (g *Generator) build(v *media.Video, rep *metadata.Replica, site string,
 		Delivered:        deliveredEff,
 		DeliveredVariant: deliveredVar,
 		ExtraPerFrameCPU: extraPerFrame,
-		DeliveryDemand:   deliveryDemand,
-		SourceDemand:     sourceDemand,
+		Stages:           stages,
+		reserved:         reserved,
 	}
-	p.Stages = g.stages(p, transcodeCost, farmOff)
-	return p
-}
-
-// stages assembles the plan's execution DAG in pipeline order: source-read
-// (remote plans), transcode (inline with zero reservation demand, or
-// farm-bound with the conversion CPU as its own participant), deliver.
-func (g *Generator) stages(p *Plan, transcodeCost float64, farmOff bool) []Stage {
-	stages := make([]Stage, 0, 3)
-	prev := -1
-	if p.Remote() {
-		stages = append(stages, Stage{
-			Kind: StageSource, Site: p.Replica.Site, Suffix: "-relay", Vec: p.SourceDemand,
-		})
-		prev = 0
-	}
-	if p.Transcode != nil {
-		st := Stage{Kind: StageTranscode, Site: p.DeliverySite, Work: transcodeCost}
-		if farmOff {
-			st.Site = g.cfg.Farm.Site
-			st.Suffix = "-transcode"
-			st.Vec[qos.ResCPU] = transcodeCost
-		}
-		if prev >= 0 {
-			st.DependsOn = []int{prev}
-		}
-		stages = append(stages, st)
-		prev = len(stages) - 1
-	}
-	deliver := Stage{Kind: StageDeliver, Site: p.DeliverySite, Vec: p.DeliveryDemand}
-	if prev >= 0 {
-		deliver.DependsOn = []int{prev}
-	}
-	stages = append(stages, deliver)
-	return stages
 }

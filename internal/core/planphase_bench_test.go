@@ -9,38 +9,57 @@ import (
 	"quasaq/internal/simtime"
 )
 
+// planPhaseWorld is the testbed the plan-phase measurements share: the
+// standard corpus on three sites, LRB, and a loose requirement (big space).
+func planPhaseWorld(tb testing.TB) (*Manager, *media.Video, qos.Requirement) {
+	tb.Helper()
+	sim := simtime.NewSimulator()
+	c := TestbedCluster(sim)
+	if _, err := c.LoadCorpus(media.StandardCorpus(42), replication.DefaultPolicy()); err != nil {
+		tb.Fatal(err)
+	}
+	m := NewManager(c, LRB{})
+	v, err := c.Engine.Video(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m, v, qos.Requirement{MinColorDepth: 8}
+}
+
+// planPhase is the query-side plan phase: candidate set, liveness filter,
+// best-first pop of the first plan.
+func planPhase(m *Manager, v *media.Video, req qos.Requirement) *Plan {
+	live := m.viable(planSet(m, "srv-a", v, req))
+	p, _ := m.admissionOrder(live)()
+	return p
+}
+
+// TestWarmPlanPhaseAllocs gates the warm plan phase — cache hit, viable,
+// best-first pop — at 10 allocations: costing a plan reads its stored
+// stages and allocates nothing, so what is left is the live slice, the
+// heap, and the iterator.
+func TestWarmPlanPhaseAllocs(t *testing.T) {
+	m, v, req := planPhaseWorld(t)
+	if planPhase(m, v, req) == nil { // prime the cache
+		t.Fatal("no plan")
+	}
+	if n := testing.AllocsPerRun(100, func() { planPhase(m, v, req) }); n > 10 {
+		t.Fatalf("warm plan phase = %v allocs/op, want <= 10", n)
+	}
+}
+
 // BenchmarkPlanPhase measures the query-side plan phase of the staged
 // pipeline — candidate set, liveness filter, best-first pop — cold (every
 // iteration re-enumerates after an epoch bump) versus warm (served from
-// the candidate cache). `make bench` records the pair in
-// BENCH_plan_phase.json; the warm path must be measurably faster.
+// the candidate cache); the warm path must be measurably faster.
+// EXPERIMENTS.md §5.2 records the four rows.
 func BenchmarkPlanPhase(b *testing.B) {
-	setup := func(b *testing.B) (*Manager, *media.Video, qos.Requirement) {
-		b.Helper()
-		sim := simtime.NewSimulator()
-		c := TestbedCluster(sim)
-		if _, err := c.LoadCorpus(media.StandardCorpus(42), replication.DefaultPolicy()); err != nil {
-			b.Fatal(err)
-		}
-		m := NewManager(c, LRB{})
-		v, err := c.Engine.Video(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m, v, qos.Requirement{MinColorDepth: 8} // loose band: big space
-	}
-	phase := func(m *Manager, v *media.Video, req qos.Requirement) *Plan {
-		live := m.viable(planSet(m, "srv-a", v, req))
-		p, _ := m.admissionOrder(live)()
-		return p
-	}
-
 	b.Run("cold", func(b *testing.B) {
-		m, v, req := setup(b)
+		m, v, req := planPhaseWorld(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m.PlanCache().BumpLiveness() // stale the entry: full re-enumeration
-			if phase(m, v, req) == nil {
+			if planPhase(m, v, req) == nil {
 				b.Fatal("no plan")
 			}
 		}
@@ -48,12 +67,12 @@ func BenchmarkPlanPhase(b *testing.B) {
 	})
 
 	b.Run("warm", func(b *testing.B) {
-		m, v, req := setup(b)
-		phase(m, v, req) // prime the cache
+		m, v, req := planPhaseWorld(b)
+		planPhase(m, v, req) // prime the cache
 		genBefore, _ := m.Generator().Stats()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if phase(m, v, req) == nil {
+			if planPhase(m, v, req) == nil {
 				b.Fatal("no plan")
 			}
 		}
@@ -68,7 +87,7 @@ func BenchmarkPlanPhase(b *testing.B) {
 	// the heap-based incremental pop, both on a warm candidate set: the
 	// O(n log n) vs O(n + k log n) split in isolation.
 	b.Run("full-sort", func(b *testing.B) {
-		m, v, req := setup(b)
+		m, v, req := planPhaseWorld(b)
 		plans := m.viable(planSet(m, "srv-a", v, req))
 		var lrb LRB
 		b.ResetTimer()
@@ -79,7 +98,7 @@ func BenchmarkPlanPhase(b *testing.B) {
 		}
 	})
 	b.Run("best-first-pop", func(b *testing.B) {
-		m, v, req := setup(b)
+		m, v, req := planPhaseWorld(b)
 		plans := m.viable(planSet(m, "srv-a", v, req))
 		var lrb LRB
 		b.ResetTimer()

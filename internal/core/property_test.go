@@ -56,16 +56,17 @@ func TestPropertyPlansSatisfyRequirement(t *testing.T) {
 				t.Logf("plan %s delivers %v violating %v", p, p.Delivered, req)
 				return false
 			}
-			if p.DeliveryDemand[qos.ResNetBandwidth] <= 0 || p.DeliveryDemand[qos.ResCPU] <= 0 {
-				t.Logf("plan %s has degenerate demand %v", p, p.DeliveryDemand)
+			deliver := p.Demand(StageDeliver)
+			if deliver[qos.ResNetBandwidth] <= 0 || deliver[qos.ResCPU] <= 0 {
+				t.Logf("plan %s has degenerate demand %v", p, deliver)
 				return false
 			}
-			for _, x := range p.DeliveryDemand {
+			for _, x := range deliver {
 				if x < 0 {
 					return false
 				}
 			}
-			if p.Remote() != (p.SourceDemand != (qos.ResourceVector{})) {
+			if p.Remote() != (p.Demand(StageSource) != (qos.ResourceVector{})) {
 				t.Logf("plan %s remote/source mismatch", p)
 				return false
 			}

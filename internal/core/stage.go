@@ -7,10 +7,9 @@ import (
 // StageKind identifies a stage's role in the delivery pipeline.
 type StageKind uint8
 
-// The three stage roles of a QuaSAQ delivery plan, in pipeline order:
-// reading the replica at its home site, converting it (inline on the
-// delivery CPU or offloaded to the transcoding farm), and streaming to the
-// client.
+// The stage roles of a QuaSAQ delivery plan: reading the replica at its
+// home site, converting it (inline on the delivery CPU or offloaded to the
+// transcoding farm), and streaming to the client.
 const (
 	StageSource StageKind = iota
 	StageTranscode
@@ -37,11 +36,11 @@ func (k StageKind) String() string {
 	}
 }
 
-// Stage is one node of a plan's execution DAG: a unit of work bound to a
-// site (or the farm tier) with its own resource demand. Admission reserves
-// every stage with reservation demand through the broker two-phase
-// coordinator as one multi-participant transaction — all stages commit or
-// none do, and a partition mid-PREPARE leaves only TTL-reclaimed leases.
+// Stage is one unit of a plan's work, bound to a site (or the farm tier)
+// with its own resource demand. Admission reserves every stage with
+// reservation demand through the broker two-phase coordinator as one
+// multi-participant transaction — all stages commit or none do, and a
+// partition mid-PREPARE leaves only TTL-reclaimed leases.
 type Stage struct {
 	Kind StageKind
 	// Site is where the stage runs: a cluster site, or the farm pseudo-site
@@ -49,7 +48,8 @@ type Stage struct {
 	Site string
 	// Suffix distinguishes the stage's reservation participant: the
 	// delivery stage reserves under the video title itself, the source
-	// stage under "-relay", a farm transcode under "-transcode".
+	// stage under "-relay", the tail leg under "-tail", a farm transcode
+	// under "-transcode".
 	Suffix string
 	// Vec is the stage's reservation demand. A zero vector means the
 	// stage's cost is folded into another stage (an inline transcode rides
@@ -59,65 +59,45 @@ type Stage struct {
 	// video — what the transport submits per GOP when the stage runs on
 	// the farm. Zero for source/deliver stages.
 	Work float64
-	// DependsOn lists the indices (into Plan.Stages) of stages that must
-	// hold resources before this one produces: the DAG's precedence edges.
-	DependsOn []int
 }
 
-// FarmOffloaded reports whether the plan's transcode stage runs on the
-// shared farm tier rather than inline on the delivery site's CPU.
-func (p *Plan) FarmOffloaded() bool {
-	for _, st := range p.Stages {
-		if st.Kind == StageTranscode && st.Site != p.DeliverySite {
-			return true
-		}
-	}
-	return false
-}
+// Positions the stage order fixes (see Plan.Stages): every plan's deliver
+// stage is first, and a split plan's tail stage directly follows it.
+const (
+	deliverStage = 0
+	tailStage    = 1
+)
 
-// TranscodeStage returns the plan's transcode stage, or nil.
-func (p *Plan) TranscodeStage() *Stage {
+// ReservationStages returns the stages that hold resources, in reservation
+// order: the reserved prefix of Stages, one coordinator participant — and
+// one committed lease — per entry. The slice is the plan's own and shared
+// through the candidate cache; callers must not modify it.
+func (p *Plan) ReservationStages() []Stage { return p.Stages[:p.reserved] }
+
+// stage returns the plan's stage of the given kind, or nil.
+func (p *Plan) stage(kind StageKind) *Stage {
 	for i := range p.Stages {
-		if p.Stages[i].Kind == StageTranscode {
+		if p.Stages[i].Kind == kind {
 			return &p.Stages[i]
 		}
 	}
 	return nil
 }
 
-// reservationOrder fixes the order stages are reserved in: the delivery
-// site first (the scarcest decision — matching the pre-DAG atomic path
-// byte-for-byte), then the split plan's tail leg, then the source relay,
-// then the farm. Edge-less plans never carry a tail stage, so their
-// reservation sequence is unchanged. The coordinator PREPAREs sequentially
-// in this order.
-var reservationOrder = [...]StageKind{StageDeliver, StageTailDeliver, StageSource, StageTranscode}
+// Demand returns the demand vector of the plan's stage of the given kind,
+// zero when the plan has no such stage.
+func (p *Plan) Demand(kind StageKind) qos.ResourceVector {
+	if st := p.stage(kind); st != nil {
+		return st.Vec
+	}
+	return qos.ResourceVector{}
+}
 
-// ReservationStages returns the stages that hold resources, in reservation
-// order. Stages with a zero demand vector are skipped — an inline
-// transcode needs no participant of its own. Plans built before the staged
-// refactor (or test literals) carry no Stages; their flat
-// DeliveryDemand/SourceDemand fields are adapted so every cost model and
-// the admission path see one shape.
-func (p *Plan) ReservationStages() []Stage {
-	if len(p.Stages) == 0 {
-		out := []Stage{{Kind: StageDeliver, Site: p.DeliverySite, Vec: p.DeliveryDemand}}
-		if p.Remote() {
-			out = append(out, Stage{
-				Kind: StageSource, Site: p.Replica.Site, Suffix: "-relay", Vec: p.SourceDemand,
-			})
-		}
-		return out
-	}
-	out := make([]Stage, 0, len(p.Stages))
-	for _, kind := range reservationOrder {
-		for _, st := range p.Stages {
-			if st.Kind == kind && st.Vec != (qos.ResourceVector{}) {
-				out = append(out, st)
-			}
-		}
-	}
-	return out
+// FarmOffloaded reports whether the plan's transcode stage runs on the
+// shared farm tier rather than inline on the delivery site's CPU.
+func (p *Plan) FarmOffloaded() bool {
+	st := p.stage(StageTranscode)
+	return st != nil && st.Site != p.DeliverySite
 }
 
 // FarmBinding points the plan generator at the shared transcoding tier:

@@ -201,7 +201,7 @@ func TestBudgetNeverExceededUnderChurn(t *testing.T) {
 }
 
 // TestConcurrentObserveTickHolds exercises the public surface from many
-// goroutines at once; run under -race (the race-edge gate) this pins the
+// goroutines at once; run under -race (`make check`) this pins the
 // lock discipline.
 func TestConcurrentObserveTickHolds(t *testing.T) {
 	_, m, videos := testWorld(t, Config{MinHits: 1, PrefixGOPs: 2})

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -277,7 +276,7 @@ func (out *EdgePoint) observeAdmission(cfg EdgeExpConfig, cluster *core.Cluster,
 	}
 	fill := 0.0
 	if u, c, err := cluster.Usage(p.DeliverySite); err == nil {
-		fill = p.DeliveryDemand.MaxFillRatio(u, c)
+		fill = p.Demand(core.StageDeliver).MaxFillRatio(u, c)
 		if fill > 1 {
 			fill = 1
 		}
@@ -405,74 +404,4 @@ func FormatEdge(cfg EdgeExpConfig, points []*EdgePoint) string {
 			p.OffloadFraction())
 	}
 	return strings.TrimRight(b.String(), "\n")
-}
-
-// edgeBench is the archived benchmark record (BENCH_edge.json).
-type edgeBench struct {
-	Experiment string           `json:"experiment"`
-	Seed       int64            `json:"seed"`
-	Replicas   int              `json:"replicas"`
-	HorizonS   float64          `json:"horizon_s"`
-	ZipfSkew   float64          `json:"zipf_skew"`
-	Modes      []edgeBenchPoint `json:"modes"`
-}
-
-type edgeBenchPoint struct {
-	Mode            string  `json:"mode"`
-	Queries         int     `json:"queries"`
-	Admitted        int     `json:"admitted"`
-	Rejected        int     `json:"rejected"`
-	RejectRate      float64 `json:"reject_rate"`
-	Completed       int     `json:"completed"`
-	Failed          int     `json:"failed"`
-	SplitAdmissions uint64  `json:"split_admissions"`
-	Handovers       uint64  `json:"handovers"`
-	StartupP50Ms    float64 `json:"startup_ms_p50"`
-	StartupP90Ms    float64 `json:"startup_ms_p90"`
-	StartupP99Ms    float64 `json:"startup_ms_p99"`
-	EdgeHitRatio    float64 `json:"edge_hit_ratio"`
-	EdgeInstalls    uint64  `json:"edge_installs"`
-	EdgeEvictions   uint64  `json:"edge_evictions"`
-	EdgePromotions  uint64  `json:"edge_promotions"`
-	OriginMB        float64 `json:"origin_mb"`
-	EdgeMB          float64 `json:"edge_mb"`
-	OriginOffload   float64 `json:"origin_offload"`
-}
-
-// WriteEdgeJSON archives the run as an indented JSON benchmark record.
-func WriteEdgeJSON(w io.Writer, cfg EdgeExpConfig, points []*EdgePoint) error {
-	b := edgeBench{
-		Experiment: "edge",
-		Seed:       cfg.Seed,
-		HorizonS:   simtime.ToSeconds(cfg.Horizon()),
-		ZipfSkew:   cfg.ZipfSkew,
-	}
-	for _, p := range points {
-		reps := p.reps()
-		b.Replicas = reps
-		b.Modes = append(b.Modes, edgeBenchPoint{
-			Mode:            p.Mode,
-			Queries:         p.Queries,
-			Admitted:        p.Admitted,
-			Rejected:        p.Rejected,
-			RejectRate:      p.RejectRate(),
-			Completed:       p.Completed,
-			Failed:          p.Failed,
-			SplitAdmissions: p.SplitAdmissions,
-			Handovers:       p.Handovers,
-			StartupP50Ms:    p.Startup.Percentile(50),
-			StartupP90Ms:    p.Startup.Percentile(90),
-			StartupP99Ms:    p.Startup.Percentile(99),
-			EdgeHitRatio:    p.Edge.HitRatio(),
-			EdgeInstalls:    p.Edge.Installs,
-			EdgeEvictions:   p.Edge.Evictions,
-			EdgePromotions:  p.Edge.Promotions,
-			OriginMB:        float64(p.OriginBytes) / float64(reps) / (1 << 20),
-			EdgeMB:          float64(p.EdgeBytes) / float64(reps) / (1 << 20),
-			OriginOffload:   p.OffloadFraction(),
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -394,44 +393,6 @@ func WriteOverloadCSV(w io.Writer, points []*OverloadPoint) error {
 	return WriteTable(w, OverloadTable(points))
 }
 
-// overloadBench is the archived benchmark record (BENCH_overload.json).
-type overloadBench struct {
-	Experiment string               `json:"experiment"`
-	Seed       int64                `json:"seed"`
-	Replicas   int                  `json:"replicas"`
-	HorizonS   float64              `json:"horizon_s"`
-	Variants   []overloadBenchPoint `json:"variants"`
-	// Headline comparisons.
-	SavedRate          float64 `json:"guardian_saved_rate"`
-	AbandonRate        float64 `json:"guardian_abandon_rate"`
-	BaselineP99Ms      float64 `json:"baseline_admission_p99_ms"`
-	GuardedP99Ms       float64 `json:"guarded_admission_p99_ms"`
-	P99ImprovementFrac float64 `json:"admission_p99_improvement_frac"`
-}
-
-type overloadBenchPoint struct {
-	Variant           string         `json:"variant"`
-	Queries           int            `json:"queries"`
-	Admitted          int            `json:"admitted"`
-	Rejected          int            `json:"rejected"`
-	Expired           int            `json:"expired"`
-	CtrlTimeouts      int            `json:"ctrl_timeouts"`
-	Completed         int            `json:"completed"`
-	QoSOK             int            `json:"qos_ok"`
-	Failed            int            `json:"failed"`
-	QoSAbandoned      int            `json:"qos_abandoned"`
-	Guardian          guardian.Stats `json:"guardian"`
-	BreakerOpens      uint64         `json:"breaker_opens"`
-	BreakerFastFails  uint64         `json:"breaker_fastfails"`
-	RetriesSuppressed uint64         `json:"retries_suppressed"`
-	BreakerOpenS      float64        `json:"breaker_open_s"`
-	AdmMeanMs         float64        `json:"adm_mean_ms"`
-	AdmP50Ms          float64        `json:"adm_p50_ms"`
-	AdmP95Ms          float64        `json:"adm_p95_ms"`
-	AdmP99Ms          float64        `json:"adm_p99_ms"`
-	AdmMaxMs          float64        `json:"adm_max_ms"`
-}
-
 // overloadVariant finds a named variant in the pair (nil if absent).
 func overloadVariant(points []*OverloadPoint, name string) *OverloadPoint {
 	for _, p := range points {
@@ -440,53 +401,6 @@ func overloadVariant(points []*OverloadPoint, name string) *OverloadPoint {
 		}
 	}
 	return nil
-}
-
-// WriteOverloadJSON archives the run as an indented JSON benchmark record.
-func WriteOverloadJSON(w io.Writer, cfg OverloadConfig, points []*OverloadPoint) error {
-	b := overloadBench{
-		Experiment: "overload",
-		Seed:       cfg.Seed,
-		HorizonS:   simtime.ToSeconds(cfg.Horizon()),
-	}
-	for _, p := range points {
-		sum := p.Latency.Summary()
-		b.Replicas = p.reps()
-		b.Variants = append(b.Variants, overloadBenchPoint{
-			Variant:           p.Variant,
-			Queries:           p.Queries,
-			Admitted:          p.Admitted,
-			Rejected:          p.Rejected,
-			Expired:           p.Expired,
-			CtrlTimeouts:      p.CtrlTimeouts,
-			Completed:         p.Completed,
-			QoSOK:             p.QoSOK,
-			Failed:            p.Failed,
-			QoSAbandoned:      p.QoSAbandoned,
-			Guardian:          p.Guardian,
-			BreakerOpens:      p.BreakerOpens,
-			BreakerFastFails:  p.BreakerFastFails,
-			RetriesSuppressed: p.RetriesSuppressed,
-			BreakerOpenS:      p.BreakerOpenSeconds,
-			AdmMeanMs:         sum.Mean(),
-			AdmP50Ms:          p.Latency.Percentile(50),
-			AdmP95Ms:          p.Latency.Percentile(95),
-			AdmP99Ms:          p.Latency.Percentile(99),
-			AdmMaxMs:          sum.Max(),
-		})
-	}
-	if base, guard := overloadVariant(points, "baseline"), overloadVariant(points, "guarded"); base != nil && guard != nil {
-		b.SavedRate = guard.SavedRate()
-		b.AbandonRate = guard.AbandonRate()
-		b.BaselineP99Ms = base.Latency.Percentile(99)
-		b.GuardedP99Ms = guard.Latency.Percentile(99)
-		if b.BaselineP99Ms > 0 {
-			b.P99ImprovementFrac = 1 - b.GuardedP99Ms/b.BaselineP99Ms
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
 }
 
 // FormatOverload renders the pair the way an operator compares them: what

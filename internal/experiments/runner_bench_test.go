@@ -10,9 +10,9 @@ import (
 )
 
 // Serial vs parallel sweep wall-clock: the same (system × replica) grid run
-// with one worker and with GOMAXPROCS workers. `make bench-runner` archives
-// the numbers as BENCH_runner.json; on an N-core machine the parallel run
-// should approach N× until the grid runs out of cells.
+// with one worker and with GOMAXPROCS workers (EXPERIMENTS.md "Parallel
+// sweeps" records a run); on an N-core machine the parallel run should
+// approach N× until the grid runs out of cells.
 
 func benchSweep(b *testing.B, workers int) {
 	cfg := ThroughputConfig{Seed: 11, Horizon: simtime.Seconds(200), Bucket: simtime.Seconds(20)}

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,8 +37,8 @@ import (
 // TryAdmit/Release with a periodic committer flush reconciling the
 // authoritative books. Its numbers (admissions/sec, decision-latency
 // quantiles) are real time and therefore machine-dependent; they are
-// archived in the JSON benchmark record and deliberately kept out of the
-// CSV so determinism checks stay meaningful.
+// printed and deliberately kept out of the CSV so determinism checks stay
+// meaningful.
 
 // SaturateConfig parameterizes both passes.
 type SaturateConfig struct {
@@ -442,27 +440,6 @@ func RunSaturateThroughputPair(cfg SaturateConfig) ([]*SaturateThroughput, error
 	return out, nil
 }
 
-// saturateBench is the archived benchmark record (BENCH_admission_scale.json).
-type saturateBench struct {
-	Experiment  string                `json:"experiment"`
-	Seed        int64                 `json:"seed"`
-	Sessions    int                   `json:"sessions"`
-	Live        int                   `json:"live"`
-	ZipfS       float64               `json:"zipf_s"`
-	Videos      int                   `json:"videos"`
-	Fidelity    []saturateBenchPoint  `json:"fidelity"`
-	HashesMatch bool                  `json:"decision_hashes_match"`
-	Throughput  []*SaturateThroughput `json:"throughput"`
-	SpeedupX    float64               `json:"admissions_per_sec_speedup_x"`
-}
-
-type saturateBenchPoint struct {
-	Mode         string `json:"mode"`
-	Admitted     int    `json:"admitted"`
-	Rejected     int    `json:"rejected"`
-	DecisionHash string `json:"decision_hash"`
-}
-
 // saturateThroughputMode finds a named throughput mode (nil if absent).
 func saturateThroughputMode(ts []*SaturateThroughput, mode string) *SaturateThroughput {
 	for _, t := range ts {
@@ -471,38 +448,6 @@ func saturateThroughputMode(ts []*SaturateThroughput, mode string) *SaturateThro
 		}
 	}
 	return nil
-}
-
-// WriteSaturateJSON archives both passes as an indented JSON benchmark
-// record, with the headline speedup of the vsa path over the
-// broker-serialized baseline.
-func WriteSaturateJSON(w io.Writer, cfg SaturateConfig, fidelity []*SaturatePoint, throughput []*SaturateThroughput) error {
-	b := saturateBench{
-		Experiment: "saturate",
-		Seed:       cfg.Seed,
-		Sessions:   cfg.Sessions,
-		Live:       cfg.Live,
-		ZipfS:      cfg.ZipfS,
-		Videos:     cfg.Videos,
-		Throughput: throughput,
-	}
-	for _, p := range fidelity {
-		b.Fidelity = append(b.Fidelity, saturateBenchPoint{
-			Mode:         p.Mode,
-			Admitted:     p.Admitted,
-			Rejected:     p.Rejected,
-			DecisionHash: fmt.Sprintf("%016x", p.DecisionHash),
-		})
-	}
-	if len(fidelity) == 2 {
-		b.HashesMatch = fidelity[0].DecisionHash == fidelity[1].DecisionHash
-	}
-	if base, fast := saturateThroughputMode(throughput, "baseline"), saturateThroughputMode(throughput, "vsa"); base != nil && fast != nil && base.AdmissionsPerSec > 0 {
-		b.SpeedupX = fast.AdmissionsPerSec / base.AdmissionsPerSec
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
 }
 
 // FormatSaturate renders both passes the way an operator reads them:

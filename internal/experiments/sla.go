@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -414,73 +413,6 @@ func FormatSLA(cfg SLAConfig, points []*SLAPoint) string {
 			p.DelaySeverity.Percentile(99), p.LossSeverity.Percentile(99))
 	}
 	return strings.TrimRight(b.String(), "\n")
-}
-
-// slaBench is the archived benchmark record (BENCH_sla.json).
-type slaBench struct {
-	Experiment string          `json:"experiment"`
-	Seed       int64           `json:"seed"`
-	Replicas   int             `json:"replicas"`
-	HorizonS   float64         `json:"horizon_s"`
-	Tiers      []slaBenchPoint `json:"tiers"`
-}
-
-type slaBenchPoint struct {
-	Tier          string         `json:"tier"`
-	Clause        string         `json:"clause"`
-	Queries       int            `json:"queries"`
-	Admitted      int            `json:"admitted"`
-	Rejected      int            `json:"rejected"`
-	Unsatisfiable int            `json:"unsatisfiable"`
-	Completed     int            `json:"completed"`
-	QoSOK         int            `json:"qos_ok"`
-	Failed        int            `json:"failed"`
-	Abandoned     int            `json:"abandoned"`
-	Guardian      guardian.Stats `json:"guardian"`
-	QoERows       int            `json:"qoe_rows"`
-	QoEViolations int            `json:"qoe_violations"`
-	QoERecovered  int            `json:"qoe_recovered"`
-	QoEPeaks      int            `json:"qoe_peaks"`
-	DelayP95Ms    float64        `json:"qoe_delay_p95_ms"`
-	DelayP99Ms    float64        `json:"qoe_delay_p99_ms"`
-	LossP95       float64        `json:"qoe_loss_p95"`
-	LossP99       float64        `json:"qoe_loss_p99"`
-}
-
-// WriteSLAJSON archives the run as an indented JSON benchmark record.
-func WriteSLAJSON(w io.Writer, cfg SLAConfig, points []*SLAPoint) error {
-	b := slaBench{
-		Experiment: "sla",
-		Seed:       cfg.Seed,
-		HorizonS:   simtime.ToSeconds(cfg.Horizon()),
-	}
-	for _, p := range points {
-		b.Replicas = p.reps()
-		b.Tiers = append(b.Tiers, slaBenchPoint{
-			Tier:          p.Tier,
-			Clause:        p.Clause,
-			Queries:       p.Queries,
-			Admitted:      p.Admitted,
-			Rejected:      p.Rejected,
-			Unsatisfiable: p.Unsatisfiable,
-			Completed:     p.Completed,
-			QoSOK:         p.QoSOK,
-			Failed:        p.Failed,
-			Abandoned:     p.Abandoned,
-			Guardian:      p.Guardian,
-			QoERows:       p.QoERows,
-			QoEViolations: p.QoEViolations,
-			QoERecovered:  p.QoERecovered,
-			QoEPeaks:      p.QoEPeaks,
-			DelayP95Ms:    p.DelaySeverity.Percentile(95),
-			DelayP99Ms:    p.DelaySeverity.Percentile(99),
-			LossP95:       p.LossSeverity.Percentile(95),
-			LossP99:       p.LossSeverity.Percentile(99),
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
 }
 
 // clauseString renders the net terms canonically (empty for the control tier).

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -332,89 +331,6 @@ func TranscodeTable(points []*TranscodePoint) Table {
 // WriteTranscodeCSV writes the sweep as tidy CSV.
 func WriteTranscodeCSV(w io.Writer, points []*TranscodePoint) error {
 	return WriteTable(w, TranscodeTable(points))
-}
-
-// transcodeBench is the archived benchmark record (BENCH_transcode.json).
-type transcodeBench struct {
-	Experiment string                `json:"experiment"`
-	Seed       int64                 `json:"seed"`
-	Replicas   int                   `json:"replicas"`
-	HorizonS   float64               `json:"horizon_s"`
-	Variants   []transcodeBenchPoint `json:"variants"`
-	// Pareto is the cost/latency frontier sweep: one (dollars, p99
-	// startup, miss rate) sample per variant, in sweep order.
-	Pareto []transcodeParetoPoint `json:"pareto"`
-}
-
-type transcodeBenchPoint struct {
-	Variant      string  `json:"variant"`
-	Queries      int     `json:"queries"`
-	Admitted     int     `json:"admitted"`
-	Rejected     int     `json:"rejected"`
-	Completed    int     `json:"completed"`
-	QoSOK        int     `json:"qos_ok"`
-	Failed       int     `json:"failed"`
-	FarmRouted   int     `json:"farm_routed"`
-	Jobs         uint64  `json:"jobs"`
-	DeadlineMiss uint64  `json:"deadline_miss"`
-	MissRate     float64 `json:"miss_rate"`
-	MaxQueue     int     `json:"max_queue"`
-	ScaleUps     uint64  `json:"scale_ups"`
-	ScaleDowns   uint64  `json:"scale_downs"`
-	Dollars      float64 `json:"dollars"`
-	StartupP50Ms float64 `json:"startup_p50_ms"`
-	StartupP95Ms float64 `json:"startup_p95_ms"`
-	StartupP99Ms float64 `json:"startup_p99_ms"`
-}
-
-type transcodeParetoPoint struct {
-	Variant      string  `json:"variant"`
-	Dollars      float64 `json:"dollars"`
-	StartupP99Ms float64 `json:"startup_p99_ms"`
-	MissRate     float64 `json:"miss_rate"`
-}
-
-// WriteTranscodeJSON archives the sweep as an indented JSON benchmark
-// record.
-func WriteTranscodeJSON(w io.Writer, cfg TranscodeConfig, points []*TranscodePoint) error {
-	b := transcodeBench{
-		Experiment: "transcode",
-		Seed:       cfg.Seed,
-		HorizonS:   simtime.ToSeconds(cfg.Horizon),
-	}
-	for _, p := range points {
-		b.Replicas = p.reps()
-		f := p.Farm
-		b.Variants = append(b.Variants, transcodeBenchPoint{
-			Variant:      p.Variant,
-			Queries:      p.Queries,
-			Admitted:     p.Admitted,
-			Rejected:     p.Rejected,
-			Completed:    p.Completed,
-			QoSOK:        p.QoSOK,
-			Failed:       p.Failed,
-			FarmRouted:   p.FarmRouted,
-			Jobs:         f.Jobs,
-			DeadlineMiss: f.DeadlineMiss,
-			MissRate:     f.MissRate(),
-			MaxQueue:     f.MaxQueueDepth,
-			ScaleUps:     f.ScaleUps,
-			ScaleDowns:   f.ScaleDowns,
-			Dollars:      f.Dollars / float64(p.reps()),
-			StartupP50Ms: p.Startup.Percentile(50),
-			StartupP95Ms: p.Startup.Percentile(95),
-			StartupP99Ms: p.Startup.Percentile(99),
-		})
-		b.Pareto = append(b.Pareto, transcodeParetoPoint{
-			Variant:      p.Variant,
-			Dollars:      f.Dollars / float64(p.reps()),
-			StartupP99Ms: p.Startup.Percentile(99),
-			MissRate:     f.MissRate(),
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
 }
 
 // FormatTranscode renders the sweep the way an operator reads a Pareto

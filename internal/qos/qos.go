@@ -13,6 +13,7 @@ package qos
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -201,6 +202,19 @@ func (r Requirement) SatisfiedBy(q AppQoS) bool {
 	return q.Security >= r.Security
 }
 
+// fpsString renders a frame rate to five significant digits. Where "%.5g"
+// goes scientific (100000 becomes "1e+05", which the clause lexer rejects)
+// the rounded value is re-rendered in plain decimal: String() output must
+// re-parse.
+func fpsString(fps float64) string {
+	s := strconv.FormatFloat(fps, 'g', 5, 64)
+	if strings.ContainsRune(s, 'e') {
+		rounded, _ := strconv.ParseFloat(s, 64)
+		return trimFloat(rounded)
+	}
+	return s
+}
+
 // String renders the requirement for logs and the qsqctl client.
 func (r Requirement) String() string {
 	var parts []string
@@ -214,10 +228,10 @@ func (r Requirement) String() string {
 		parts = append(parts, fmt.Sprintf("depth>=%d", r.MinColorDepth))
 	}
 	if r.MinFrameRate > 0 {
-		parts = append(parts, fmt.Sprintf("fps>=%.5g", r.MinFrameRate))
+		parts = append(parts, "fps>="+fpsString(r.MinFrameRate))
 	}
 	if r.MaxFrameRate > 0 {
-		parts = append(parts, fmt.Sprintf("fps<=%.5g", r.MaxFrameRate))
+		parts = append(parts, "fps<="+fpsString(r.MaxFrameRate))
 	}
 	if len(r.Formats) > 0 {
 		names := make([]string, len(r.Formats))

@@ -138,8 +138,8 @@ type (
 	AutoscaleConfig = transcode.AutoscaleConfig
 	// FarmStats is the transcoding farm's counter snapshot.
 	FarmStats = transcode.FarmStats
-	// Stage is one node of a plan's execution DAG (source-read, transcode,
-	// deliver), read via Plan.Stages.
+	// Stage is one stage of a plan (deliver, tail-deliver, source-read,
+	// transcode), read via Plan.Stages in reservation order.
 	Stage = core.Stage
 	// StageKind classifies a plan stage.
 	StageKind = core.StageKind
@@ -155,7 +155,7 @@ type (
 	EdgeStats = edgecache.Stats
 )
 
-// Stage kinds of a plan's execution DAG.
+// Stage kinds of a plan.
 const (
 	StageSource      = core.StageSource
 	StageTranscode   = core.StageTranscode
