@@ -246,7 +246,7 @@ func cacheLabel(hit bool) string {
 
 // planCandidates is the static stage of the pipeline: the memoized
 // candidate set for (querySite, video, requirement). A fresh cache entry
-// skips enumeration entirely; otherwise the lazy generator fills one under
+// skips enumeration entirely; otherwise the generator fills one under
 // the current topology/liveness epochs. The second result reports whether
 // the cache served the set (the trace's hit/miss annotation).
 func (m *Manager) planCandidates(querySite string, v *media.Video, req qos.Requirement) ([]*Plan, bool) {

@@ -314,7 +314,7 @@ func newManagerMetrics(reg *obs.Registry) managerMetrics {
 }
 
 // Manager is the Quality Manager of §3.4, reorganized as a staged plan
-// pipeline: enumeration (lazy, static rules — plan.go), candidate caching
+// pipeline: enumeration (static rules — plan.go), candidate caching
 // (topology-epoch keyed — plancache.go), incremental best-first costing
 // (bestfirst.go), and admission/execution (admission.go). The recovery
 // path (failover.go) reuses the same pipeline from the cached stage down.

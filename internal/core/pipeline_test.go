@@ -154,27 +154,6 @@ func TestBestFirstMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestLazyGenerateStopsEarly: a false-returning yield halts enumeration
-// without materializing the rest of the space.
-func TestLazyGenerateStopsEarly(t *testing.T) {
-	_, c := testCluster(t)
-	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
-	v, _ := c.Engine.Video(1)
-	full := len(gen.GenerateAll("srv-a", v, qos.Requirement{MinColorDepth: 8}))
-	fresh := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
-	seen := 0
-	fresh.Generate("srv-a", v, qos.Requirement{MinColorDepth: 8}, func(*Plan) bool {
-		seen++
-		return seen < 3
-	})
-	if seen != 3 {
-		t.Fatalf("yield saw %d plans, want 3", seen)
-	}
-	if emitted, _ := fresh.Stats(); emitted != 3 {
-		t.Fatalf("generator emitted %d plans after early stop, want 3 (full space: %d)", emitted, full)
-	}
-}
-
 // TestServiceWarmCacheSkipsEnumeration: the acceptance criterion — a warm
 // plan phase does zero enumeration work, asserted via the hit counter and
 // the generator's emission counter.

@@ -170,15 +170,16 @@ func (g *Generator) Stats() (generated, pruned uint64) {
 	return g.generated.Load(), g.pruned.Load()
 }
 
-// Generate lazily enumerates the plans able to answer the query for video v
-// with requirement req, as seen from querySite, invoking yield for each
-// satisfying plan in deterministic order. Static QoS rules prune the space
-// inline: no upscaling, no pointless encryption, no identity transcodes, no
-// plans that could never be admitted. Enumeration stops early when yield
-// returns false, so downstream pruning stages compose without
-// materializing the full A1–A5 cross-product. GenerateAll is the eager
-// wrapper.
-func (g *Generator) Generate(querySite string, v *media.Video, req qos.Requirement, yield func(*Plan) bool) {
+// GenerateAll enumerates the plans able to answer the query for video v
+// with requirement req, as seen from querySite, in deterministic order.
+// Static QoS rules prune the space inline: no upscaling, no pointless
+// encryption, no identity transcodes, no plans that could never be
+// admitted.
+func (g *Generator) GenerateAll(querySite string, v *media.Video, req qos.Requirement) []*Plan {
+	e := enumeration{g: g, v: v, req: req, encs: g.encryptionChoices(req)}
+	for _, d := range g.cfg.Drops {
+		e.frameFactor[d] = d.FrameFactor(v.GOP)
+	}
 	replicas := g.dir.Lookup(querySite, v.ID)
 	sites := g.dir.Sites()
 	// Edge proxy sites never relay other sites' replicas: they are
@@ -202,9 +203,7 @@ func (g *Generator) Generate(querySite string, v *media.Video, req qos.Requireme
 		// A prefix replica cannot answer a query alone: it anchors split
 		// plans pairing the edge prefix with a full tail replica instead.
 		if !rep.Full() {
-			if !g.splitPlans(v, rep, replicas, req, yield) {
-				return
-			}
+			e.splitPlans(rep, replicas)
 		}
 	}
 	full := make([]*metadata.Replica, 0, len(replicas))
@@ -222,7 +221,7 @@ func (g *Generator) Generate(querySite string, v *media.Video, req qos.Requireme
 		// Rule: a replica below the required minimum resolution can never
 		// satisfy the query — transcoding cannot upscale (§3.4).
 		if req.MinResolution.W > 0 && !rep.Variant.Quality.Resolution.AtLeast(req.MinResolution) {
-			g.pruned.Add(1)
+			e.pruned++
 			continue
 		}
 		deliverySites := []string{rep.Site}
@@ -238,46 +237,96 @@ func (g *Generator) Generate(querySite string, v *media.Video, req qos.Requireme
 				}
 			}
 		}
-		targets := g.transcodeTargets(rep, req)
+		own := e.price(rep.Variant.Quality)
+		if own.targets == nil {
+			own.targets = g.transcodeTargets(rep, req)
+		}
+		bindings := 0
+		for _, target := range own.targets {
+			bindings += len(g.farmChoices(target))
+		}
+		e.reserve(len(deliverySites) * bindings * len(g.cfg.Drops) * len(e.encs))
 		for _, site := range deliverySites { // set A2
-			for _, target := range targets { // set A4
-				delivered := rep.Variant.Quality
+			for _, target := range own.targets { // set A4
+				priced := own
 				if target != nil {
-					delivered = *target
+					priced = e.price(*target)
 				}
 				for _, farmOff := range g.farmChoices(target) { // stage binding
 					for _, drop := range g.cfg.Drops { // set A3
-						for _, enc := range g.encryptionChoices(req) { // set A5
-							if p := g.build(v, rep, site, delivered, target, drop, enc, farmOff); p != nil {
-								if req.SatisfiedBy(p.Delivered) {
-									g.generated.Add(1)
-									if !yield(p) {
-										return
-									}
-								} else {
-									g.pruned.Add(1)
-								}
-							} else {
-								g.pruned.Add(1)
-							}
+						for _, enc := range e.encs { // set A5
+							e.build(rep, site, priced, target, drop, enc, farmOff)
 						}
 					}
 				}
 			}
 		}
 	}
+	g.generated.Add(e.generated)
+	g.pruned.Add(e.pruned)
+	return e.out
 }
 
-// GenerateAll eagerly materializes the full satisfying plan set — the
-// seed's original behavior, kept for tests, baselines, and the cache-fill
-// path of the staged pipeline.
-func (g *Generator) GenerateAll(querySite string, v *media.Video, req qos.Requirement) []*Plan {
-	var plans []*Plan
-	g.Generate(querySite, v, req, func(p *Plan) bool {
-		plans = append(plans, p)
-		return true
-	})
-	return plans
+// enumeration is one GenerateAll call's scratch: what does not depend on
+// the candidate, worked out once, and the slabs plans are cut from. It is
+// per call because the generator runs on several goroutines and a Video
+// may be copied with another Seed.
+type enumeration struct {
+	g                 *Generator
+	v                 *media.Video
+	req               qos.Requirement
+	encs              []*cryptoact.Algorithm               // set A5
+	frameFactor       [transport.NumDropStrategies]float64 // drop.FrameFactor(v.GOP)
+	priced            []*pricedQuality
+	plans             []Plan  // the current slab chunk
+	stages            []Stage // three per plan slot of the chunk
+	out               []*Plan
+	generated, pruned uint64
+}
+
+// pricedQuality is what every candidate delivering one quality shares. The
+// key is the whole AppQoS: frame sizes truncate to whole bytes above a
+// 64-byte floor, so no price carries over to another bitrate.
+type pricedQuality struct {
+	quality    qos.AppQoS
+	variant    media.Variant
+	gopBytes   int64                                // variant.GOPSize(v, 0)
+	byteFactor [transport.NumDropStrategies]float64 // drop.ByteFactor(v, variant)
+	targets    []*qos.AppQoS                        // transcodeTargets of a replica of this quality
+}
+
+// price returns the price of delivered quality q, computing it on first use.
+func (e *enumeration) price(q qos.AppQoS) *pricedQuality {
+	for _, pq := range e.priced {
+		if pq.quality == q {
+			return pq
+		}
+	}
+	pq := &pricedQuality{quality: q, variant: media.NewVariant(q)}
+	pq.gopBytes = pq.variant.GOPSize(e.v, 0)
+	for _, d := range e.g.cfg.Drops {
+		pq.byteFactor[d] = d.ByteFactor(e.v, pq.variant)
+	}
+	e.priced = append(e.priced, pq)
+	return pq
+}
+
+// reserve makes room for one replica's n candidates, so a chunk wastes at
+// most the slots of the candidates the static rules prune.
+func (e *enumeration) reserve(n int) {
+	if cap(e.plans)-len(e.plans) < n {
+		e.plans = make([]Plan, 0, n)
+		e.stages = make([]Stage, 3*n)
+	}
+}
+
+// slot cuts the next plan and its stage window from the slabs; the window's
+// capacity ends where the next plan's begins, so appending a split plan's
+// tail leg never writes into a neighbour's stages.
+func (e *enumeration) slot() (*Plan, []Stage) {
+	i := len(e.plans)
+	e.plans = e.plans[:i+1]
+	return &e.plans[i], e.stages[3*i : 3*i : 3*i+3]
 }
 
 // splitPlans enumerates the two-leg plans a prefix replica anchors: the
@@ -285,29 +334,27 @@ func (g *Generator) GenerateAll(querySite string, v *media.Video, req qos.Requir
 // another site stands by to stream the tail from the GOP-aligned handover
 // boundary onward. Both legs are priced and reserved; transcoding is
 // excluded (the legs must deliver the same coded variant for a seamless
-// handover) while dropping and encryption apply to both legs alike. It
-// returns false when yield stopped the enumeration.
-func (g *Generator) splitPlans(v *media.Video, prefix *metadata.Replica, replicas []*metadata.Replica,
-	req qos.Requirement, yield func(*Plan) bool) bool {
-
-	if req.MinResolution.W > 0 && !prefix.Variant.Quality.Resolution.AtLeast(req.MinResolution) {
-		g.pruned.Add(1)
-		return true
+// handover) while dropping and encryption apply to both legs alike.
+func (e *enumeration) splitPlans(prefix *metadata.Replica, replicas []*metadata.Replica) {
+	if e.req.MinResolution.W > 0 && !prefix.Variant.Quality.Resolution.AtLeast(e.req.MinResolution) {
+		e.pruned++
+		return
 	}
-	split := prefix.PrefixFrames(v)
-	if split <= 0 || split >= v.Frames() {
-		g.pruned.Add(1)
-		return true
+	split := prefix.PrefixFrames(e.v)
+	if split <= 0 || split >= e.v.Frames() {
+		e.pruned++
+		return
 	}
 	for _, tail := range replicas {
 		if !tail.Full() || tail.Site == prefix.Site || tail.Variant.Quality != prefix.Variant.Quality {
 			continue
 		}
-		for _, drop := range g.cfg.Drops { // set A3
-			for _, enc := range g.encryptionChoices(req) { // set A5
-				p := g.build(v, prefix, prefix.Site, prefix.Variant.Quality, nil, drop, enc, false)
-				if p == nil || !req.SatisfiedBy(p.Delivered) {
-					g.pruned.Add(1)
+		priced := e.price(prefix.Variant.Quality)
+		e.reserve(len(e.g.cfg.Drops) * len(e.encs))
+		for _, drop := range e.g.cfg.Drops { // set A3
+			for _, enc := range e.encs { // set A5
+				p := e.build(prefix, prefix.Site, priced, nil, drop, enc, false)
+				if p == nil {
 					continue
 				}
 				p.TailReplica = tail
@@ -320,14 +367,9 @@ func (g *Generator) splitPlans(v *media.Video, prefix *metadata.Replica, replica
 					Kind: StageTailDeliver, Site: tail.Site, Suffix: "-tail", Vec: tailVec,
 				})
 				p.reserved++
-				g.generated.Add(1)
-				if !yield(p) {
-					return false
-				}
 			}
 		}
 	}
-	return true
 }
 
 // transcodeTargets returns nil (no transcode) plus each ladder quality the
@@ -344,7 +386,6 @@ func (g *Generator) transcodeTargets(rep *metadata.Replica, req qos.Requirement)
 		if req.MinResolution.W > 0 && !q.Resolution.AtLeast(req.MinResolution) {
 			continue
 		}
-		q := q
 		targets = append(targets, &q)
 	}
 	return targets
@@ -377,17 +418,17 @@ func (g *Generator) encryptionChoices(req qos.Requirement) []*cryptoact.Algorith
 	return out
 }
 
-// build assembles and costs one candidate plan, returning nil when a static
-// rule rejects it. farmOff moves the transcode stage's CPU off the delivery
-// site onto the farm tier.
-func (g *Generator) build(v *media.Video, rep *metadata.Replica, site string,
-	delivered qos.AppQoS, target *qos.AppQoS, drop transport.DropStrategy,
-	enc *cryptoact.Algorithm, farmOff bool) *Plan {
+// build assembles and costs one candidate plan and appends it to the
+// output, returning nil when a static rule rejects it — before it takes a
+// slab slot, so a pruned candidate allocates nothing. farmOff moves the
+// transcode stage's CPU off the delivery site onto the farm tier.
+func (e *enumeration) build(rep *metadata.Replica, site string, priced *pricedQuality,
+	target *qos.AppQoS, drop transport.DropStrategy, enc *cryptoact.Algorithm, farmOff bool) *Plan {
 
-	deliveredVar := media.NewVariant(delivered)
-	netRate := deliveredVar.Bitrate * drop.ByteFactor(v, deliveredVar)
+	delivered := priced.quality
+	netRate := priced.variant.Bitrate * priced.byteFactor[drop]
 
-	cpu := transport.StreamCPUCost(deliveredVar, delivered.FrameRate)
+	cpu := transport.StreamCPUCost(priced.variant, delivered.FrameRate)
 	var extraPerSecond, transcodeCost float64
 	if target != nil {
 		transcodeCost = transcode.CPUCost(rep.Variant.Quality, *target)
@@ -406,14 +447,19 @@ func (g *Generator) build(v *media.Video, rep *metadata.Replica, site string,
 	}
 	cpu += extraPerSecond
 
-	effFPS := drop.EffectiveFrameRate(v.GOP, delivered.FrameRate)
+	// drop.EffectiveFrameRate(v.GOP, fps), its frame factor worked out once.
+	effFPS := delivered.FrameRate * e.frameFactor[drop]
 	deliveredEff := delivered
 	deliveredEff.FrameRate = effFPS
+	if !e.req.SatisfiedBy(deliveredEff) {
+		e.pruned++
+		return nil
+	}
 
 	var deliveryDemand qos.ResourceVector
 	deliveryDemand[qos.ResCPU] = cpu
 	deliveryDemand[qos.ResNetBandwidth] = netRate
-	deliveryDemand[qos.ResMemory] = 2 * float64(deliveredVar.GOPSize(v, 0))
+	deliveryDemand[qos.ResMemory] = 2 * float64(priced.gopBytes)
 
 	var sourceDemand qos.ResourceVector
 	if rep.Site != site {
@@ -427,20 +473,21 @@ func (g *Generator) build(v *media.Video, rep *metadata.Replica, site string,
 	// Static plan-drop rule: demands no empty site could ever admit. The
 	// farm stage is exempt — its capacity is the farm's own MaxWorkers
 	// envelope, not SiteCapacity, and admission prices it dynamically.
-	if cap := g.cfg.SiteCapacity; cap != (qos.ResourceVector{}) {
+	if cap := e.g.cfg.SiteCapacity; cap != (qos.ResourceVector{}) {
 		var zero qos.ResourceVector
 		if !deliveryDemand.FitsWithin(zero, cap) || !sourceDemand.FitsWithin(zero, cap) {
+			e.pruned++
 			return nil
 		}
 	}
 
-	framesPerSecond := effFPS
 	var extraPerFrame simtime.Time
-	if framesPerSecond > 0 {
-		extraPerFrame = simtime.Time(float64(simtime.Seconds(1)) * extraPerSecond / framesPerSecond)
+	if effFPS > 0 {
+		extraPerFrame = simtime.Time(float64(simtime.Seconds(1)) * extraPerSecond / effFPS)
 	}
+	p, stages := e.slot()
 	// Stages in reservation order, resource-holding ones first.
-	stages := append(make([]Stage, 0, 3), Stage{Kind: StageDeliver, Site: site, Vec: deliveryDemand})
+	stages = append(stages, Stage{Kind: StageDeliver, Site: site, Vec: deliveryDemand})
 	if rep.Site != site {
 		stages = append(stages, Stage{Kind: StageSource, Site: rep.Site, Suffix: "-relay", Vec: sourceDemand})
 	}
@@ -448,23 +495,26 @@ func (g *Generator) build(v *media.Video, rep *metadata.Replica, site string,
 	if target != nil {
 		st := Stage{Kind: StageTranscode, Site: site, Work: transcodeCost}
 		if farmOff {
-			st.Site = g.cfg.Farm.Site
+			st.Site = e.g.cfg.Farm.Site
 			st.Suffix = "-transcode"
 			st.Vec[qos.ResCPU] = transcodeCost
 			reserved++
 		}
 		stages = append(stages, st)
 	}
-	return &Plan{
+	*p = Plan{
 		Replica:          rep,
 		DeliverySite:     site,
 		Drop:             drop,
 		Transcode:        target,
 		Encrypt:          enc,
 		Delivered:        deliveredEff,
-		DeliveredVariant: deliveredVar,
+		DeliveredVariant: priced.variant,
 		ExtraPerFrameCPU: extraPerFrame,
 		Stages:           stages,
 		reserved:         reserved,
 	}
+	e.generated++
+	e.out = append(e.out, p)
+	return p
 }

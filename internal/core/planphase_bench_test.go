@@ -48,6 +48,21 @@ func TestWarmPlanPhaseAllocs(t *testing.T) {
 	}
 }
 
+// TestColdPlanPhaseAllocs gates the cold plan phase — epoch bump, full
+// re-enumeration, viable, best-first pop — at 200 allocations: each
+// delivered quality is priced once per enumeration and plans are cut from
+// slabs, so the count does not grow with the 360 candidates.
+func TestColdPlanPhaseAllocs(t *testing.T) {
+	m, v, req := planPhaseWorld(t)
+	n := testing.AllocsPerRun(20, func() {
+		m.PlanCache().BumpLiveness()
+		planPhase(m, v, req)
+	})
+	if n > 200 {
+		t.Fatalf("cold plan phase = %v allocs/op, want <= 200", n)
+	}
+}
+
 // BenchmarkPlanPhase measures the query-side plan phase of the staged
 // pipeline — candidate set, liveness filter, best-first pop — cold (every
 // iteration re-enumerates after an epoch bump) versus warm (served from

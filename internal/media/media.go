@@ -191,7 +191,8 @@ func (va Variant) FrameSize(v *Video, i int) int {
 // GOPSize returns the total coded size of the GOP starting at frame first.
 func (va Variant) GOPSize(v *Video, first int) int64 {
 	var total int64
-	for i := first; i < first+v.GOP.Len() && i < v.Frames(); i++ {
+	end := min(first+v.GOP.Len(), v.Frames())
+	for i := first; i < end; i++ {
 		total += int64(va.FrameSize(v, i))
 	}
 	return total
