@@ -214,36 +214,6 @@ func benchCluster(b *testing.B) *core.Cluster {
 	return c
 }
 
-// BenchmarkPlanGeneration measures raw plan enumeration + pruning over the
-// full A1..A5 space for one query.
-func BenchmarkPlanGeneration(b *testing.B) {
-	c := benchCluster(b)
-	gen := core.NewGenerator(c.Dir, core.DefaultGeneratorConfig(c.Capacity()))
-	v, _ := c.Engine.Video(1)
-	req := qos.Requirement{MinResolution: qos.ResVCD, MaxResolution: qos.ResCIF, MinColorDepth: 16}
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		n += len(gen.GenerateAll("srv-a", v, req))
-	}
-	b.ReportMetric(float64(n)/float64(b.N), "plans/query")
-}
-
-// BenchmarkLRBRanking measures cost evaluation and ranking of a generated
-// plan set under live usage.
-func BenchmarkLRBRanking(b *testing.B) {
-	c := benchCluster(b)
-	gen := core.NewGenerator(c.Dir, core.DefaultGeneratorConfig(c.Capacity()))
-	v, _ := c.Engine.Video(1)
-	plans := gen.GenerateAll("srv-a", v, qos.Requirement{MinColorDepth: 8})
-	var lrb core.LRB
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lrb.Order(plans, c.SiteUsage())
-	}
-	b.ReportMetric(float64(len(plans)), "plans-ranked")
-}
-
 // BenchmarkMetadataLookup measures replica resolution with the per-site
 // cache on and off (the metadata-cache ablation).
 func BenchmarkMetadataLookup(b *testing.B) {

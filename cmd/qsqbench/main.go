@@ -14,7 +14,6 @@
 //	qsqbench -exp admission  # admission latency vs load over the control plane
 //	qsqbench -exp overload   # load ramp past capacity: guardian + breaker vs baseline
 //	qsqbench -exp transcode  # farm worker-class mixes: dollars vs p99 startup delay
-//	qsqbench -exp saturate   # admission hot path at 10^5-10^6 sessions: broker vs VSA fast path
 //	qsqbench -exp sla        # clause-strictness tiers: violation rates + QoE percentiles from the qoe table
 //	qsqbench -exp edge       # edge proxy-cache tier vs origin-only: startup tails + origin offload
 //	qsqbench -exp all
@@ -85,18 +84,13 @@ type options struct {
 
 	overloadScale float64
 
-	satSessions   int
-	satLive       int
-	satGoroutines int
-	satZipf       float64
-
 	cpuProfile string
 	memProfile string
 }
 
 func main() {
 	var o options
-	flag.StringVar(&o.exp, "exp", "all", "experiment: fig5|table2|fig6|fig7|throughput|ablation|dynamic|overhead|chaos|admission|overload|transcode|saturate|sla|edge|all")
+	flag.StringVar(&o.exp, "exp", "all", "experiment: fig5|table2|fig6|fig7|throughput|ablation|dynamic|overhead|chaos|admission|overload|transcode|sla|edge|all")
 	flag.Int64Var(&o.seed, "seed", 11, "workload seed (replica 0 runs this seed itself)")
 	flag.IntVar(&o.sweep.Workers, "parallel", 0, "worker pool size for sweep cells (0 = GOMAXPROCS)")
 	flag.IntVar(&o.sweep.Replicas, "replicas", 1, "independently seeded repetitions of every sweep point")
@@ -116,10 +110,6 @@ func main() {
 	flag.IntVar(&o.ctrlRetries, "ctrl-retries", 2, "admission: control RPC retries after the first attempt")
 	flag.Float64Var(&o.ctrlLoss, "ctrl-loss", 0, "admission: control-message loss probability in [0,1)")
 	flag.Float64Var(&o.overloadScale, "overload-scale", 1, "overload: shrink (<1) or stretch (>1) the ramp and fault times")
-	flag.IntVar(&o.satSessions, "sessions", 100000, "saturate: total session arrivals")
-	flag.IntVar(&o.satLive, "live", 20000, "saturate: sliding-window depth of concurrently live sessions")
-	flag.IntVar(&o.satGoroutines, "goroutines", 8, "saturate: concurrent admission loops in the throughput pass")
-	flag.Float64Var(&o.satZipf, "zipf", 1.1, "saturate: video-popularity skew exponent (>1)")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run here")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile of the run here")
 	flag.Parse()
@@ -191,7 +181,7 @@ func (o options) throughputCfg() experiments.ThroughputConfig {
 
 func run(o options) error {
 	switch o.exp {
-	case "all", "fig5", "table2", "fig6", "fig7", "throughput", "ablation", "dynamic", "overhead", "chaos", "admission", "overload", "transcode", "saturate", "sla", "edge":
+	case "all", "fig5", "table2", "fig6", "fig7", "throughput", "ablation", "dynamic", "overhead", "chaos", "admission", "overload", "transcode", "sla", "edge":
 	default:
 		return fmt.Errorf("unknown experiment %q", o.exp)
 	}
@@ -331,26 +321,6 @@ func run(o options) error {
 		}
 		fmt.Println(experiments.FormatEdge(cfg, points))
 		if err := saveCSV(o.csvDir, "edge.csv", experiments.EdgeTable(points)); err != nil {
-			return err
-		}
-	}
-	if o.exp == "saturate" { // not part of -exp all: its throughput pass is wall-clock, not simulated
-		cfg := experiments.DefaultSaturateConfig()
-		cfg.Seed = o.seed
-		cfg.Sessions = o.satSessions
-		cfg.Live = o.satLive
-		cfg.Goroutines = o.satGoroutines
-		cfg.ZipfS = o.satZipf
-		fidelity, err := experiments.RunSaturateParallel(cfg, o.sweep)
-		if err != nil {
-			return err
-		}
-		throughput, err := experiments.RunSaturateThroughputPair(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatSaturate(cfg, fidelity, throughput))
-		if err := saveCSV(o.csvDir, "saturate.csv", experiments.SaturateTable(fidelity)); err != nil {
 			return err
 		}
 	}

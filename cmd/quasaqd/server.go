@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -78,10 +79,14 @@ func (s *Server) tick() {
 	}
 }
 
+// maxLine caps one request line; a longer one gets an ERR reply and the
+// connection is closed, since the rest of the line cannot be resynchronised.
+const maxLine = 64 * 1024
+
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64*1024), 64*1024)
+	sc.Buffer(make([]byte, maxLine), maxLine)
 	w := bufio.NewWriter(conn)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -97,6 +102,10 @@ func (s *Server) handle(conn net.Conn) {
 		reply := s.dispatch(line)
 		s.mu.Unlock()
 		w.WriteString(reply)
+		w.Flush()
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		w.WriteString(errf("line too long (max %d bytes)", maxLine))
 		w.Flush()
 	}
 }
@@ -215,8 +224,7 @@ func errf(format string, args ...any) string {
 }
 
 func parseVideoID(s string) (quasaq.VideoID, error) {
-	s = strings.TrimPrefix(strings.ToLower(s), "v")
-	n, err := strconv.Atoi(s)
+	n, err := strconv.Atoi(strings.TrimPrefix(strings.ToLower(s), "v"))
 	if err != nil || n <= 0 {
 		return 0, fmt.Errorf("bad video id %q", s)
 	}

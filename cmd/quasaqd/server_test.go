@@ -175,6 +175,20 @@ func TestParseVideoID(t *testing.T) {
 			t.Fatalf("%q accepted", s)
 		}
 	}
+	// The error quotes the token as typed, prefix and case included.
+	if _, err := parseVideoID("V0"); err == nil || err.Error() != `bad video id "V0"` {
+		t.Fatalf("V0 -> %v", err)
+	}
+}
+
+// TestOverlongLineGetsErr: a request longer than the line cap is answered
+// with an ERR terminator, not dropped with the connection.
+func TestOverlongLineGetsErr(t *testing.T) {
+	addr := startTestServer(t)
+	_, term := roundTrip(t, addr, "SEARCH "+strings.Repeat("x", 70000))
+	if term != "ERR line too long (max 65536 bytes)" {
+		t.Fatalf("overlong line -> %q", term)
+	}
 }
 
 func TestCatalogCommand(t *testing.T) {

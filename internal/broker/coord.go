@@ -42,9 +42,6 @@ func NewCoordinator(net *Net, reg *obs.Registry) *Coordinator {
 	}
 }
 
-// Net returns the control net the coordinator sends on.
-func (co *Coordinator) Net() *Net { return co.net }
-
 // Reserve runs one two-phase reservation from origin across the
 // participants and calls done exactly once: with the committed leases in
 // participant order, or with the first refusal/timeout after rollback. On

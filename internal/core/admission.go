@@ -12,7 +12,6 @@ import (
 	"quasaq/internal/qos"
 	"quasaq/internal/simtime"
 	"quasaq/internal/transport"
-	"quasaq/internal/vsa"
 )
 
 // ServiceOptions tunes one Service call.
@@ -347,32 +346,7 @@ func (m *Manager) executeInto(d *Delivery, p *Plan, start int, done func(error))
 	for i, st := range stages {
 		parts[i] = broker.Participant{Site: st.Site, Name: v.Title + st.Suffix, Vec: st.Vec, Period: period}
 	}
-	// With fast accounting on, park an in-flight hold per participant so
-	// concurrent usage reads see this decision before the brokers commit
-	// it. The holds drop the moment the transaction concludes: on success
-	// the committed leases carry the load in the node snapshot, on failure
-	// nothing does. Holds never influence the decision itself — the broker
-	// stays the authority — so a synchronous control plane (where the
-	// transaction concludes before any other read can run) behaves
-	// byte-identically with the fast path on or off.
-	type siteHold struct {
-		acc  *vsa.Accumulator
-		hold vsa.Hold
-	}
-	var holds []siteHold
-	if m.cluster.FastAccountingEnabled() {
-		hint := m.holdSeq.Add(1)
-		holds = make([]siteHold, 0, len(parts))
-		for _, p := range parts {
-			if a := m.cluster.Accumulator(p.Site); a != nil {
-				holds = append(holds, siteHold{acc: a, hold: a.Add(hint, p.Vec)})
-			}
-		}
-	}
 	m.coord.Reserve(d.querySite, parts, d.trace, func(leases []*gara.Lease, err error) {
-		for _, h := range holds {
-			h.acc.Release(0, h.hold)
-		}
 		if err != nil {
 			done(err)
 			return

@@ -14,7 +14,6 @@ import (
 	"quasaq/internal/storage"
 	"quasaq/internal/transcode"
 	"quasaq/internal/vdbms"
-	"quasaq/internal/vsa"
 )
 
 // Cluster assembles the distributed substrate QuaSAQ runs on: one gara
@@ -47,12 +46,6 @@ type Cluster struct {
 	// usage queries and partition checks treat it like any site — but not
 	// siteNames: it stores no replicas and serves no deliveries.
 	Farm *transcode.Farm
-
-	// fast holds the per-site VSA accumulators (nil until
-	// EnableFastAccounting): lock-free usage views layered over the
-	// authoritative node buckets. The zero config — never enabling it —
-	// leaves every code path byte-identical to the broker-only cluster.
-	fast map[string]*vsa.Accumulator
 
 	siteNames []string
 	edgeSites []string   // edge proxy sites, configuration order (EnableEdgeTier)
@@ -165,9 +158,6 @@ func (c *Cluster) EnableFarm(cfg transcode.FarmConfig) (*transcode.Farm, error) 
 	b := broker.New(c.Sim, n, c.Obs)
 	c.Brokers[FarmSite] = b
 	c.Ctrl.Register(FarmSite, b.Handle)
-	if c.fast != nil {
-		c.fast[FarmSite] = vsa.NewAccumulator(n.Capacity(), 0)
-	}
 	c.Farm = farm
 	return farm, nil
 }
@@ -214,9 +204,6 @@ func (c *Cluster) EnableEdgeTier(sites []EdgeSite) error {
 		b := broker.New(c.Sim, n, c.Obs)
 		c.Brokers[es.Name] = b
 		c.Ctrl.Register(es.Name, b.Handle)
-		if c.fast != nil {
-			c.fast[es.Name] = vsa.NewAccumulator(n.Capacity(), 0)
-		}
 		if err := c.Dir.AddStore(metadata.NewStore(es.Name)); err != nil {
 			return err
 		}
@@ -266,55 +253,16 @@ func (c *Cluster) LoadCorpus(videos []*media.Video, pol replication.Policy) (int
 	return replication.Replicate(videos, sites, c.Dir, pol)
 }
 
-// EnableFastAccounting attaches a VSA accumulator to every site. Admission
-// usage reads then combine the node's atomic snapshot with the
-// accumulator's in-flight holds, so a decision in progress is visible to
-// cost models before the broker has committed it — closing the
-// over-admission window an asynchronous control plane otherwise opens. The
-// broker remains the sole admission authority: holds never reject anything,
-// which is what keeps low-load decisions byte-identical to the slow path.
-// Call before EnableFarm if both are wanted (the farm joins the table
-// automatically when enabled afterwards). One-shot; cannot be disabled.
-func (c *Cluster) EnableFastAccounting() error {
-	if c.fast != nil {
-		return fmt.Errorf("core: fast accounting already enabled")
-	}
-	c.fast = make(map[string]*vsa.Accumulator, len(c.Nodes))
-	for name, n := range c.Nodes {
-		c.fast[name] = vsa.NewAccumulator(n.Capacity(), 0)
-	}
-	return nil
-}
-
-// FastAccountingEnabled reports whether the VSA fast path is on.
-func (c *Cluster) FastAccountingEnabled() bool { return c.fast != nil }
-
-// Accumulator returns the site's VSA accumulator, or nil when fast
-// accounting is off (or the site unknown).
-func (c *Cluster) Accumulator(site string) *vsa.Accumulator {
-	if c.fast == nil {
-		return nil
-	}
-	return c.fast[site]
-}
-
 // Usage returns a site's reserved/used and capacity vectors. Unknown sites
 // return an error rather than zero vectors — a zero capacity would silently
 // corrupt LRB's Eq. 1 (division by bucket height) for any caller that
-// mistyped a site name. With fast accounting enabled, usage additionally
-// carries the accumulator's in-flight holds.
+// mistyped a site name.
 func (c *Cluster) Usage(site string) (usage, capacity qos.ResourceVector, err error) {
 	n, ok := c.Nodes[site]
 	if !ok {
 		return qos.ResourceVector{}, qos.ResourceVector{}, fmt.Errorf("core: unknown site %q", site)
 	}
-	u := n.Usage()
-	if c.fast != nil {
-		if a := c.fast[site]; a != nil {
-			u = u.Add(a.Pending())
-		}
-	}
-	return u, n.Capacity(), nil
+	return n.Usage(), n.Capacity(), nil
 }
 
 // SiteUsage adapts the cluster to the cost models' SiteUsage contract.

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"quasaq/internal/broker"
 	"quasaq/internal/edgecache"
@@ -328,10 +327,6 @@ type Manager struct {
 
 	tracer  *obs.Tracer
 	sessSeq int // session ordinal for trace thread naming
-
-	// holdSeq spreads in-flight VSA holds across accumulator shards when
-	// fast accounting is enabled.
-	holdSeq atomic.Uint64
 
 	failover   *FailoverPolicy
 	onFailover func(FailoverEvent)

@@ -119,40 +119,6 @@ func TestRevocationCauseTaxonomy(t *testing.T) {
 	}
 }
 
-func TestRenegotiateReleasedLeaseTypedError(t *testing.T) {
-	_, n := newNode()
-	l, err := n.Reserve("s", demand(0.1, 500e3, 0, 0), 40*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Release()
-	if err := l.Renegotiate(demand(0.1, 600e3, 0, 0)); !errors.Is(err, ErrLeaseReleased) {
-		t.Fatalf("err = %v, want ErrLeaseReleased", err)
-	}
-}
-
-func TestRenegotiatePreservesRevocationWiring(t *testing.T) {
-	// After a successful renegotiation the holder's lease must still be the
-	// one the node revokes on failure (the adopt() regression).
-	_, n := newNode()
-	l, err := n.Reserve("s", demand(0.1, 500e3, 0, 0), 40*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fired := 0
-	l.SetOnRevoke(func(error) { fired++ })
-	if err := l.Renegotiate(demand(0.1, 700e3, 0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	n.Fail()
-	if fired != 1 {
-		t.Fatalf("onRevoke fired %d times after renegotiate+fail, want 1", fired)
-	}
-	if !l.Revoked() {
-		t.Fatal("renegotiated lease not revoked by node failure")
-	}
-}
-
 func TestRevokeOldestLease(t *testing.T) {
 	_, n := newNode()
 	a, _ := n.Reserve("a", demand(0.05, 300e3, 0, 0), 40*time.Millisecond)

@@ -3,7 +3,9 @@
 // per-resource managers — CPU (the DSRT-style scheduler in cpusched),
 // network bandwidth (netsim links), disk bandwidth and buffer memory — behind
 // a single entry point offering the three operations the paper lists:
-// admission control, resource reservation, and renegotiation.
+// admission control, resource reservation, and renegotiation. Renegotiation
+// is re-admission: the quality manager reserves a new plan and releases the
+// old lease (core.Manager.Renegotiate), so a Lease's vector never changes.
 //
 // One Node holds the managers of one database server; a Lease is an
 // end-to-end reservation spanning all four resources for the lifetime of a
@@ -19,9 +21,8 @@
 // a writer and never observes a reservation half-applied. Reserve updates
 // four buckets; before the snapshot discipline a concurrent reader could
 // catch the window after the link booked bandwidth but before disk/memory
-// were charged — or the window inside Renegotiate between releasing the old
-// vector and acquiring the new — and over-report availability. Now readers
-// see the pre-state or the post-state, nothing between.
+// were charged — and over-report availability. Now readers see the
+// pre-state or the post-state, nothing between.
 //
 // Holder callbacks (lease revocation handlers, node watchers) always fire
 // after the lock is dropped: handlers routinely re-enter the node — a
@@ -608,62 +609,4 @@ func (l *Lease) revokeLocked(cause error) (func(cause error), error) {
 	}
 	l.releaseLocked()
 	return l.onRevoke, err
-}
-
-// Renegotiate atomically replaces the lease's reservation with a new
-// vector — the paper's renegotiation path, triggered by user QoP changes
-// during playback or as the "second chance" after a rejection (§3.2).
-// On failure the original reservation is reinstated and an error returned.
-// On success the lease's CPU job is replaced; callers streaming against the
-// old job must rebind to CPUJob().
-//
-// The whole release-then-reacquire sequence runs under the node lock and
-// publishes one usage snapshot at the end, so concurrent readers never see
-// the in-between instant where the old vector is returned but the new one
-// not yet booked — the transient availability over-report the VSA
-// deferred-commit path cannot tolerate.
-func (l *Lease) Renegotiate(v qos.ResourceVector) error {
-	n := l.node
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if l.released {
-		return fmt.Errorf("%w: renegotiate %s on %s", ErrLeaseReleased, l.name, n.name)
-	}
-	old := l.vec
-	name, period := l.name, l.period
-	onRevoke := l.onRevoke
-	l.releaseLocked()
-	nl, err := n.reserveLocked(name, v, period)
-	if err == nil {
-		l.adoptLocked(nl, onRevoke)
-		n.publishUsageLocked()
-		return nil
-	}
-	// Restore: the old vector just fit, so this cannot fail.
-	ol, rerr := n.reserveLocked(name, old, period)
-	if rerr != nil {
-		n.publishUsageLocked()
-		return fmt.Errorf("gara: renegotiation lost original reservation: %v (after %w)", rerr, err)
-	}
-	l.adoptLocked(ol, onRevoke)
-	n.publishUsageLocked()
-	return err
-}
-
-// adoptLocked moves a freshly reserved lease's state into l, preserving the
-// holder's identity: the node's live list and the link reservation's
-// revocation callback are rebound to l, and the holder's revocation
-// callback survives the swap.
-func (l *Lease) adoptLocked(nl *Lease, onRevoke func(cause error)) {
-	*l = *nl
-	l.onRevoke = onRevoke
-	if l.netResv != nil {
-		l.netResv.SetOnRevoke(func(cause error) { l.Revoke(cause) })
-	}
-	for i, x := range l.node.live {
-		if x == nl {
-			l.node.live[i] = l
-			break
-		}
-	}
 }

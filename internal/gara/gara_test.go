@@ -134,62 +134,6 @@ func TestZeroCPULeaseHasNoJob(t *testing.T) {
 	l.Release()
 }
 
-func TestRenegotiateGrow(t *testing.T) {
-	_, n := newNode()
-	l, err := n.Reserve("s", demand(0.1, 500e3, 0, 0), 40*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Renegotiate(demand(0.2, 1000e3, 0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	u := n.Usage()
-	if u[qos.ResNetBandwidth] != 1000e3 {
-		t.Fatalf("usage after renegotiation = %v", u)
-	}
-	if l.CPUJob() == nil {
-		t.Fatal("renegotiated lease lost its CPU job")
-	}
-	l.Release()
-	if n.Usage() != demand(0, 0, 0, 0) {
-		t.Fatal("release after renegotiation leaked resources")
-	}
-}
-
-func TestRenegotiateFailureRestoresOriginal(t *testing.T) {
-	_, n := newNode()
-	l, err := n.Reserve("s", demand(0.1, 500e3, 0, 0), 40*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill the rest of the link so growth must fail.
-	other, err := n.Reserve("other", demand(0, 2700e3, 0, 0), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Renegotiate(demand(0.1, 1000e3, 0, 0)); err == nil {
-		t.Fatal("impossible renegotiation succeeded")
-	}
-	u := n.Usage()
-	if u[qos.ResNetBandwidth] != 3200e3 {
-		t.Fatalf("original reservation not restored: %v", u)
-	}
-	other.Release()
-	l.Release()
-	if n.Leases() != 0 {
-		t.Fatalf("leases = %d", n.Leases())
-	}
-}
-
-func TestRenegotiateReleasedLease(t *testing.T) {
-	_, n := newNode()
-	l, _ := n.Reserve("s", demand(0.1, 100e3, 0, 0), time.Second)
-	l.Release()
-	if err := l.Renegotiate(demand(0.1, 100e3, 0, 0)); err == nil {
-		t.Fatal("renegotiate on released lease succeeded")
-	}
-}
-
 func TestLeaseCPUJobIsSchedulable(t *testing.T) {
 	sim, n := newNode()
 	l, err := n.Reserve("s", demand(0.2, 100e3, 0, 0), 40*time.Millisecond)

@@ -389,16 +389,6 @@ func (db *DB) ConfigureControl(cfg ControlPlaneConfig) error {
 	return db.cluster.ConfigureControl(cfg)
 }
 
-// EnableFastAccounting layers the VSA accumulators over the per-site
-// resource books: admission cost models then see reservations still in
-// flight through the control plane, closing the over-admission window an
-// asynchronous control plane opens. Opt-in and one-shot; with the default
-// synchronous control plane it changes no admission decision. Call before
-// EnableFarm so the farm's pseudo-site joins the fast books too.
-func (db *DB) EnableFastAccounting() error {
-	return db.cluster.EnableFastAccounting()
-}
-
 // DeliverTraced is Deliver with a per-frame completion trace of up to n
 // frames (for QoS analysis).
 func (db *DB) DeliverTraced(site string, id VideoID, req Requirement, n int) (*Delivery, error) {
