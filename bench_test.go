@@ -20,6 +20,7 @@ import (
 	"quasaq/internal/media"
 	"quasaq/internal/qos"
 	"quasaq/internal/replication"
+	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
 )
 
@@ -28,7 +29,7 @@ import (
 // contention), 1000 frames each.
 func BenchmarkFig5InterFrameDelay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig5(experiments.DefaultFig5Config())
+		res, err := experiments.RunFig5(experiments.DefaultFig5Config(), runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,7 +43,7 @@ func BenchmarkFig5InterFrameDelay(b *testing.B) {
 // Figure 5 runs (theoretical inter-frame delay 41.72 ms).
 func BenchmarkTable2DelayStats(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig5(experiments.DefaultFig5Config())
+		res, err := experiments.RunFig5(experiments.DefaultFig5Config(), runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -59,7 +60,7 @@ func BenchmarkTable2DelayStats(b *testing.B) {
 // 1000 s of Poisson arrivals.
 func BenchmarkFig6Throughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.RunFig6(experiments.DefaultFig6Config())
+		series, err := experiments.RunSweep(experiments.NewFig6Scenario(experiments.DefaultFig6Config()), runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func BenchmarkFig6Throughput(b *testing.B) {
 // sustaining 27-89% more sessions).
 func BenchmarkFig7CostModels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.RunFig7(experiments.DefaultFig7Config())
+		series, err := experiments.RunSweep(experiments.NewFig7Scenario(experiments.DefaultFig7Config()), runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -96,7 +97,7 @@ func BenchmarkFig7CostModels(b *testing.B) {
 // (paper: 0.16 ms per 10 ms, 1.6%).
 func BenchmarkOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunOverhead(3, 300)
+		res, err := experiments.RunOverhead(3, 300, runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,7 +160,7 @@ func BenchmarkDynamicReplication(b *testing.B) {
 	cfg := experiments.DefaultFig6Config()
 	cfg.Horizon = simtime.Seconds(600)
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunDynamicReplication(cfg)
+		r, err := experiments.RunDynamicReplication(cfg, runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

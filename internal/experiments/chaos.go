@@ -9,6 +9,7 @@ import (
 	"quasaq/internal/media"
 	"quasaq/internal/obs"
 	"quasaq/internal/replication"
+	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
 	"quasaq/internal/workload"
 )
@@ -123,10 +124,28 @@ func (r *ChaosResult) RejectRate() float64 {
 	return float64(r.Rejected) / float64(r.Queries)
 }
 
-// RunChaos drives the paper's workload against the testbed while the fault
-// schedule fires, with mid-stream failover enabled. Same config -> same
-// result: the workload, the schedule, and recovery are all deterministic.
-func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
+// RunChaos runs the fault-injection experiment as a single point; the sweep
+// dimension is the replicas, each driving the same fault schedule with an
+// independently seeded workload. Counters and metric registries fold across
+// replicas while the event log stays replica 0's.
+func RunChaos(cfg ChaosConfig, opts runner.Options) (*ChaosResult, error) {
+	opts.Seed = cfg.Seed
+	res, err := runner.Sweep("chaos", []string{"chaos"}, opts, func(_ int, seed int64) (*ChaosResult, error) {
+		c := cfg
+		c.Seed = seed
+		return runChaosOnce(c)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// runChaosOnce drives the paper's workload against the testbed while the
+// fault schedule fires, with mid-stream failover enabled. Same config ->
+// same result: the workload, the schedule, and recovery are all
+// deterministic.
+func runChaosOnce(cfg ChaosConfig) (*ChaosResult, error) {
 	if err := cfg.Schedule.Validate(); err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"quasaq/internal/faults"
+	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
 )
 
@@ -21,7 +22,7 @@ func shortChaosConfig() ChaosConfig {
 }
 
 func TestChaosCrashTriggersFailovers(t *testing.T) {
-	res, err := RunChaos(shortChaosConfig())
+	res, err := RunChaos(shortChaosConfig(), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +57,12 @@ func TestChaosDeterministic(t *testing.T) {
 	var runs [2]*ChaosResult
 	var csvs [2]bytes.Buffer
 	for i := range runs {
-		res, err := RunChaos(shortChaosConfig())
+		res, err := RunChaos(shortChaosConfig(), runner.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		runs[i] = res
-		if err := WriteChaosCSV(&csvs[i], res); err != nil {
+		if err := WriteTable(&csvs[i], ChaosTable(res)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,7 +78,7 @@ func TestChaosDeterministic(t *testing.T) {
 }
 
 func TestChaosFormatMentionsMetrics(t *testing.T) {
-	res, err := RunChaos(shortChaosConfig())
+	res, err := RunChaos(shortChaosConfig(), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,16 @@ package experiments
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
 )
 
-func TestWriteSeriesCSV(t *testing.T) {
+func TestSeriesTableCSV(t *testing.T) {
 	s, err := RunThroughput(SysQuaSAQ, ThroughputConfig{
 		Seed: 5, Horizon: simtime.Seconds(60), Bucket: simtime.Seconds(20),
 	})
@@ -19,7 +19,7 @@ func TestWriteSeriesCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSeriesCSV(&buf, []*Series{s}); err != nil {
+	if err := WriteTable(&buf, SeriesTable([]*Series{s})); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -34,17 +34,15 @@ func TestWriteSeriesCSV(t *testing.T) {
 	}
 }
 
-func TestWriteFig5CSVAndSave(t *testing.T) {
+func TestFig5TableSaveCSV(t *testing.T) {
 	cfg := DefaultFig5Config()
 	cfg.Frames = 50
-	res, err := RunFig5(cfg)
+	res, err := RunFig5(cfg, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	path, err := SaveCSV(dir, "fig5.csv", func(w io.Writer) error {
-		return WriteFig5CSV(w, res)
-	})
+	path, err := SaveCSV(dir, "fig5.csv", Fig5Table(res))
 	if err != nil {
 		t.Fatal(err)
 	}

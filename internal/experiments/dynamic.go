@@ -28,17 +28,76 @@ type DynamicResult struct {
 	DynamicAdmitSecondHalf float64
 }
 
+// dynamicPoint is one configuration of the dynamic-replication comparison:
+// its throughput series plus the replicator's own outcomes (zero for the
+// static configurations).
+type dynamicPoint struct {
+	Series          *Series
+	ReplicasCreated int
+	AdmitFirstHalf  float64
+	AdmitSecondHalf float64
+	// Replicas counts merged replica runs (0 or 1 means a single run).
+	Replicas int
+}
+
+func (d *dynamicPoint) reps() int {
+	if d.Replicas < 1 {
+		return 1
+	}
+	return d.Replicas
+}
+
+// Merge folds another replica's point in: series merge, replica-count sums,
+// and replica-weighted admission-rate means.
+func (d *dynamicPoint) Merge(o *dynamicPoint) {
+	ra, rb := float64(d.reps()), float64(o.reps())
+	d.Series.Merge(o.Series)
+	d.ReplicasCreated += o.ReplicasCreated
+	d.AdmitFirstHalf = (d.AdmitFirstHalf*ra + o.AdmitFirstHalf*rb) / (ra + rb)
+	d.AdmitSecondHalf = (d.AdmitSecondHalf*ra + o.AdmitSecondHalf*rb) / (ra + rb)
+	d.Replicas = d.reps() + o.reps()
+}
+
 // RunDynamicReplication runs the three configurations on identical query
-// streams. It is the serial-compatible wrapper over the dynamic scenario.
-func RunDynamicReplication(cfg ThroughputConfig) (*DynamicResult, error) {
-	return RunDynamicReplicationParallel(cfg, runner.Options{})
+// streams, each one hermetic point: static single-copy, single-copy plus
+// the online replicator, and the offline full ladder.
+func RunDynamicReplication(cfg ThroughputConfig, opts runner.Options) (*DynamicResult, error) {
+	keys := []string{"single-static", "single-dynamic", "full"}
+	opts.Seed = cfg.Seed
+	points, err := runner.Sweep("dynamic", keys, opts, func(i int, seed int64) (*dynamicPoint, error) {
+		c := cfg
+		c.Seed = seed
+		switch keys[i] {
+		case "single-dynamic":
+			return runDynamicSingle(c)
+		case "single-static":
+			c.SingleCopy = true
+		}
+		series, err := RunThroughput(SysQuaSAQ, c)
+		if err != nil {
+			return nil, err
+		}
+		return &dynamicPoint{Series: series}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	static, dynamic, full := points[0], points[1], points[2]
+	return &DynamicResult{
+		StaticSingle:           static.Series,
+		DynamicSingle:          dynamic.Series,
+		FullReplica:            full.Series,
+		ReplicasCreated:        dynamic.ReplicasCreated / dynamic.reps(),
+		DynamicAdmitFirstHalf:  dynamic.AdmitFirstHalf,
+		DynamicAdmitSecondHalf: dynamic.AdmitSecondHalf,
+	}, nil
 }
 
 // runDynamicSingle is the hermetic single-copy + online-replication cell:
 // it builds its own world (the replicator must be wired into the serving
 // path, so it cannot reuse RunThroughput) and reports the replicator's
 // outcomes next to the throughput series.
-func runDynamicSingle(cfg ThroughputConfig) (*DynamicPoint, error) {
+func runDynamicSingle(cfg ThroughputConfig) (*dynamicPoint, error) {
 	sim := simtime.NewSimulator()
 	cluster := core.TestbedCluster(sim)
 	corpus := media.StandardCorpus(uint64(cfg.Seed))
@@ -98,7 +157,7 @@ func runDynamicSingle(cfg ThroughputConfig) (*DynamicPoint, error) {
 		}
 	}
 	halfSecs := simtime.ToSeconds(half)
-	return &DynamicPoint{
+	return &dynamicPoint{
 		Series:          out,
 		ReplicasCreated: dyn.Created(),
 		AdmitFirstHalf:  float64(first) / halfSecs,

@@ -3,12 +3,13 @@ package experiments
 import (
 	"testing"
 
+	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
 )
 
 func TestDynamicReplicationConverges(t *testing.T) {
 	cfg := ThroughputConfig{Seed: 17, Horizon: simtime.Seconds(400), Bucket: simtime.Seconds(20)}
-	r, err := RunDynamicReplication(cfg)
+	r, err := RunDynamicReplication(cfg, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"quasaq/internal/core"
@@ -182,8 +181,17 @@ func legBytes(v *media.Video, va media.Variant, from, to int) int64 {
 	return total
 }
 
-// RunEdgePoint runs one mode in a hermetic world and drains it completely.
-func RunEdgePoint(cfg EdgeExpConfig, mode string, seed int64) (*EdgePoint, error) {
+// RunEdge runs the edgeless and edge modes as two points.
+func RunEdge(cfg EdgeExpConfig, opts runner.Options) ([]*EdgePoint, error) {
+	keys := []string{EdgeModeOff, EdgeModeOn}
+	opts.Seed = cfg.Seed
+	return runner.Sweep("edge", keys, opts, func(i int, seed int64) (*EdgePoint, error) {
+		return runEdgePoint(cfg, keys[i], seed)
+	})
+}
+
+// runEdgePoint runs one mode in a hermetic world and drains it completely.
+func runEdgePoint(cfg EdgeExpConfig, mode string, seed int64) (*EdgePoint, error) {
 	if mode != EdgeModeOff && mode != EdgeModeOn {
 		return nil, fmt.Errorf("experiments: unknown edge mode %q", mode)
 	}
@@ -300,46 +308,6 @@ func (out *EdgePoint) observeAdmission(cfg EdgeExpConfig, cluster *core.Cluster,
 	}
 }
 
-// EdgeScenario sweeps the two modes as runner points.
-type EdgeScenario struct {
-	Cfg EdgeExpConfig
-}
-
-// Name implements runner.Scenario.
-func (s *EdgeScenario) Name() string { return "edge" }
-
-// Points implements runner.Scenario.
-func (s *EdgeScenario) Points() []runner.Point {
-	return []runner.Point{
-		{Key: EdgeModeOff, Label: "origin-only"},
-		{Key: EdgeModeOn, Label: "edge tier"},
-	}
-}
-
-// Run implements runner.Scenario.
-func (s *EdgeScenario) Run(p runner.Point, seed int64) (*EdgePoint, error) {
-	return RunEdgePoint(s.Cfg, p.Key, seed)
-}
-
-// RunEdge runs both modes serially.
-func RunEdge(cfg EdgeExpConfig) ([]*EdgePoint, error) {
-	return RunEdgeParallel(cfg, runner.Options{})
-}
-
-// RunEdgeParallel is RunEdge with worker-pool and replica control.
-func RunEdgeParallel(cfg EdgeExpConfig, opts runner.Options) ([]*EdgePoint, error) {
-	opts.Seed = cfg.Seed
-	prs, err := runner.Sweep[*EdgePoint](&EdgeScenario{Cfg: cfg}, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*EdgePoint, len(prs))
-	for i, pr := range prs {
-		out[i] = pr.Result
-	}
-	return out, nil
-}
-
 // EdgeTable renders the comparison as tidy CSV: one row per mode.
 func EdgeTable(points []*EdgePoint) Table {
 	t := Table{Header: []string{
@@ -374,11 +342,6 @@ func EdgeTable(points []*EdgePoint) Table {
 		})
 	}
 	return t
-}
-
-// WriteEdgeCSV writes the comparison as tidy CSV.
-func WriteEdgeCSV(w io.Writer, points []*EdgePoint) error {
-	return WriteTable(w, EdgeTable(points))
 }
 
 // FormatEdge renders the comparison as a console table.

@@ -23,12 +23,12 @@ func detEdgeCfg() EdgeExpConfig {
 
 func TestEdgeCSVDeterministic(t *testing.T) {
 	assertDeterministic(t, "edge", func(t *testing.T, workers int) []byte {
-		points, err := RunEdgeParallel(detEdgeCfg(), runner.Options{Workers: workers, Replicas: 2})
+		points, err := RunEdge(detEdgeCfg(), runner.Options{Workers: workers, Replicas: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteEdgeCSV(&buf, points); err != nil {
+		if err := WriteTable(&buf, EdgeTable(points)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -36,7 +36,7 @@ func TestEdgeCSVDeterministic(t *testing.T) {
 }
 
 func TestEdgeModeSemantics(t *testing.T) {
-	points, err := RunEdge(detEdgeCfg())
+	points, err := RunEdge(detEdgeCfg(), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,17 +95,17 @@ func TestEdgeModeSemantics(t *testing.T) {
 }
 
 func TestEdgeBadConfig(t *testing.T) {
-	if _, err := RunEdgePoint(detEdgeCfg(), "fog", 1); err == nil {
+	if _, err := runEdgePoint(detEdgeCfg(), "fog", 1); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 	cfg := detEdgeCfg()
 	cfg.BaseLoad = 0
-	if _, err := RunEdgePoint(cfg, EdgeModeOn, 1); err == nil {
+	if _, err := runEdgePoint(cfg, EdgeModeOn, 1); err == nil {
 		t.Fatal("non-positive base load accepted")
 	}
 	cfg = detEdgeCfg()
 	cfg.Phases = nil
-	if _, err := RunEdgePoint(cfg, EdgeModeOn, 1); err == nil {
+	if _, err := runEdgePoint(cfg, EdgeModeOn, 1); err == nil {
 		t.Fatal("empty phase schedule accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
 )
 
@@ -12,7 +13,7 @@ func shortFig5(t *testing.T) *Fig5Result {
 	t.Helper()
 	cfg := DefaultFig5Config()
 	cfg.Frames = 400
-	res, err := RunFig5(cfg)
+	res, err := RunFig5(cfg, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func shortThroughputConfig() ThroughputConfig {
 }
 
 func TestFig6Shape(t *testing.T) {
-	series, err := RunFig6(shortThroughputConfig())
+	series, err := RunSweep(NewFig6Scenario(shortThroughputConfig()), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestFig6Shape(t *testing.T) {
 func TestFig7Shape(t *testing.T) {
 	cfg := shortThroughputConfig()
 	cfg.Seed = 13
-	series, err := RunFig7(cfg)
+	series, err := RunSweep(NewFig7Scenario(cfg), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestSingleCopyAblationHurtsQuaSAQ(t *testing.T) {
 }
 
 func TestOverhead(t *testing.T) {
-	r, err := RunOverhead(3, 100)
+	r, err := RunOverhead(3, 100, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,13 +82,50 @@ type Fig5Result struct {
 // 23.97 fps, long enough for a 1000-frame trace.
 const measuredVideoID media.VideoID = 7
 
+// fig5Specs is the canonical panel order of Fig5Result.Panels.
+var fig5Specs = []struct {
+	key    string
+	label  string
+	quasaq bool
+	loaded bool // high contention
+}{
+	{"vdbms-low", "VDBMS, Low contention", false, false},
+	{"quasaq-low", "VDBMS+QuaSAQ, Low contention", true, false},
+	{"vdbms-high", "VDBMS, High contention", false, true},
+	{"quasaq-high", "VDBMS+QuaSAQ, High contention", true, true},
+}
+
 // RunFig5 reproduces Figure 5: the same video streamed under the original
 // VDBMS (best-effort, round-robin CPU) and under QuaSAQ (reserved CPU and
 // bandwidth), each at low and high contention, tracing server-side
-// inter-frame delays. It is the serial-compatible wrapper over the fig5
-// scenario; RunFig5Parallel adds worker-pool and replica control.
-func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
-	return RunFig5Parallel(cfg, runner.Options{})
+// inter-frame delays. Each panel is one hermetic point.
+func RunFig5(cfg Fig5Config, opts runner.Options) (*Fig5Result, error) {
+	if cfg.Frames <= 0 {
+		cfg.Frames = 1000
+	}
+	keys := make([]string, len(fig5Specs))
+	for i, sp := range fig5Specs {
+		keys[i] = sp.key
+	}
+	opts.Seed = cfg.Seed
+	panels, err := runner.Sweep("fig5", keys, opts, func(i int, seed int64) (*DelayPanel, error) {
+		sp := fig5Specs[i]
+		c := cfg
+		c.Seed = seed
+		contention := 0
+		if sp.loaded {
+			contention = c.Contention
+		}
+		return runFig5Panel(c, sp.quasaq, contention, sp.label)
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &Fig5Result{IdealMillis: idealMillis(cfg.Seed)}
+	for i, p := range panels {
+		res.Panels[i] = *p
+	}
+	return res, nil
 }
 
 // idealMillis is the theoretical inter-frame delay of the measured video.

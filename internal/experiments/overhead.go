@@ -9,6 +9,7 @@ import (
 	"quasaq/internal/media"
 	"quasaq/internal/qos"
 	"quasaq/internal/replication"
+	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
 	"quasaq/internal/transport"
 	"quasaq/internal/workload"
@@ -58,8 +59,21 @@ func (r *OverheadResult) Merge(o *OverheadResult) {
 	r.Replicas = int(ra + rb)
 }
 
-// RunOverhead measures both overheads.
-func RunOverhead(seed int64, queries int) (*OverheadResult, error) {
+// RunOverhead measures both overheads as a single point; replicas rerun the
+// measurement on independent workload seeds and average.
+func RunOverhead(seed int64, queries int, opts runner.Options) (*OverheadResult, error) {
+	opts.Seed = seed
+	res, err := runner.Sweep("overhead", []string{"overhead"}, opts, func(_ int, seed int64) (*OverheadResult, error) {
+		return runOverheadOnce(seed, queries)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// runOverheadOnce measures both overheads in one hermetic world.
+func runOverheadOnce(seed int64, queries int) (*OverheadResult, error) {
 	if queries <= 0 {
 		queries = 500
 	}

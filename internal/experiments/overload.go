@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"quasaq/internal/broker"
@@ -182,10 +181,19 @@ func (p *OverloadPoint) AbandonRate() float64 {
 	return float64(p.QoSAbandoned) / float64(p.Admitted)
 }
 
-// RunOverloadPoint runs one variant ("baseline" or "guarded") in a hermetic
+// RunOverload runs the baseline and guarded variants as two points.
+func RunOverload(cfg OverloadConfig, opts runner.Options) ([]*OverloadPoint, error) {
+	keys := []string{"baseline", "guarded"}
+	opts.Seed = cfg.Seed
+	return runner.Sweep("overload", keys, opts, func(i int, seed int64) (*OverloadPoint, error) {
+		return runOverloadPoint(cfg, keys[i], seed)
+	})
+}
+
+// runOverloadPoint runs one variant ("baseline" or "guarded") in a hermetic
 // world and drains it completely: every admission settles and every stream
 // finishes before counters are read.
-func RunOverloadPoint(cfg OverloadConfig, variant string, seed int64) (*OverloadPoint, error) {
+func runOverloadPoint(cfg OverloadConfig, variant string, seed int64) (*OverloadPoint, error) {
 	guarded := variant == "guarded"
 	if !guarded && variant != "baseline" {
 		return nil, fmt.Errorf("experiments: unknown overload variant %q", variant)
@@ -301,46 +309,6 @@ func RunOverloadPoint(cfg OverloadConfig, variant string, seed int64) (*Overload
 	return out, nil
 }
 
-// OverloadScenario runs the baseline and guarded variants as two points.
-type OverloadScenario struct {
-	Cfg OverloadConfig
-}
-
-// Name implements runner.Scenario.
-func (s *OverloadScenario) Name() string { return "overload" }
-
-// Points implements runner.Scenario.
-func (s *OverloadScenario) Points() []runner.Point {
-	return []runner.Point{
-		{Key: "baseline", Label: "no protections"},
-		{Key: "guarded", Label: "guardian + breaker + queue"},
-	}
-}
-
-// Run implements runner.Scenario.
-func (s *OverloadScenario) Run(p runner.Point, seed int64) (*OverloadPoint, error) {
-	return RunOverloadPoint(s.Cfg, p.Key, seed)
-}
-
-// RunOverload runs the pair serially.
-func RunOverload(cfg OverloadConfig) ([]*OverloadPoint, error) {
-	return RunOverloadParallel(cfg, runner.Options{})
-}
-
-// RunOverloadParallel is RunOverload with worker-pool and replica control.
-func RunOverloadParallel(cfg OverloadConfig, opts runner.Options) ([]*OverloadPoint, error) {
-	opts.Seed = cfg.Seed
-	prs, err := runner.Sweep[*OverloadPoint](&OverloadScenario{Cfg: cfg}, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*OverloadPoint, len(prs))
-	for i, pr := range prs {
-		out[i] = pr.Result
-	}
-	return out, nil
-}
-
 // OverloadTable renders the pair as tidy CSV: one row per variant.
 // Counter columns of replica-merged points emit cross-replica means; the
 // latency quantiles read the pooled cross-replica sample.
@@ -386,11 +354,6 @@ func OverloadTable(points []*OverloadPoint) Table {
 		})
 	}
 	return t
-}
-
-// WriteOverloadCSV writes the pair as tidy CSV.
-func WriteOverloadCSV(w io.Writer, points []*OverloadPoint) error {
-	return WriteTable(w, OverloadTable(points))
 }
 
 // overloadVariant finds a named variant in the pair (nil if absent).

@@ -30,12 +30,12 @@ func detOverloadCfg() OverloadConfig {
 
 func TestOverloadCSVDeterministic(t *testing.T) {
 	assertDeterministic(t, "overload", func(t *testing.T, workers int) []byte {
-		points, err := RunOverloadParallel(detOverloadCfg(), runner.Options{Workers: workers, Replicas: 2})
+		points, err := RunOverload(detOverloadCfg(), runner.Options{Workers: workers, Replicas: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteOverloadCSV(&buf, points); err != nil {
+		if err := WriteTable(&buf, OverloadTable(points)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -50,7 +50,7 @@ func TestOverloadAcceptance(t *testing.T) {
 		t.Skip("full overload ramp in -short mode")
 	}
 	cfg := DefaultOverloadConfig()
-	points, err := RunOverloadParallel(cfg, runner.Options{Workers: 2})
+	points, err := RunOverload(cfg, runner.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

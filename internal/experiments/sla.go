@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"quasaq/internal/broker"
@@ -161,9 +160,21 @@ func (c SLAConfig) slaTier(name string) (SLATier, bool) {
 	return SLATier{}, false
 }
 
-// RunSLAPoint runs one tier in a hermetic world and drains it completely,
+// RunSLA sweeps the configured tiers: each tier is one point.
+func RunSLA(cfg SLAConfig, opts runner.Options) ([]*SLAPoint, error) {
+	keys := make([]string, len(cfg.Tiers))
+	for i, t := range cfg.Tiers {
+		keys[i] = t.Name
+	}
+	opts.Seed = cfg.Seed
+	return runner.Sweep("sla", keys, opts, func(i int, seed int64) (*SLAPoint, error) {
+		return runSLAPoint(cfg, keys[i], seed)
+	})
+}
+
+// runSLAPoint runs one tier in a hermetic world and drains it completely,
 // then queries the QoE history back through the vdbms engine.
-func RunSLAPoint(cfg SLAConfig, tierName string, seed int64) (*SLAPoint, error) {
+func runSLAPoint(cfg SLAConfig, tierName string, seed int64) (*SLAPoint, error) {
 	tier, ok := cfg.slaTier(tierName)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown SLA tier %q", tierName)
@@ -303,47 +314,6 @@ func (p *SLAPoint) readQoE(e *vdbms.Engine) error {
 	return nil
 }
 
-// SLAScenario sweeps the configured tiers as runner points.
-type SLAScenario struct {
-	Cfg SLAConfig
-}
-
-// Name implements runner.Scenario.
-func (s *SLAScenario) Name() string { return "sla" }
-
-// Points implements runner.Scenario.
-func (s *SLAScenario) Points() []runner.Point {
-	pts := make([]runner.Point, len(s.Cfg.Tiers))
-	for i, t := range s.Cfg.Tiers {
-		pts[i] = runner.Point{Key: t.Name, Label: t.Clause}
-	}
-	return pts
-}
-
-// Run implements runner.Scenario.
-func (s *SLAScenario) Run(p runner.Point, seed int64) (*SLAPoint, error) {
-	return RunSLAPoint(s.Cfg, p.Key, seed)
-}
-
-// RunSLA runs the tier sweep serially.
-func RunSLA(cfg SLAConfig) ([]*SLAPoint, error) {
-	return RunSLAParallel(cfg, runner.Options{})
-}
-
-// RunSLAParallel is RunSLA with worker-pool and replica control.
-func RunSLAParallel(cfg SLAConfig, opts runner.Options) ([]*SLAPoint, error) {
-	opts.Seed = cfg.Seed
-	prs, err := runner.Sweep[*SLAPoint](&SLAScenario{Cfg: cfg}, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*SLAPoint, len(prs))
-	for i, pr := range prs {
-		out[i] = pr.Result
-	}
-	return out, nil
-}
-
 // SLATable renders the sweep as tidy CSV: one row per tier. Counter columns
 // of replica-merged points emit cross-replica means; the severity quantiles
 // read the pooled cross-replica samples.
@@ -384,11 +354,6 @@ func SLATable(points []*SLAPoint) Table {
 		})
 	}
 	return t
-}
-
-// WriteSLACSV writes the sweep as tidy CSV.
-func WriteSLACSV(w io.Writer, points []*SLAPoint) error {
-	return WriteTable(w, SLATable(points))
 }
 
 // FormatSLA renders the sweep as a console table.

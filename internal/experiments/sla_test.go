@@ -25,12 +25,12 @@ func detSLACfg() SLAConfig {
 
 func TestSLACSVDeterministic(t *testing.T) {
 	assertDeterministic(t, "sla", func(t *testing.T, workers int) []byte {
-		points, err := RunSLAParallel(detSLACfg(), runner.Options{Workers: workers, Replicas: 2})
+		points, err := RunSLA(detSLACfg(), runner.Options{Workers: workers, Replicas: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteSLACSV(&buf, points); err != nil {
+		if err := WriteTable(&buf, SLATable(points)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -38,7 +38,7 @@ func TestSLACSVDeterministic(t *testing.T) {
 }
 
 func TestSLATierSemantics(t *testing.T) {
-	points, err := RunSLA(detSLACfg())
+	points, err := RunSLA(detSLACfg(), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestSLATierSemantics(t *testing.T) {
 
 func TestSLAUnknownTierAndBadClause(t *testing.T) {
 	cfg := detSLACfg()
-	if _, err := RunSLAPoint(cfg, "platinum", 1); err == nil {
+	if _, err := runSLAPoint(cfg, "platinum", 1); err == nil {
 		t.Fatal("unknown tier accepted")
 	}
 	cfg.Tiers = append(cfg.Tiers, SLATier{Name: "broken", Clause: "delay >= 10"})
-	if _, err := RunSLAPoint(cfg, "broken", 1); err == nil {
+	if _, err := runSLAPoint(cfg, "broken", 1); err == nil {
 		t.Fatal("wrong-direction clause accepted")
 	}
 }

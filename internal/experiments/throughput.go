@@ -246,16 +246,90 @@ func RunThroughput(sys SystemKind, cfg ThroughputConfig) (*Series, error) {
 	return out, nil
 }
 
-// RunFig6 reproduces Figure 6: the three systems under identical query
-// streams. It is the serial-compatible wrapper over the fig6 scenario.
-func RunFig6(cfg ThroughputConfig) ([]*Series, error) {
-	return RunFig6Parallel(cfg, runner.Options{})
+// ThroughputVariant is one point of a throughput sweep: a delivery system
+// plus the replication ablation toggle.
+type ThroughputVariant struct {
+	Key        string
+	Label      string // display name; Sys.String() when empty
+	Sys        SystemKind
+	SingleCopy bool
 }
 
-// RunFig7 reproduces Figure 7: QuaSAQ under the LRB model vs the
-// randomized plan selector.
-func RunFig7(cfg ThroughputConfig) ([]*Series, error) {
-	return RunFig7Parallel(cfg, runner.Options{})
+// ThroughputScenario is one throughput grid: a set of system variants under
+// one workload config.
+type ThroughputScenario struct {
+	Name     string
+	Cfg      ThroughputConfig
+	Variants []ThroughputVariant
+}
+
+// NewFig6Scenario is Figure 6's grid: the three systems of the paper.
+func NewFig6Scenario(cfg ThroughputConfig) *ThroughputScenario {
+	return &ThroughputScenario{Name: "fig6", Cfg: cfg, Variants: []ThroughputVariant{
+		{Key: "vdbms", Sys: SysVDBMS},
+		{Key: "qosapi", Sys: SysQoSAPI},
+		{Key: "quasaq", Sys: SysQuaSAQ},
+	}}
+}
+
+// NewFig7Scenario is Figure 7's grid: randomized vs LRB plan selection.
+func NewFig7Scenario(cfg ThroughputConfig) *ThroughputScenario {
+	return &ThroughputScenario{Name: "fig7", Cfg: cfg, Variants: []ThroughputVariant{
+		{Key: "random", Sys: SysQuaSAQRandom},
+		{Key: "lrb", Sys: SysQuaSAQ},
+	}}
+}
+
+// NewAblationScenario is the cost-model and replication ablation grid.
+func NewAblationScenario(cfg ThroughputConfig) *ThroughputScenario {
+	return &ThroughputScenario{Name: "ablation", Cfg: cfg, Variants: []ThroughputVariant{
+		{Key: "lrb", Sys: SysQuaSAQ},
+		{Key: "random", Sys: SysQuaSAQRandom},
+		{Key: "minsum", Sys: SysQuaSAQMinSum},
+		{Key: "static", Sys: SysQuaSAQStatic},
+		{Key: "single-copy", Label: "QuaSAQ (single-copy)", Sys: SysQuaSAQ, SingleCopy: true},
+	}}
+}
+
+// NewThroughputScenario is the full system sweep: every delivery system and
+// cost model under one workload, the widest grid qsqbench offers
+// (-exp throughput).
+func NewThroughputScenario(cfg ThroughputConfig) *ThroughputScenario {
+	return &ThroughputScenario{Name: "throughput", Cfg: cfg, Variants: []ThroughputVariant{
+		{Key: "vdbms", Sys: SysVDBMS},
+		{Key: "qosapi", Sys: SysQoSAPI},
+		{Key: "quasaq", Sys: SysQuaSAQ},
+		{Key: "random", Sys: SysQuaSAQRandom},
+		{Key: "minsum", Sys: SysQuaSAQMinSum},
+		{Key: "static", Sys: SysQuaSAQStatic},
+	}}
+}
+
+// RunSweep runs a throughput grid (Figures 6 and 7, the ablations, the full
+// system sweep): every variant is one hermetic RunThroughput world per
+// replica. All variants of one replica share its seed, so cross-system
+// comparisons stay paired exactly as the paper's "identical query streams"
+// protocol demands. The series come back in variant order.
+func RunSweep(sc *ThroughputScenario, opts runner.Options) ([]*Series, error) {
+	keys := make([]string, len(sc.Variants))
+	for i, v := range sc.Variants {
+		keys[i] = v.Key
+	}
+	opts.Seed = sc.Cfg.Seed
+	return runner.Sweep(sc.Name, keys, opts, func(i int, seed int64) (*Series, error) {
+		v := sc.Variants[i]
+		cfg := sc.Cfg
+		cfg.Seed = seed
+		cfg.SingleCopy = cfg.SingleCopy || v.SingleCopy
+		out, err := RunThroughput(v.Sys, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if v.Label != "" {
+			out.Name = v.Label
+		}
+		return out, nil
+	})
 }
 
 // fmtCount renders a replica-merged counter: the exact total for a single

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"quasaq/internal/runner"
 )
 
 // Acceptance test for the observability layer: a chaos run with tracing on
@@ -13,7 +15,7 @@ import (
 func TestChaosTraceCoversEverySession(t *testing.T) {
 	cfg := shortChaosConfig()
 	cfg.Trace = true
-	res, err := RunChaos(cfg)
+	res, err := RunChaos(cfg, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +109,13 @@ func TestChaosTraceCoversEverySession(t *testing.T) {
 // Tracing must not perturb the simulation: the same seed with and without
 // tracing yields identical outcome statistics.
 func TestChaosTraceDoesNotPerturbRun(t *testing.T) {
-	plain, err := RunChaos(shortChaosConfig())
+	plain, err := RunChaos(shortChaosConfig(), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := shortChaosConfig()
 	cfg.Trace = true
-	traced, err := RunChaos(cfg)
+	traced, err := RunChaos(cfg, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

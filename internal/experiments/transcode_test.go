@@ -20,12 +20,12 @@ func detTranscodeCfg() TranscodeConfig {
 // the worker-pool size.
 func TestTranscodeCSVDeterministic(t *testing.T) {
 	assertDeterministic(t, "transcode", func(t *testing.T, workers int) []byte {
-		points, err := RunTranscodeParallel(detTranscodeCfg(), runner.Options{Workers: workers, Replicas: 2})
+		points, err := RunTranscode(detTranscodeCfg(), runner.Options{Workers: workers, Replicas: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteTranscodeCSV(&buf, points); err != nil {
+		if err := WriteTable(&buf, TranscodeTable(points)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -38,11 +38,11 @@ func TestTranscodeCSVDeterministic(t *testing.T) {
 // job counters.
 func TestTranscodeNeutralMatchesFlat(t *testing.T) {
 	cfg := detTranscodeCfg()
-	flat, err := RunTranscodePoint(cfg, "flat", cfg.Seed)
+	flat, err := runTranscodePoint(cfg, "flat", cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	neutral, err := RunTranscodePoint(cfg, "neutral", cfg.Seed)
+	neutral, err := runTranscodePoint(cfg, "neutral", cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestTranscodeNeutralMatchesFlat(t *testing.T) {
 // p99 startup beats the econ fleet's.
 func TestTranscodeSweepShape(t *testing.T) {
 	cfg := detTranscodeCfg()
-	points, err := RunTranscode(cfg)
+	points, err := RunTranscode(cfg, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

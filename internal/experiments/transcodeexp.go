@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"quasaq/internal/core"
@@ -171,9 +170,21 @@ func (c TranscodeConfig) variantByKey(key string) *TranscodeVariant {
 	return nil
 }
 
-// RunTranscodePoint runs one variant in a hermetic world and drains it
+// RunTranscode sweeps the variants as independent hermetic points.
+func RunTranscode(cfg TranscodeConfig, opts runner.Options) ([]*TranscodePoint, error) {
+	keys := make([]string, len(cfg.Variants))
+	for i, v := range cfg.Variants {
+		keys[i] = v.Key
+	}
+	opts.Seed = cfg.Seed
+	return runner.Sweep("transcode", keys, opts, func(i int, seed int64) (*TranscodePoint, error) {
+		return runTranscodePoint(cfg, keys[i], seed)
+	})
+}
+
+// runTranscodePoint runs one variant in a hermetic world and drains it
 // completely before counters are read.
-func RunTranscodePoint(cfg TranscodeConfig, key string, seed int64) (*TranscodePoint, error) {
+func runTranscodePoint(cfg TranscodeConfig, key string, seed int64) (*TranscodePoint, error) {
 	v := cfg.variantByKey(key)
 	if v == nil {
 		return nil, fmt.Errorf("experiments: unknown transcode variant %q", key)
@@ -249,48 +260,6 @@ func RunTranscodePoint(cfg TranscodeConfig, key string, seed int64) (*TranscodeP
 	return out, nil
 }
 
-// TranscodeScenario sweeps the variants as independent hermetic cells.
-type TranscodeScenario struct {
-	Cfg TranscodeConfig
-}
-
-// Name implements runner.Scenario.
-func (s *TranscodeScenario) Name() string { return "transcode" }
-
-// Points implements runner.Scenario.
-func (s *TranscodeScenario) Points() []runner.Point {
-	pts := make([]runner.Point, len(s.Cfg.Variants))
-	for i, v := range s.Cfg.Variants {
-		pts[i] = runner.Point{Key: v.Key, Label: v.Label}
-	}
-	return pts
-}
-
-// Run implements runner.Scenario.
-func (s *TranscodeScenario) Run(p runner.Point, seed int64) (*TranscodePoint, error) {
-	return RunTranscodePoint(s.Cfg, p.Key, seed)
-}
-
-// RunTranscode runs the sweep serially.
-func RunTranscode(cfg TranscodeConfig) ([]*TranscodePoint, error) {
-	return RunTranscodeParallel(cfg, runner.Options{})
-}
-
-// RunTranscodeParallel is RunTranscode with worker-pool and replica
-// control.
-func RunTranscodeParallel(cfg TranscodeConfig, opts runner.Options) ([]*TranscodePoint, error) {
-	opts.Seed = cfg.Seed
-	prs, err := runner.Sweep[*TranscodePoint](&TranscodeScenario{Cfg: cfg}, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*TranscodePoint, len(prs))
-	for i, pr := range prs {
-		out[i] = pr.Result
-	}
-	return out, nil
-}
-
 // TranscodeTable renders the sweep as tidy CSV: one row per variant.
 // Counter columns of replica-merged points emit cross-replica means; the
 // startup quantiles read the pooled cross-replica sample.
@@ -326,11 +295,6 @@ func TranscodeTable(points []*TranscodePoint) Table {
 		})
 	}
 	return t
-}
-
-// WriteTranscodeCSV writes the sweep as tidy CSV.
-func WriteTranscodeCSV(w io.Writer, points []*TranscodePoint) error {
-	return WriteTable(w, TranscodeTable(points))
 }
 
 // FormatTranscode renders the sweep the way an operator reads a Pareto

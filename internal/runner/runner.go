@@ -8,10 +8,13 @@
 // is byte-identical no matter how many workers ran or how the scheduler
 // interleaved them.
 //
-// The hermeticity contract every Scenario must honor: Run builds its whole
-// world — simulator, cluster, corpus, RNGs — from its arguments alone and
-// touches no package-level mutable state. Under that contract the sweep is
-// race-free by construction and `go test -race` holds it to it.
+// An experiment is one Sweep call: a list of point keys plus a run closure
+// that builds one cell. The hermeticity contract every run closure must
+// honor: it builds its whole world — simulator, cluster, corpus, RNGs —
+// from its (point, seed) arguments and read-only captured config alone,
+// and touches no package-level or shared mutable state. Under that
+// contract the sweep is race-free by construction and `go test -race`
+// holds it to it.
 package runner
 
 import (
@@ -21,33 +24,6 @@ import (
 
 	"quasaq/internal/simtime"
 )
-
-// Point is one cell of a scenario's sweep grid. Key is the stable identity
-// used for ordering and reporting; it must be unique within a scenario and
-// must not depend on the point's position, so that reordering a scenario's
-// Points can never change what any cell computes.
-type Point struct {
-	Key   string
-	Label string // human-readable; Key is used when empty
-}
-
-// Name returns the display label, falling back to the key.
-func (p Point) Name() string {
-	if p.Label != "" {
-		return p.Label
-	}
-	return p.Key
-}
-
-// Scenario describes one experiment as a grid of independent, hermetic
-// cells. Run must be safe for concurrent invocation: each call builds its
-// own simulator/cluster world from (point, seed) and returns a result that
-// can be merged with the other replicas of the same point.
-type Scenario[R any] interface {
-	Name() string
-	Points() []Point
-	Run(p Point, seed int64) (R, error)
-}
 
 // Mergeable is the replica-aggregation half of the contract: dst.Merge(src)
 // folds one replica's result into another. The runner always merges in
@@ -83,33 +59,28 @@ func (o Options) replicas() int {
 	return o.Replicas
 }
 
-// PointResult pairs a point with its replica-merged result.
-type PointResult[R any] struct {
-	Point    Point
-	Result   R
-	Replicas int
-}
-
-// Sweep runs every (point × replica) cell of the scenario on a worker pool
-// and returns one merged result per point, in the scenario's point order.
-// Determinism: cell seeds derive from (base seed, replica) only, results
-// are folded in replica order, and output order is point order — so the
-// returned values are identical for any worker count. The first error (in
-// canonical cell order, not completion order) aborts the sweep's result.
-func Sweep[R Mergeable[R]](sc Scenario[R], opts Options) ([]PointResult[R], error) {
-	points := sc.Points()
-	if len(points) == 0 {
-		return nil, fmt.Errorf("runner: scenario %q has no points", sc.Name())
+// Sweep runs every (point × replica) cell of the named experiment on a
+// worker pool and returns one merged result per key, in key order. keys
+// name the points: each must be non-empty and unique, and is the stable
+// identity used in error messages. run builds one hermetic world for point
+// index point under seed. Determinism: cell seeds derive from (opts.Seed,
+// replica) only, results are folded in replica order with replica 0 as the
+// receiver, and output order is key order — so the returned values are
+// identical for any worker count. The first error (in canonical cell order,
+// not completion order) aborts the sweep's result.
+func Sweep[R Mergeable[R]](name string, keys []string, opts Options, run func(point int, seed int64) (R, error)) ([]R, error) {
+	if len(keys) == 0 {
+		return nil, fmt.Errorf("runner: %s has no points", name)
 	}
-	seen := make(map[string]bool, len(points))
-	for _, p := range points {
-		if p.Key == "" {
-			return nil, fmt.Errorf("runner: scenario %q has a point with an empty key", sc.Name())
+	seen := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		if k == "" {
+			return nil, fmt.Errorf("runner: %s has a point with an empty key", name)
 		}
-		if seen[p.Key] {
-			return nil, fmt.Errorf("runner: scenario %q has duplicate point key %q", sc.Name(), p.Key)
+		if seen[k] {
+			return nil, fmt.Errorf("runner: %s has duplicate point key %q", name, k)
 		}
-		seen[p.Key] = true
+		seen[k] = true
 	}
 
 	reps := opts.replicas()
@@ -117,14 +88,14 @@ func Sweep[R Mergeable[R]](sc Scenario[R], opts Options) ([]PointResult[R], erro
 		point   int
 		replica int
 	}
-	cells := make([]cell, 0, len(points)*reps)
-	for pi := range points {
+	cells := make([]cell, 0, len(keys)*reps)
+	for pi := range keys {
 		for ri := 0; ri < reps; ri++ {
 			cells = append(cells, cell{point: pi, replica: ri})
 		}
 	}
 
-	results := make([][]R, len(points))
+	results := make([][]R, len(keys))
 	for i := range results {
 		results[i] = make([]R, reps)
 	}
@@ -139,10 +110,10 @@ func Sweep[R Mergeable[R]](sc Scenario[R], opts Options) ([]PointResult[R], erro
 			for ci := range jobs {
 				c := cells[ci]
 				seed := simtime.ReplicaSeed(opts.Seed, c.replica)
-				r, err := sc.Run(points[c.point], seed)
+				r, err := run(c.point, seed)
 				if err != nil {
 					errs[ci] = fmt.Errorf("runner: %s point %q replica %d (seed %d): %w",
-						sc.Name(), points[c.point].Name(), c.replica, seed, err)
+						name, keys[c.point], c.replica, seed, err)
 					continue
 				}
 				results[c.point][c.replica] = r
@@ -161,13 +132,13 @@ func Sweep[R Mergeable[R]](sc Scenario[R], opts Options) ([]PointResult[R], erro
 		}
 	}
 
-	out := make([]PointResult[R], len(points))
-	for pi, p := range points {
+	out := make([]R, len(keys))
+	for pi := range keys {
 		merged := results[pi][0]
 		for ri := 1; ri < reps; ri++ {
 			merged.Merge(results[pi][ri])
 		}
-		out[pi] = PointResult[R]{Point: p, Result: merged, Replicas: reps}
+		out[pi] = merged
 	}
 	return out, nil
 }

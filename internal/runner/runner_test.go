@@ -22,40 +22,35 @@ func (s *sumResult) Merge(o *sumResult) {
 	s.Total += o.Total
 }
 
-// gridScenario runs a deterministic pseudo-experiment per cell.
-type gridScenario struct {
-	points   []Point
+// grid is a deterministic pseudo-experiment over the given keys.
+type grid struct {
+	keys     []string
 	baseSeed int64
 	fail     map[string]int // point key -> replica that errors
 	onRun    func()         // optional concurrency probe
 }
 
-func (g *gridScenario) Name() string    { return "grid" }
-func (g *gridScenario) Points() []Point { return g.points }
-func (g *gridScenario) Run(p Point, seed int64) (*sumResult, error) {
+func (g *grid) run(point int, seed int64) (*sumResult, error) {
 	if g.onRun != nil {
 		g.onRun()
 	}
-	if r, ok := g.fail[p.Key]; ok && seed == simtime.ReplicaSeed(g.baseSeed, r) {
+	key := g.keys[point]
+	if r, ok := g.fail[key]; ok && seed == simtime.ReplicaSeed(g.baseSeed, r) {
 		return nil, fmt.Errorf("cell told to fail")
 	}
-	rng := simtime.NewRand(seed ^ int64(len(p.Key)))
+	rng := simtime.NewRand(seed ^ int64(len(key)))
 	return &sumResult{Seeds: []int64{seed}, Total: rng.Float64()}, nil
 }
 
-func points(keys ...string) []Point {
-	out := make([]Point, len(keys))
-	for i, k := range keys {
-		out[i] = Point{Key: k}
-	}
-	return out
+func (g *grid) sweep(opts Options) ([]*sumResult, error) {
+	return Sweep("grid", g.keys, opts, g.run)
 }
 
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	sc := &gridScenario{points: points("a", "b", "c")}
-	var runs []PointResult[*sumResult]
+	g := &grid{keys: []string{"a", "b", "c"}}
+	var runs []*sumResult
 	for _, workers := range []int{1, 4, 8} {
-		res, err := Sweep[*sumResult](sc, Options{Workers: workers, Replicas: 5, Seed: 11})
+		res, err := g.sweep(Options{Workers: workers, Replicas: 5, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,31 +65,31 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	if len(runs) != 3 {
 		t.Fatalf("points = %d", len(runs))
 	}
-	for _, pr := range runs {
-		if pr.Replicas != 5 || len(pr.Result.Seeds) != 5 {
-			t.Fatalf("point %s merged %d replica results", pr.Point.Key, len(pr.Result.Seeds))
+	for pi, r := range runs {
+		if len(r.Seeds) != 5 {
+			t.Fatalf("point %s merged %d replica results", g.keys[pi], len(r.Seeds))
 		}
 		// Replica results must fold in ascending replica order with
 		// replica 0 (the base seed) as the receiver.
-		for ri, s := range pr.Result.Seeds {
+		for ri, s := range r.Seeds {
 			if want := simtime.ReplicaSeed(11, ri); s != want {
-				t.Fatalf("point %s merge position %d has seed %d, want %d", pr.Point.Key, ri, s, want)
+				t.Fatalf("point %s merge position %d has seed %d, want %d", g.keys[pi], ri, s, want)
 			}
 		}
 	}
 	// All points see the identical per-replica seeds (paired comparisons).
-	if !reflect.DeepEqual(runs[0].Result.Seeds, runs[1].Result.Seeds) {
+	if !reflect.DeepEqual(runs[0].Seeds, runs[1].Seeds) {
 		t.Fatal("points saw different replica seeds")
 	}
 }
 
 func TestSweepRepeatedRunsIdentical(t *testing.T) {
-	sc := &gridScenario{points: points("x", "y")}
-	a, err := Sweep[*sumResult](sc, Options{Workers: 8, Replicas: 3, Seed: 29})
+	g := &grid{keys: []string{"x", "y"}}
+	a, err := g.sweep(Options{Workers: 8, Replicas: 3, Seed: 29})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Sweep[*sumResult](sc, Options{Workers: 8, Replicas: 3, Seed: 29})
+	b, err := g.sweep(Options{Workers: 8, Replicas: 3, Seed: 29})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +99,8 @@ func TestSweepRepeatedRunsIdentical(t *testing.T) {
 }
 
 func TestSweepErrorNamesCell(t *testing.T) {
-	sc := &gridScenario{points: points("ok", "bad"), baseSeed: 11, fail: map[string]int{"bad": 2}}
-	_, err := Sweep[*sumResult](sc, Options{Workers: 4, Replicas: 4, Seed: 11})
+	g := &grid{keys: []string{"ok", "bad"}, baseSeed: 11, fail: map[string]int{"bad": 2}}
+	_, err := g.sweep(Options{Workers: 4, Replicas: 4, Seed: 11})
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -119,28 +114,28 @@ func TestSweepErrorNamesCell(t *testing.T) {
 func TestSweepRejectsBadPointSets(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		pts  []Point
+		keys []string
 	}{
 		{"empty", nil},
-		{"dup keys", points("a", "a")},
-		{"empty key", []Point{{Key: ""}}},
+		{"dup keys", []string{"a", "a"}},
+		{"empty key", []string{""}},
 	} {
-		sc := &gridScenario{points: tc.pts}
-		if _, err := Sweep[*sumResult](sc, Options{}); err == nil {
+		g := &grid{keys: tc.keys}
+		if _, err := g.sweep(Options{}); err == nil {
 			t.Fatalf("%s: expected error", tc.name)
 		}
 	}
 }
 
 // The pool must actually overlap cells: with W workers and W cells, a
-// barrier that releases only when all W cells have entered Run can only be
+// barrier that releases only when all W cells have entered run can only be
 // passed if the runner executes them concurrently.
 func TestSweepRunsCellsConcurrently(t *testing.T) {
 	const workers = 4
 	var barrier sync.WaitGroup
 	barrier.Add(workers)
-	sc := &gridScenario{
-		points: points("a", "b", "c", "d"),
+	g := &grid{
+		keys: []string{"a", "b", "c", "d"},
 		onRun: func() {
 			barrier.Done()
 			barrier.Wait()
@@ -148,7 +143,7 @@ func TestSweepRunsCellsConcurrently(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Sweep[*sumResult](sc, Options{Workers: workers, Replicas: 1, Seed: 1})
+		_, err := g.sweep(Options{Workers: workers, Replicas: 1, Seed: 1})
 		done <- err
 	}()
 	if err := <-done; err != nil {
@@ -157,18 +152,15 @@ func TestSweepRunsCellsConcurrently(t *testing.T) {
 }
 
 func TestSweepDefaultOptions(t *testing.T) {
-	sc := &gridScenario{points: points("only")}
-	res, err := Sweep[*sumResult](sc, Options{Seed: 5})
+	g := &grid{keys: []string{"only"}}
+	res, err := g.sweep(Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 1 || res[0].Replicas != 1 {
+	if len(res) != 1 || len(res[0].Seeds) != 1 {
 		t.Fatalf("defaults: %+v", res)
 	}
-	if res[0].Result.Seeds[0] != 5 {
+	if res[0].Seeds[0] != 5 {
 		t.Fatal("single replica must run the base seed")
-	}
-	if res[0].Point.Name() != "only" {
-		t.Fatal("Name should fall back to Key")
 	}
 }
