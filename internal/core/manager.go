@@ -438,7 +438,7 @@ func (m *Manager) EnableEdgeTier(sites []EdgeSite, cfg edgecache.Config) (*edgec
 func (m *Manager) EdgeCache() *edgecache.Manager { return m.edge }
 
 // Stats returns a typed view over the metrics registry's quality-manager
-// series — the same numbers WriteJSON/WriteCSV export.
+// series — the same numbers WriteJSON exports.
 func (m *Manager) Stats() ManagerStats {
 	return ManagerStats{
 		Queries:              m.met.queries.Value(),

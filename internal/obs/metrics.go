@@ -439,43 +439,3 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }
-
-// WriteCSV exports the snapshot as tidy CSV: one row per counter/gauge, one
-// row per histogram bucket.
-func (r *Registry) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "name,labels,kind,le,value\n"); err != nil {
-		return err
-	}
-	for _, m := range r.Snapshot() {
-		var lbl []string
-		for k := range m.Labels {
-			lbl = append(lbl, k)
-		}
-		sort.Strings(lbl)
-		var lb strings.Builder
-		for i, k := range lbl {
-			if i > 0 {
-				lb.WriteByte(';')
-			}
-			lb.WriteString(k)
-			lb.WriteByte('=')
-			lb.WriteString(m.Labels[k])
-		}
-		if m.Kind == "histogram" {
-			for _, b := range m.Buckets {
-				le := "inf"
-				if !math.IsInf(b.Le, 1) {
-					le = fmt.Sprintf("%g", b.Le)
-				}
-				if _, err := fmt.Fprintf(w, "%s,%s,%s,%s,%d\n", m.Name, lb.String(), m.Kind, le, b.Count); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "%s,%s,%s,,%g\n", m.Name, lb.String(), m.Kind, m.Value); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -137,29 +137,15 @@ func TestSnapshotDeterministicAndSorted(t *testing.T) {
 	}
 }
 
-func TestWriteJSONAndCSV(t *testing.T) {
+func TestWriteJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("queries_total").Add(7)
 	r.Histogram("lat_ms", []float64{1}, "site", "srv-a").Observe(3)
-	var j, c bytes.Buffer
+	var j bytes.Buffer
 	if err := r.WriteJSON(&j); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(j.String(), `"queries_total"`) || !strings.Contains(j.String(), `"le": "inf"`) {
 		t.Fatalf("JSON export missing series or inf bucket:\n%s", j.String())
-	}
-	if err := r.WriteCSV(&c); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(c.String()), "\n")
-	// Header + counter row + two histogram bucket rows.
-	if len(lines) != 4 {
-		t.Fatalf("CSV rows = %d, want 4:\n%s", len(lines), c.String())
-	}
-	if lines[0] != "name,labels,kind,le,value" {
-		t.Fatalf("CSV header = %q", lines[0])
-	}
-	if !strings.Contains(c.String(), "lat_ms,site=srv-a,histogram,inf,1") {
-		t.Fatalf("CSV missing labelled inf bucket:\n%s", c.String())
 	}
 }

@@ -83,16 +83,6 @@ func (r *Rand) ExpDur(mean Time) Time {
 	return Time(r.r.ExpFloat64() * float64(mean))
 }
 
-// Normal returns a Gaussian sample.
-func (r *Rand) Normal(mean, stddev float64) float64 {
-	return mean + stddev*r.r.NormFloat64()
-}
-
-// LogNormal returns exp(N(mu, sigma)), used for VBR frame-size dispersion.
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
 // Perm returns a random permutation of [0,n).
 func (r *Rand) Perm(n int) []int { return r.r.Perm(n) }
 

@@ -123,30 +123,6 @@ func TestTimeSeriesBuckets(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesCumulative(t *testing.T) {
-	ts := NewTimeSeries(time.Second)
-	ts.Observe(0, 1)
-	ts.Observe(1500*time.Millisecond, 2)
-	ts.Observe(2500*time.Millisecond, 3)
-	got := ts.CumulativeSums()
-	want := []float64{1, 3, 6}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cumulative = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestTimeSeriesMeans(t *testing.T) {
-	ts := NewTimeSeries(time.Second)
-	ts.Observe(0, 2)
-	ts.Observe(0, 4)
-	m := ts.Means()
-	if len(m) != 1 || m[0] != 3 {
-		t.Fatalf("means = %v", m)
-	}
-}
-
 func TestNewTimeSeriesPanicsOnZeroBucket(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -69,27 +69,6 @@ func (ts *TimeSeries) Count(i int) int {
 	return ts.counts[i]
 }
 
-// Means returns the per-bucket means as a slice.
-func (ts *TimeSeries) Means() []float64 {
-	out := make([]float64, len(ts.sums))
-	for i := range out {
-		out[i] = ts.Mean(i)
-	}
-	return out
-}
-
-// CumulativeSums returns the running total of per-bucket sums; Figure 7b's
-// cumulative reject counts use this.
-func (ts *TimeSeries) CumulativeSums() []float64 {
-	out := make([]float64, len(ts.sums))
-	var acc float64
-	for i, s := range ts.sums {
-		acc += s
-		out[i] = acc
-	}
-	return out
-}
-
 // Trace records (time, value) pairs in order; Figure 5's per-frame delay
 // plots use it directly.
 type Trace struct {

@@ -389,13 +389,6 @@ func (db *DB) ConfigureControl(cfg ControlPlaneConfig) error {
 	return db.cluster.ConfigureControl(cfg)
 }
 
-// DeliverTraced is Deliver with a per-frame completion trace of up to n
-// frames (for QoS analysis).
-func (db *DB) DeliverTraced(site string, id VideoID, req Requirement, n int) (*Delivery, error) {
-	db.observe(site, id, req)
-	return db.manager.Service(site, id, req, core.ServiceOptions{TraceFrames: n})
-}
-
 // DeliverToClient is Deliver with a modeled server-to-client network path
 // (2-3 campus hops by default): the session additionally records
 // client-side inter-frame delays and path loss. Pass n > 0 to also keep a
@@ -872,7 +865,3 @@ func (db *DB) MetricsSnapshot() []MetricSnapshot { return db.cluster.Obs.Snapsho
 
 // WriteMetricsJSON exports the full metrics registry as indented JSON.
 func (db *DB) WriteMetricsJSON(w io.Writer) error { return db.cluster.Obs.WriteJSON(w) }
-
-// WriteMetricsCSV exports the full metrics registry as tidy CSV (one row
-// per series, one per bucket for histograms).
-func (db *DB) WriteMetricsCSV(w io.Writer) error { return db.cluster.Obs.WriteCSV(w) }
