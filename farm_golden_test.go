@@ -2,6 +2,7 @@ package quasaq
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -70,6 +71,7 @@ func goldenFarmWorkload(t *testing.T, db *DB) (string, []string) {
 func TestNeutralFarmGoldenEquivalence(t *testing.T) {
 	plain := openLoaded(t, Options{SingleCopyReplication: true})
 	wantStats, wantOutcomes := goldenFarmWorkload(t, plain)
+	checkGolden(t, "farm-plain", wantStats+"\n"+strings.Join(wantOutcomes, "\n")+"\n")
 
 	farmed := openLoaded(t, Options{SingleCopyReplication: true})
 	if err := farmed.EnableTranscodeFarm(FarmConfig{}); err != nil {
