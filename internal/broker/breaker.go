@@ -175,15 +175,6 @@ func (n *Net) BreakerOpenTime() simtime.Time {
 	return total
 }
 
-// BreakerState returns the named site's breaker phase as a string
-// ("closed", "open", "half-open") — diagnostics for tests and experiments.
-func (n *Net) BreakerState(site string) string {
-	if !n.cfg.Breaker.Enabled() {
-		return "disabled"
-	}
-	return n.breaker(site).phase.String()
-}
-
 // takeRetryToken spends one retry token, reporting whether the retry may
 // proceed. Always true when the budget is disabled.
 func (n *Net) takeRetryToken() bool {
@@ -207,7 +198,3 @@ func (n *Net) refundRetryToken() {
 		n.tokens = n.cfg.RetryBudget.Burst
 	}
 }
-
-// RetryTokens returns the current retry-budget balance (0 when the budget
-// is disabled).
-func (n *Net) RetryTokens() float64 { return n.tokens }

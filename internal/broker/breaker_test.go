@@ -36,12 +36,12 @@ func TestBreakerOpensAfterConsecutiveTimeouts(t *testing.T) {
 			t.Fatalf("call %d err = %v, want ErrControlTimeout", i, err)
 		}
 		if i < 3 {
-			if st := w.net.BreakerState("b"); st != "closed" {
+			if st := w.net.breaker("b").phase.String(); st != "closed" {
 				t.Fatalf("after %d timeouts breaker = %s, want closed", i, st)
 			}
 		}
 	}
-	if st := w.net.BreakerState("b"); st != "open" {
+	if st := w.net.breaker("b").phase.String(); st != "open" {
 		t.Fatalf("after threshold breaker = %s, want open", st)
 	}
 	// While open, calls fast-fail with ErrBrokerOpen without paying the
@@ -68,7 +68,7 @@ func TestBreakerHalfOpenProbeClosesOnSuccess(t *testing.T) {
 	for i := uint64(1); i <= 3; i++ {
 		call(w, i)
 	}
-	if st := w.net.BreakerState("b"); st != "open" {
+	if st := w.net.breaker("b").phase.String(); st != "open" {
 		t.Fatalf("breaker = %s, want open", st)
 	}
 	// Heal the partition and wait out the cooldown: the next call is the
@@ -78,7 +78,7 @@ func TestBreakerHalfOpenProbeClosesOnSuccess(t *testing.T) {
 	if err := call(w, 4); err != nil {
 		t.Fatalf("probe err = %v", err)
 	}
-	if st := w.net.BreakerState("b"); st != "closed" {
+	if st := w.net.breaker("b").phase.String(); st != "closed" {
 		t.Fatalf("after successful probe breaker = %s, want closed", st)
 	}
 	if err := call(w, 5); err != nil {
@@ -97,7 +97,7 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	if err := call(w, 4); !errors.Is(err, ErrControlTimeout) {
 		t.Fatalf("probe err = %v, want ErrControlTimeout", err)
 	}
-	if st := w.net.BreakerState("b"); st != "open" {
+	if st := w.net.breaker("b").phase.String(); st != "open" {
 		t.Fatalf("after failed probe breaker = %s, want open", st)
 	}
 	if n := counterValue(t, w.reg, "quasaq_ctrl_breaker_opens_total", nil); n != 2 {
@@ -127,7 +127,7 @@ func TestRetryBudgetSuppressesRetries(t *testing.T) {
 	if n := counterValue(t, w.reg, "quasaq_ctrl_retries_suppressed_total", nil); n != 2 {
 		t.Fatalf("retries suppressed = %d, want 2", n)
 	}
-	if tok := w.net.RetryTokens(); tok != 0 {
+	if tok := w.net.tokens; tok != 0 {
 		t.Fatalf("tokens = %v, want 0", tok)
 	}
 	// Successes refund fractional tokens: ten of them rebuild one retry.
@@ -137,7 +137,7 @@ func TestRetryBudgetSuppressesRetries(t *testing.T) {
 			t.Fatalf("healed call err = %v", err)
 		}
 	}
-	if tok := w.net.RetryTokens(); tok < 0.99 || tok > 1 {
+	if tok := w.net.tokens; tok < 0.99 || tok > 1 {
 		t.Fatalf("tokens after refunds = %v, want ~1", tok)
 	}
 }
@@ -151,8 +151,8 @@ func TestBreakerDisabledIsUntouched(t *testing.T) {
 			t.Fatalf("err = %v, want plain timeout with breaker off", err)
 		}
 	}
-	if st := w.net.BreakerState("b"); st != "disabled" {
-		t.Fatalf("breaker state = %s, want disabled", st)
+	if len(w.net.breakers) != 0 {
+		t.Fatalf("breaker off, yet %d site breakers hold state", len(w.net.breakers))
 	}
 	if w.net.BreakerOpenTime() != 0 {
 		t.Fatalf("open time = %v with breaker off", w.net.BreakerOpenTime())

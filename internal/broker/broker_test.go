@@ -40,6 +40,7 @@ func newWorld(t *testing.T, cfg Config) *world {
 	net.SetPartitionCheck(func(site string) bool { return w.cut[site] })
 	for _, s := range []string{"a", "b"} {
 		n := gara.NewNode(sim, s, gara.DefaultCapacity())
+		n.Instrument(reg)
 		w.nodes[s] = n
 		b := New(sim, n, reg)
 		w.bks[s] = b
@@ -66,7 +67,7 @@ func prepReq(tx uint64, ttl simtime.Time) Request {
 
 func TestSynchronousCallSchedulesNoEvents(t *testing.T) {
 	w := newWorld(t, Config{})
-	before := w.sim.Pending()
+	before := w.sim.Executed()
 	fired := false
 	w.net.Call("a", "b", prepReq(1, 0), nil, func(rep Reply, err error) {
 		fired = true
@@ -77,8 +78,9 @@ func TestSynchronousCallSchedulesNoEvents(t *testing.T) {
 	if !fired {
 		t.Fatal("synchronous call did not complete inline")
 	}
-	if w.sim.Pending() != before {
-		t.Fatalf("synchronous call scheduled %d events", w.sim.Pending()-before)
+	w.sim.Run()
+	if w.sim.Executed() != before {
+		t.Fatalf("synchronous call scheduled %d events", w.sim.Executed()-before)
 	}
 }
 
@@ -128,6 +130,13 @@ func TestCallTimesOutWithBoundedRetries(t *testing.T) {
 	}
 }
 
+// preparedLive reads a site's live prepared-lease count from the series its
+// gara node publishes.
+func (w *world) preparedLive(t *testing.T, site string) int64 {
+	t.Helper()
+	return counterValue(t, w.reg, "gara_leases_prepared_live", map[string]string{"site": site})
+}
+
 // counterValue digs one series out of a snapshot.
 func counterValue(t *testing.T, reg *obs.Registry, name string, labels map[string]string) int64 {
 	t.Helper()
@@ -158,17 +167,15 @@ func TestPrepareCommitLifecycle(t *testing.T) {
 	if !rep.OK || rep.Lease == nil {
 		t.Fatalf("prepare: %+v", rep)
 	}
-	if !rep.Lease.Prepared() || n.PreparedLeases() != 1 || n.Leases() != 1 {
-		t.Fatalf("after prepare: prepared=%v preparedN=%d leases=%d",
-			rep.Lease.Prepared(), n.PreparedLeases(), n.Leases())
+	if w.preparedLive(t, "b") != 1 || n.Leases() != 1 {
+		t.Fatalf("after prepare: prepared=%d leases=%d", w.preparedLive(t, "b"), n.Leases())
 	}
 	crep := b.Handle(Request{Op: OpCommit, TxID: 7})
 	if !crep.OK || crep.Lease != rep.Lease {
 		t.Fatalf("commit: %+v", crep)
 	}
-	if rep.Lease.Prepared() || n.PreparedLeases() != 0 || n.Leases() != 1 {
-		t.Fatalf("after commit: prepared=%v preparedN=%d leases=%d",
-			rep.Lease.Prepared(), n.PreparedLeases(), n.Leases())
+	if w.preparedLive(t, "b") != 0 || n.Leases() != 1 {
+		t.Fatalf("after commit: prepared=%d leases=%d", w.preparedLive(t, "b"), n.Leases())
 	}
 	if b.PendingPrepares() != 0 {
 		t.Fatalf("pending prepares = %d after commit", b.PendingPrepares())
@@ -203,9 +210,9 @@ func TestAbortReleasesPreparedLease(t *testing.T) {
 	if rep := b.Handle(Request{Op: OpAbort, TxID: 5}); !rep.OK {
 		t.Fatalf("abort: %+v", rep)
 	}
-	if n.Leases() != 0 || n.PreparedLeases() != 0 || b.PendingPrepares() != 0 {
+	if n.Leases() != 0 || w.preparedLive(t, "b") != 0 || b.PendingPrepares() != 0 {
 		t.Fatalf("after abort: leases=%d prepared=%d pending=%d",
-			n.Leases(), n.PreparedLeases(), b.PendingPrepares())
+			n.Leases(), w.preparedLive(t, "b"), b.PendingPrepares())
 	}
 	// Aborting again — or aborting a transaction that never existed — acks.
 	if rep := b.Handle(Request{Op: OpAbort, TxID: 5}); !rep.OK {

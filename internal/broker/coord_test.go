@@ -19,7 +19,7 @@ func twoParts() []Participant {
 func TestCoordinatorSyncReserveCommitsInline(t *testing.T) {
 	w := newWorld(t, Config{})
 	co := NewCoordinator(w.net, w.reg)
-	before := w.sim.Pending()
+	before := w.sim.Executed()
 	var got []*gara.Lease
 	co.Reserve("a", twoParts(), nil, func(ls []*gara.Lease, err error) {
 		if err != nil {
@@ -30,17 +30,13 @@ func TestCoordinatorSyncReserveCommitsInline(t *testing.T) {
 	if got == nil {
 		t.Fatal("synchronous reserve did not complete inline")
 	}
-	if w.sim.Pending() != before {
+	w.sim.Run()
+	if w.sim.Executed() != before {
 		t.Fatal("synchronous reserve scheduled events")
 	}
-	for i, l := range got {
-		if l.Prepared() {
-			t.Fatalf("lease %d still in prepared state after commit", i)
-		}
-	}
 	for _, s := range []string{"a", "b"} {
-		if w.nodes[s].Leases() != 1 || w.nodes[s].PreparedLeases() != 0 {
-			t.Fatalf("%s: leases=%d prepared=%d", s, w.nodes[s].Leases(), w.nodes[s].PreparedLeases())
+		if w.nodes[s].Leases() != 1 || w.preparedLive(t, s) != 0 {
+			t.Fatalf("%s: leases=%d prepared=%d", s, w.nodes[s].Leases(), w.preparedLive(t, s))
 		}
 	}
 }
@@ -92,8 +88,8 @@ func TestCoordinatorAsyncReserveCommits(t *testing.T) {
 		t.Fatalf("committed at %v, want %v", at, want)
 	}
 	for _, s := range []string{"a", "b"} {
-		if w.nodes[s].Leases() != 1 || w.nodes[s].PreparedLeases() != 0 {
-			t.Fatalf("%s: leases=%d prepared=%d", s, w.nodes[s].Leases(), w.nodes[s].PreparedLeases())
+		if w.nodes[s].Leases() != 1 || w.preparedLive(t, s) != 0 {
+			t.Fatalf("%s: leases=%d prepared=%d", s, w.nodes[s].Leases(), w.preparedLive(t, s))
 		}
 		if w.bks[s].PendingPrepares() != 0 {
 			t.Fatalf("%s left pending prepares", s)
@@ -141,8 +137,8 @@ func TestPartitionDuringPrepareLeavesNoOrphan(t *testing.T) {
 		t.Fatalf("err = %v, want ErrControlTimeout", got)
 	}
 	for _, s := range []string{"a", "b"} {
-		if w.nodes[s].Leases() != 0 || w.nodes[s].PreparedLeases() != 0 {
-			t.Fatalf("%s leaked: leases=%d prepared=%d", s, w.nodes[s].Leases(), w.nodes[s].PreparedLeases())
+		if w.nodes[s].Leases() != 0 || w.preparedLive(t, s) != 0 {
+			t.Fatalf("%s leaked: leases=%d prepared=%d", s, w.nodes[s].Leases(), w.preparedLive(t, s))
 		}
 		if w.bks[s].PendingPrepares() != 0 {
 			t.Fatalf("%s: %d pending prepares after TTL", s, w.bks[s].PendingPrepares())

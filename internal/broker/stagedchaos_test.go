@@ -23,6 +23,7 @@ func threeParts() []Participant {
 // (the farm pseudo-site of a staged reservation).
 func addSite(w *world, name string) {
 	n := gara.NewNode(w.sim, name, gara.DefaultCapacity())
+	n.Instrument(w.reg)
 	w.nodes[name] = n
 	b := New(w.sim, n, w.reg)
 	w.bks[name] = b
@@ -47,8 +48,8 @@ func TestStagedReserveCommitsAllThreeStages(t *testing.T) {
 		t.Fatalf("got %d leases, want 3", len(got))
 	}
 	for _, s := range []string{"a", "b", "c"} {
-		if w.nodes[s].Leases() != 1 || w.nodes[s].PreparedLeases() != 0 {
-			t.Fatalf("%s: leases=%d prepared=%d", s, w.nodes[s].Leases(), w.nodes[s].PreparedLeases())
+		if w.nodes[s].Leases() != 1 || w.preparedLive(t, s) != 0 {
+			t.Fatalf("%s: leases=%d prepared=%d", s, w.nodes[s].Leases(), w.preparedLive(t, s))
 		}
 		if w.bks[s].PendingPrepares() != 0 {
 			t.Fatalf("%s left pending prepares", s)
@@ -104,9 +105,9 @@ func TestPartitionDuringStagedPrepareLeavesNoOrphan(t *testing.T) {
 		t.Fatalf("err = %v, want ErrControlTimeout", got)
 	}
 	for _, s := range []string{"a", "b", "c"} {
-		if w.nodes[s].Leases() != 0 || w.nodes[s].PreparedLeases() != 0 {
+		if w.nodes[s].Leases() != 0 || w.preparedLive(t, s) != 0 {
 			t.Fatalf("%s leaked a stage lease: leases=%d prepared=%d",
-				s, w.nodes[s].Leases(), w.nodes[s].PreparedLeases())
+				s, w.nodes[s].Leases(), w.preparedLive(t, s))
 		}
 		if w.bks[s].PendingPrepares() != 0 {
 			t.Fatalf("%s: %d pending prepares after TTL", s, w.bks[s].PendingPrepares())

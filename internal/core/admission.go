@@ -7,7 +7,6 @@ import (
 	"quasaq/internal/broker"
 	"quasaq/internal/gara"
 	"quasaq/internal/media"
-	"quasaq/internal/netsim"
 	"quasaq/internal/obs"
 	"quasaq/internal/qos"
 	"quasaq/internal/simtime"
@@ -18,10 +17,6 @@ import (
 type ServiceOptions struct {
 	// TraceFrames enables the per-frame completion trace on the session.
 	TraceFrames int
-	// Path, when set, models the server-to-client network path for
-	// client-side QoS accounting; PathSeed seeds its randomness.
-	Path     *netsim.Path
-	PathSeed int64
 	// StartFrame resumes delivery at a frame offset (renegotiation).
 	StartFrame int
 	// OnDone fires when the delivery finishes.

@@ -365,8 +365,8 @@ func TestVDBMSBaselineAdmitsEverything(t *testing.T) {
 	if b.Stats().Admitted != 50 {
 		t.Fatalf("admitted = %d", b.Stats().Admitted)
 	}
-	if c.Nodes["srv-a"].Link().NumFlows() != 50 {
-		t.Fatalf("flows = %d", c.Nodes["srv-a"].Link().NumFlows())
+	if got := c.Obs.Counter("transport_sessions_started_total", "site", "srv-a", "mode", "best-effort").Value(); got != 50 {
+		t.Fatalf("best-effort sessions on srv-a = %d, want 50", got)
 	}
 	sim.Run()
 	if c.OutstandingSessions() != 0 {

@@ -48,14 +48,27 @@ func ladderPrefixBytes(v *media.Video, n int) int64 {
 	return total
 }
 
-func warmPrefix(t *testing.T, sim *simtime.Simulator, ec *edgecache.Manager, querySite string, id media.VideoID) {
+// warmPrefix observes id from srv-a and runs one cache tick, after which
+// srv-a's home edge (edge-1) must hold its prefix.
+func warmPrefix(t *testing.T, sim *simtime.Simulator, m *Manager, id media.VideoID) {
 	t.Helper()
-	ec.Observe(querySite, id)
+	ec := m.EdgeCache()
+	ec.Observe("srv-a", id)
 	sim.RunUntil(sim.Now() + simtime.Seconds(1.5))
-	home := ec.HomeEdge(querySite)
-	if !ec.Holds(home, id) {
-		t.Fatalf("prefix of %s not installed at %s after warmup: %+v", id, home, ec.Stats())
+	if !edgeHolds(t, m, "edge-1", id) {
+		t.Fatalf("prefix of %s not installed at edge-1 after warmup: %+v", id, ec.Stats())
 	}
+}
+
+// edgeHolds reports whether the edge site's metadata store lists a replica
+// of id: the residency the plan generator sees.
+func edgeHolds(t *testing.T, m *Manager, edgeSite string, id media.VideoID) bool {
+	t.Helper()
+	st, err := m.cluster.Dir.Store(edgeSite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(st.Local(id)) > 0
 }
 
 // TestSplitPlanEnumeration: once an edge prefix exists, the generator emits
@@ -64,10 +77,10 @@ func warmPrefix(t *testing.T, sim *simtime.Simulator, ec *edgecache.Manager, que
 // unchanged origin plans, and never delivers a full video from an edge site
 // it doesn't hold.
 func TestSplitPlanEnumeration(t *testing.T) {
-	sim, c, m, ec := edgeManager(t, edgecache.Config{})
+	sim, c, m, _ := edgeManager(t, edgecache.Config{})
 	v, _ := c.Engine.Video(1)
 	req := qos.Requirement{} // unconstrained: matches the high-bitrate prefix variant
-	warmPrefix(t, sim, ec, "srv-a", v.ID)
+	warmPrefix(t, sim, m, v.ID)
 
 	plans, _ := m.planCandidates("srv-a", v, req)
 	var split, plain int
@@ -115,10 +128,10 @@ func TestSplitPlanEnumeration(t *testing.T) {
 // streams at the edge, hands over to the tail site at the split frame, and
 // the logical delivery finishes once with all leases returned.
 func TestSplitDeliveryHandover(t *testing.T) {
-	sim, c, m, ec := edgeManager(t, edgecache.Config{})
+	sim, c, m, _ := edgeManager(t, edgecache.Config{})
 	v, _ := c.Engine.Video(1)
 	req := qos.Requirement{} // unconstrained: matches the high-bitrate prefix variant
-	warmPrefix(t, sim, ec, "srv-a", v.ID)
+	warmPrefix(t, sim, m, v.ID)
 
 	plans, _ := m.planCandidates("srv-a", v, req)
 	var sp *Plan
@@ -174,10 +187,10 @@ func TestSplitDeliveryHandover(t *testing.T) {
 // the split frame starts directly on the tail leg — the edge lease is
 // returned immediately and no handover happens.
 func TestSplitResumePastBoundary(t *testing.T) {
-	sim, c, m, ec := edgeManager(t, edgecache.Config{})
+	sim, c, m, _ := edgeManager(t, edgecache.Config{})
 	v, _ := c.Engine.Video(1)
 	req := qos.Requirement{} // unconstrained: matches the high-bitrate prefix variant
-	warmPrefix(t, sim, ec, "srv-a", v.ID)
+	warmPrefix(t, sim, m, v.ID)
 
 	plans, _ := m.planCandidates("srv-a", v, req)
 	var sp *Plan
@@ -239,7 +252,7 @@ func TestStaleSplitPlanNeverAdmittedAfterEviction(t *testing.T) {
 	}
 	sim, _, m, ec := edgeManager(t, edgecache.Config{ByteBudget: budget})
 	req := qos.Requirement{} // unconstrained: every video admits
-	warmPrefix(t, sim, ec, "srv-a", hot.ID)
+	warmPrefix(t, sim, m, hot.ID)
 
 	d, err := m.Service("srv-a", hot.ID, req, ServiceOptions{})
 	if err != nil {
@@ -262,7 +275,7 @@ func TestStaleSplitPlanNeverAdmittedAfterEviction(t *testing.T) {
 	ec.Observe("srv-a", rival.ID)
 	ec.Observe("srv-a", rival.ID)
 	sim.RunUntil(sim.Now() + simtime.Seconds(1.5))
-	if ec.Holds("edge-1", hot.ID) {
+	if edgeHolds(t, m, "edge-1", hot.ID) {
 		t.Fatal("prefix survived budget pressure; eviction never happened")
 	}
 
@@ -328,8 +341,8 @@ var stageWorlds = []struct {
 		return sim, m, qos.Requirement{MinColorDepth: 8}
 	}, func(p *Plan) bool { return p.Remote() && p.FarmOffloaded() }},
 	{"edge", func(t *testing.T) (*simtime.Simulator, *Manager, qos.Requirement) {
-		sim, _, m, ec := edgeManager(t, edgecache.Config{})
-		warmPrefix(t, sim, ec, "srv-a", 1)
+		sim, _, m, _ := edgeManager(t, edgecache.Config{})
+		warmPrefix(t, sim, m, 1)
 		return sim, m, qos.Requirement{} // unconstrained: matches the high-bitrate prefix variant
 	}, (*Plan).Split},
 }

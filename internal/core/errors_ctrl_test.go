@@ -58,10 +58,11 @@ func singleCopyCtrlWorld(t *testing.T) (*simtime.Simulator, *Cluster, *Manager, 
 func assertNoLeakedLeases(t *testing.T, c *Cluster) {
 	t.Helper()
 	for _, s := range c.Sites() {
-		n := c.Nodes[s]
-		if n.Leases() != 0 || n.PreparedLeases() != 0 || c.Brokers[s].PendingPrepares() != 0 {
+		leases := c.Nodes[s].Leases()
+		prepared := c.Obs.Gauge("gara_leases_prepared_live", "site", s).Value()
+		if leases != 0 || prepared != 0 || c.Brokers[s].PendingPrepares() != 0 {
 			t.Fatalf("%s leaked reservation state: leases=%d prepared=%d pending=%d",
-				s, n.Leases(), n.PreparedLeases(), c.Brokers[s].PendingPrepares())
+				s, leases, prepared, c.Brokers[s].PendingPrepares())
 		}
 	}
 }

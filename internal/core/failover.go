@@ -66,9 +66,6 @@ func (m *Manager) EnableFailover(p FailoverPolicy) {
 	m.failover = &p
 }
 
-// FailoverEnabled reports whether mid-stream recovery is on.
-func (m *Manager) FailoverEnabled() bool { return m.failover != nil }
-
 // SetFailoverObserver registers fn to be called at the conclusion of every
 // recovery (success, degrade, or abandonment) — the chaos experiment's
 // metrics tap.

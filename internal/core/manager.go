@@ -138,9 +138,6 @@ func (d *Delivery) Observed() transport.ObservedQoS {
 // scope methods are nil-safe no-ops).
 func (d *Delivery) Trace() *obs.Scope { return d.trace }
 
-// QuerySite returns the site the query arrived at.
-func (d *Delivery) QuerySite() string { return d.querySite }
-
 // ServiceOptions returns a copy of the options the delivery was admitted
 // with, so a re-plan (guardian renegotiation/migration) inherits the
 // original OnDone/OnFailed wiring.
@@ -190,8 +187,6 @@ func (d *Delivery) sessionConfig(variant media.Variant, drop transport.DropStrat
 		Drop:             drop,
 		ExtraPerFrameCPU: extraPerFrameCPU,
 		TraceFrames:      d.opts.TraceFrames,
-		Path:             d.opts.Path,
-		PathSeed:         d.opts.PathSeed,
 		StartFrame:       start,
 		Trace:            d.trace,
 	}

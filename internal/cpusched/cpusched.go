@@ -175,15 +175,6 @@ func (c *CPU) ReservedUtilization() float64 { return c.util }
 // accounting.
 func (c *CPU) Dispatches() uint64 { return c.dispatches }
 
-// BusyTime returns cumulative time the CPU spent executing tasks.
-func (c *CPU) BusyTime() simtime.Time {
-	b := c.busy
-	if c.cur.job != nil {
-		b += c.sim.Now() - c.cur.started
-	}
-	return b
-}
-
 // NewBestEffortJob creates a time-shared job.
 func (c *CPU) NewBestEffortJob(name string) *Job {
 	return &Job{cpu: c, name: name}

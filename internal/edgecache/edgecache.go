@@ -190,13 +190,6 @@ func (m *Manager) MapClient(querySite, edgeSite string) {
 	m.homes[querySite] = edgeSite
 }
 
-// HomeEdge returns the home edge site for a query site ("" when unmapped).
-func (m *Manager) HomeEdge(querySite string) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.homes[querySite]
-}
-
 // SetPromote installs the overflow-promotion sink (replication.Dynamic's
 // demand feed).
 func (m *Manager) SetPromote(fn func(media.VideoID, media.LinkClass, int)) {
@@ -224,19 +217,6 @@ func (m *Manager) Observe(querySite string, id media.VideoID) {
 	}
 	sc.want[id]++
 	sc.misses.Inc()
-}
-
-// Holds reports whether the edge site currently has the video resident
-// (prefix or promoted full copy) — the neighbor-lookup primitive.
-func (m *Manager) Holds(edgeSite string, id media.VideoID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sc := m.byName[edgeSite]
-	if sc == nil {
-		return false
-	}
-	_, ok := sc.entries[id]
-	return ok
 }
 
 // Start schedules the periodic admission/eviction tick on the sim clock.
@@ -293,14 +273,9 @@ func (m *Manager) warmLocked() bool {
 	return false
 }
 
-// Tick runs one admission/eviction/promotion round across every edge site
-// (in name order, so runs are deterministic) and then decays popularity.
-func (m *Manager) Tick() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.tickLocked()
-}
-
+// tickLocked runs one admission/eviction/promotion round across every edge
+// site (in name order, so runs are deterministic) and then decays
+// popularity.
 func (m *Manager) tickLocked() {
 	for _, sc := range m.sites {
 		m.admit(sc)

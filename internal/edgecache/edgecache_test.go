@@ -12,6 +12,26 @@ import (
 	"quasaq/internal/storage"
 )
 
+// tick runs one cache round under the manager's lock, as the ticker does.
+func tick(m *Manager) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.tickLocked()
+}
+
+// holds reports whether the edge site has the video resident (prefix or
+// promoted full copy).
+func holds(m *Manager, edgeSite string, id media.VideoID) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	sc := m.byName[edgeSite]
+	if sc == nil {
+		return false
+	}
+	_, ok := sc.entries[id]
+	return ok
+}
+
 // testWorld builds a directory with one origin site holding a full
 // high-bitrate replica of every corpus video, plus two empty edge sites
 // registered with the cache manager.
@@ -69,17 +89,17 @@ func onePrefixBytes(t *testing.T, m *Manager, dir *metadata.Directory, v *media.
 func TestInstallBumpsEpochOnce(t *testing.T) {
 	dir, m, videos := testWorld(t, Config{MinHits: 1, PrefixGOPs: 2})
 	before := dir.Epoch()
-	m.Tick() // nothing observed yet
+	tick(m) // nothing observed yet
 	if got := dir.Epoch(); got != before {
 		t.Fatalf("idle tick bumped epoch: %d -> %d", before, got)
 	}
 	m.Observe("client-a", videos[0].ID)
 	before = dir.Epoch()
-	m.Tick()
+	tick(m)
 	if got := dir.Epoch(); got != before+1 {
 		t.Fatalf("one install bumped epoch by %d, want 1", got-before)
 	}
-	if !m.Holds("edge-a", videos[0].ID) {
+	if !holds(m, "edge-a", videos[0].ID) {
 		t.Fatal("prefix not resident after install")
 	}
 	if s := m.Stats(); s.Installs != 1 || s.Prefixes != 1 {
@@ -87,7 +107,7 @@ func TestInstallBumpsEpochOnce(t *testing.T) {
 	}
 	// A tick with nothing new leaves the epoch alone again.
 	before = dir.Epoch()
-	m.Tick()
+	tick(m)
 	if got := dir.Epoch(); got != before {
 		t.Fatalf("steady-state tick bumped epoch: %d -> %d", before, got)
 	}
@@ -117,24 +137,24 @@ func TestEvictionBumpsEpochOncePerTransition(t *testing.T) {
 	dir, m, _ := testWorld(t, Config{MinHits: 1, PrefixGOPs: 2, ByteBudget: bigBytes})
 
 	m.Observe("client-a", big.ID)
-	m.Tick()
-	if !m.Holds("edge-a", big.ID) {
+	tick(m)
+	if !holds(m, "edge-a", big.ID) {
 		t.Fatal("first prefix not installed")
 	}
 	// The resident's hot count decays to zero across ticks; a strictly
 	// hotter candidate then claims the space.
-	m.Tick()
+	tick(m)
 	m.Observe("client-a", small.ID)
 	m.Observe("client-a", small.ID)
 	before := dir.Epoch()
-	m.Tick()
+	tick(m)
 	if got := dir.Epoch(); got != before+2 {
 		t.Fatalf("evict+install bumped epoch by %d, want 2", got-before)
 	}
-	if m.Holds("edge-a", big.ID) {
+	if holds(m, "edge-a", big.ID) {
 		t.Fatal("evicted prefix still resident")
 	}
-	if !m.Holds("edge-a", small.ID) {
+	if !holds(m, "edge-a", small.ID) {
 		t.Fatal("hotter prefix not installed")
 	}
 	st, err := dir.Store("edge-a")
@@ -152,8 +172,8 @@ func TestEvictionBumpsEpochOncePerTransition(t *testing.T) {
 // TestBudgetNeverExceededUnderChurn drives a rotating popularity pattern
 // through a cache that fits only a couple of prefixes and checks the
 // invariants after every tick: per-site bytes within budget, blob-store
-// usage in lockstep with the accounting, and residency (Holds, the
-// neighbor-lookup primitive) always matching the metadata store.
+// usage in lockstep with the accounting, and residency always matching the
+// metadata store.
 func TestBudgetNeverExceededUnderChurn(t *testing.T) {
 	probeDir, probe, videos := testWorld(t, Config{MinHits: 1, PrefixGOPs: 2})
 	budget := 2 * onePrefixBytes(t, probe, probeDir, videos[0])
@@ -168,7 +188,7 @@ func TestBudgetNeverExceededUnderChurn(t *testing.T) {
 			m.Observe(clients[round%2], v.ID)
 			m.Observe(clients[round%2], v.ID)
 		}
-		m.Tick()
+		tick(m)
 		for _, sc := range m.sites {
 			if sc.used > m.cfg.ByteBudget {
 				t.Fatalf("round %d: site %s uses %d bytes over budget %d",
@@ -188,10 +208,6 @@ func TestBudgetNeverExceededUnderChurn(t *testing.T) {
 					t.Fatalf("round %d: site %s residency for %s disagrees with metadata store",
 						round, sc.name, v.ID)
 				}
-				if resident != m.Holds(sc.name, v.ID) {
-					t.Fatalf("round %d: Holds(%s, %s) disagrees with entries",
-						round, sc.name, v.ID)
-				}
 			}
 		}
 	}
@@ -200,9 +216,9 @@ func TestBudgetNeverExceededUnderChurn(t *testing.T) {
 	}
 }
 
-// TestConcurrentObserveTickHolds exercises the public surface from many
-// goroutines at once; run under -race (`make check`) this pins the
-// lock discipline.
+// TestConcurrentObserveTickHolds exercises Observe, Stats and cache ticks
+// (with their residency changes) from many goroutines at once; run under
+// -race (`make check`) this pins the lock discipline.
 func TestConcurrentObserveTickHolds(t *testing.T) {
 	_, m, videos := testWorld(t, Config{MinHits: 1, PrefixGOPs: 2})
 	var wg sync.WaitGroup
@@ -214,7 +230,6 @@ func TestConcurrentObserveTickHolds(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				v := videos[(g*31+i)%len(videos)]
 				m.Observe(client, v.ID)
-				m.Holds("edge-a", v.ID)
 				if i%16 == 0 {
 					m.Stats()
 				}
@@ -225,13 +240,13 @@ func TestConcurrentObserveTickHolds(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			m.Tick()
+			tick(m)
 		}
 	}()
 	wg.Wait()
 	// Goroutine scheduling may drain the tick loop before the observers
 	// accrue demand; one more tick settles the admissions deterministically.
-	m.Tick()
+	tick(m)
 	if s := m.Stats(); s.Installs == 0 {
 		t.Fatalf("concurrent workload installed nothing: %+v", s)
 	}
@@ -243,11 +258,11 @@ func TestConcurrentObserveTickHolds(t *testing.T) {
 func TestPromotionInPlace(t *testing.T) {
 	dir, m, videos := testWorld(t, Config{MinHits: 1, PrefixGOPs: 2, PromoteHits: 3})
 	m.Observe("client-a", videos[0].ID)
-	m.Tick() // install, life=1
+	tick(m) // install, life=1
 	m.Observe("client-a", videos[0].ID)
 	m.Observe("client-a", videos[0].ID)
 	before := dir.Epoch()
-	m.Tick() // life=3 crosses the threshold
+	tick(m) // life=3 crosses the threshold
 	if got := dir.Epoch(); got != before+1 {
 		t.Fatalf("in-place promotion bumped epoch by %d, want 1", got-before)
 	}
@@ -281,19 +296,19 @@ func TestPromotionOverflowFeedsReplicator(t *testing.T) {
 		promoted = append(promoted, id)
 	})
 	m.Observe("client-a", videos[0].ID)
-	m.Tick()
+	tick(m)
 	m.Observe("client-a", videos[0].ID)
 	m.Observe("client-a", videos[0].ID)
-	m.Tick()
+	tick(m)
 	if len(promoted) != 1 || promoted[0] != videos[0].ID {
 		t.Fatalf("promote sink saw %v, want [%s]", promoted, videos[0].ID)
 	}
 	// The prefix stays resident (still serving startups) and is not
 	// re-promoted every tick: life was reset.
-	if !m.Holds("edge-a", videos[0].ID) {
+	if !holds(m, "edge-a", videos[0].ID) {
 		t.Fatal("prefix dropped on overflow promotion")
 	}
-	m.Tick()
+	tick(m)
 	if len(promoted) != 1 {
 		t.Fatalf("promotion re-fed every tick: %v", promoted)
 	}

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"quasaq/internal/media"
 	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
+	"quasaq/internal/transport"
 )
 
 // shortFig5 keeps unit-test runtime low; benchmarks run the full config.
@@ -232,7 +234,8 @@ func TestOverhead(t *testing.T) {
 }
 
 func TestStreamCPUShareCalibration(t *testing.T) {
-	share := StreamCPUShare()
+	q := media.LadderQuality(media.LinkLAN, 23.97)
+	share := transport.StreamCPUCost(media.NewVariant(q), 23.97)
 	if share < 0.01 || share > 0.05 {
 		t.Fatalf("full-quality stream CPU share = %.4f, want ~0.023", share)
 	}

@@ -11,7 +11,6 @@ import (
 	"quasaq/internal/replication"
 	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
-	"quasaq/internal/transport"
 	"quasaq/internal/workload"
 )
 
@@ -152,11 +151,4 @@ func FormatOverhead(r *OverheadResult) string {
 	fmt.Fprintf(&b, "  scheduler dispatches per sec:   %.0f\n", r.DispatchesPerSec)
 	fmt.Fprintf(&b, "  scheduler maintenance overhead: %.2f%% of one CPU (paper: 1.6%%, 0.16 ms per 10 ms)\n", 100*r.SchedulerOverhead)
 	return b.String()
-}
-
-// StreamCPUShare is a small helper used by documentation tests: the CPU
-// share of one full-quality stream, exposing the calibration constant.
-func StreamCPUShare() float64 {
-	q := media.LadderQuality(media.LinkLAN, 23.97)
-	return transport.StreamCPUCost(media.NewVariant(q), 23.97)
 }

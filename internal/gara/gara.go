@@ -323,13 +323,6 @@ func (n *Node) RevokeOldestLease(cause error) bool {
 	return true
 }
 
-// Admit reports whether the demand vector fits the node right now. This is
-// the admission-control check of the composite QoS API; Reserve may still
-// fail if conditions change between Admit and Reserve.
-func (n *Node) Admit(v qos.ResourceVector) bool {
-	return v.FitsWithin(n.Usage(), n.capacity)
-}
-
 // Lease is an end-to-end resource reservation on one node. A lease born via
 // Reserve is committed immediately (the collocated fast path); one born via
 // Prepare holds its resources but stays in the prepared state until Commit
@@ -438,20 +431,6 @@ func (n *Node) Prepare(name string, v qos.ResourceVector, period simtime.Time) (
 	n.mPreparedNow.Set(int64(n.prepared))
 	n.publishUsageLocked()
 	return l, nil
-}
-
-// PreparedLeases returns the number of live leases still awaiting Commit.
-func (n *Node) PreparedLeases() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.prepared
-}
-
-// Prepared reports whether the lease is still in the prepared 2PC state.
-func (l *Lease) Prepared() bool {
-	l.node.mu.Lock()
-	defer l.node.mu.Unlock()
-	return l.prepared
 }
 
 // Commit seals a prepared lease. Resources were already held at Prepare

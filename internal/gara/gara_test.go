@@ -72,8 +72,8 @@ func TestAdmissionRejectsOverload(t *testing.T) {
 			t.Fatalf("reservation %d rejected: %v", i, err)
 		}
 	}
-	if n.Admit(demand(0, 500e3, 0, 0)) {
-		t.Fatal("Admit accepted over-capacity demand")
+	if demand(0, 500e3, 0, 0).FitsWithin(n.Usage(), n.capacity) {
+		t.Fatal("over-capacity demand fits the node's usage")
 	}
 	if _, err := n.Reserve("s", demand(0.05, 500e3, 0, 0), 40*time.Millisecond); !errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected", err)

@@ -85,7 +85,6 @@ func TestNodeConcurrentReserveReleaseFail(t *testing.T) {
 						badRead.Store(&bad)
 					}
 				}
-				_ = node.Admit(qos.ResourceVector{})
 				_ = node.Leases()
 				_ = node.Down()
 				runtime.Gosched()

@@ -350,9 +350,6 @@ func (g *Guardian) Stats() Stats {
 	}
 }
 
-// Watching returns the number of live monitors.
-func (g *Guardian) Watching() int { return len(g.monitors) }
-
 func (g *Guardian) emit(ev Event) {
 	if g.observer != nil {
 		ev.At = g.sim.Now()

@@ -36,8 +36,8 @@ func TestReserveAndRelease(t *testing.T) {
 		t.Fatalf("reserved after release = %v", l.Reserved())
 	}
 	r2.Release()
-	if l.PeakReserved() != 3200e3 {
-		t.Fatalf("peak = %v, want 3200e3", l.PeakReserved())
+	if l.peakReserved != 3200e3 {
+		t.Fatalf("peak = %v, want 3200e3", l.peakReserved)
 	}
 }
 
@@ -114,8 +114,8 @@ func TestFlowLeaveRedistributes(t *testing.T) {
 	if f2.Rate() != 600 {
 		t.Fatalf("survivor rate = %v, want 600", f2.Rate())
 	}
-	if l.NumFlows() != 1 {
-		t.Fatalf("flows = %d", l.NumFlows())
+	if len(l.flows) != 1 {
+		t.Fatalf("flows = %d", len(l.flows))
 	}
 }
 
@@ -150,7 +150,7 @@ func TestTransferSimple(t *testing.T) {
 	if done != 5*time.Second {
 		t.Fatalf("transfer completed at %v, want 5s", done)
 	}
-	if l.NumFlows() != 0 {
+	if len(l.flows) != 0 {
 		t.Fatal("flow not removed after completion")
 	}
 }
@@ -194,7 +194,7 @@ func TestTransferCancel(t *testing.T) {
 	if fired {
 		t.Fatal("done fired after cancel")
 	}
-	if l.NumFlows() != 0 {
+	if len(l.flows) != 0 {
 		t.Fatal("cancelled transfer left its flow on the link")
 	}
 }
@@ -252,7 +252,7 @@ func TestAvailableClampedUnderDegradeBelowReserved(t *testing.T) {
 		// this reads -1400e3.
 		midShed = append(midShed, l.Available())
 	})
-	peakBefore := l.PeakReserved()
+	peakBefore := l.peakReserved
 	l.Degrade(0.5) // 1600e3 capacity; sheds r2 then r1, newest-first
 	if len(midShed) != 1 {
 		t.Fatalf("revocation callbacks = %d, want 1", len(midShed))
@@ -267,11 +267,11 @@ func TestAvailableClampedUnderDegradeBelowReserved(t *testing.T) {
 	if got := l.Available(); got != l.Capacity() {
 		t.Fatalf("Available() after shed = %v, want capacity %v", got, l.Capacity())
 	}
-	if got := l.PeakReserved(); got != peakBefore {
+	if got := l.peakReserved; got != peakBefore {
 		t.Fatalf("PeakReserved changed across Degrade: %v, want %v (high-water mark is monotone)", got, peakBefore)
 	}
 	l.Restore()
-	if got := l.PeakReserved(); got != peakBefore {
+	if got := l.peakReserved; got != peakBefore {
 		t.Fatalf("PeakReserved changed across Restore: %v, want %v", got, peakBefore)
 	}
 	if got := l.Available(); got != l.Capacity() {

@@ -118,7 +118,7 @@ func (d *Dynamic) Start(interval simtime.Time, batch int) {
 		batch = 1
 	}
 	d.ticker = d.sim.Every(interval, func() bool {
-		d.Rebalance(batch)
+		d.rebalance(batch)
 		return true
 	})
 }
@@ -134,12 +134,12 @@ func (d *Dynamic) Stop() {
 // Created returns the number of replicas materialized so far.
 func (d *Dynamic) Created() int { return d.created }
 
-// Rebalance materializes up to batch of the hottest missing replicas and
+// rebalance materializes up to batch of the hottest missing replicas and
 // resets the demand window. A (video, tier) is "missing" at a site when the
 // site has no replica at that exact tier quality; the site with the fewest
 // stored bytes gets the new copy (a crude but effective storage-balance
 // rule).
-func (d *Dynamic) Rebalance(batch int) int {
+func (d *Dynamic) rebalance(batch int) int {
 	type want struct {
 		key demandKey
 		n   int

@@ -55,7 +55,7 @@ func TestRebalanceMaterializesHottestTier(t *testing.T) {
 		dyn.Observe(videos[0].ID, vcdReq())
 	}
 	dyn.Observe(videos[1].ID, vcdReq())
-	made := dyn.Rebalance(1)
+	made := dyn.rebalance(1)
 	if made != 1 || dyn.Created() != 1 {
 		t.Fatalf("made = %d created = %d", made, dyn.Created())
 	}
@@ -81,9 +81,9 @@ func TestRebalanceMaterializesHottestTier(t *testing.T) {
 func TestRebalanceResetsWindow(t *testing.T) {
 	_, _, _, videos, dyn := dynFixture(t, 0)
 	dyn.Observe(videos[0].ID, vcdReq())
-	dyn.Rebalance(5)
+	dyn.rebalance(5)
 	// Window reset: a second rebalance with no new demand creates nothing.
-	if made := dyn.Rebalance(5); made != 0 {
+	if made := dyn.rebalance(5); made != 0 {
 		t.Fatalf("made %d replicas with no demand", made)
 	}
 }
@@ -96,7 +96,7 @@ func TestRebalanceConvergesAndStops(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			dyn.Observe(videos[0].ID, vcdReq())
 		}
-		dyn.Rebalance(2)
+		dyn.rebalance(2)
 	}
 	count := 0
 	wantQ := media.LadderQuality(media.LinkDSL, videos[0].FrameRate)
@@ -113,7 +113,7 @@ func TestRebalanceConvergesAndStops(t *testing.T) {
 func TestRebalanceBalancesStorage(t *testing.T) {
 	_, _, ss, videos, dyn := dynFixture(t, 0)
 	dyn.Observe(videos[0].ID, vcdReq())
-	dyn.Rebalance(1)
+	dyn.rebalance(1)
 	// The copy must land on the emptiest site. After single-copy
 	// replication sites hold different originals; find the minimum.
 	minUsed := ss[0].Blobs.Used()
@@ -155,7 +155,7 @@ func TestRebalanceRespectsQuota(t *testing.T) {
 	}
 	dyn := NewDynamic(sim, dir, videos, ss)
 	dyn.Observe(videos[0].ID, vcdReq())
-	if made := dyn.Rebalance(1); made != 0 {
+	if made := dyn.rebalance(1); made != 0 {
 		t.Fatalf("made %d replicas past the quota", made)
 	}
 }
@@ -202,7 +202,7 @@ func TestMaterializeOverLinksTakesTime(t *testing.T) {
 	// travel.
 	dyn.Observe(videos[1].ID, vcdReq())
 	before := len(dir.Lookup("A", videos[1].ID))
-	if made := dyn.Rebalance(1); made != 1 {
+	if made := dyn.rebalance(1); made != 1 {
 		t.Fatalf("transfer not initiated: made=%d", made)
 	}
 	// Not yet registered: the transfer is in flight.
@@ -211,7 +211,7 @@ func TestMaterializeOverLinksTakesTime(t *testing.T) {
 	}
 	// A second rebalance must not double-start the same transfer.
 	dyn.Observe(videos[1].ID, vcdReq())
-	if made := dyn.Rebalance(1); made != 0 {
+	if made := dyn.rebalance(1); made != 0 {
 		t.Fatal("duplicate transfer started")
 	}
 	// DSL tier of a 45 s video at 800 KB/s: a few seconds.
@@ -227,7 +227,7 @@ func TestMaterializeOverLinksTakesTime(t *testing.T) {
 func TestObserveUnknownVideoIgnored(t *testing.T) {
 	_, _, _, _, dyn := dynFixture(t, 0)
 	dyn.Observe(999, vcdReq())
-	if made := dyn.Rebalance(1); made != 0 {
+	if made := dyn.rebalance(1); made != 0 {
 		t.Fatal("unknown video produced a replica")
 	}
 }

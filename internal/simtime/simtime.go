@@ -53,9 +53,6 @@ func (e *Event) At() Time { return e.at }
 // Cancelled reports whether Cancel removed the event before it fired.
 func (e *Event) Cancelled() bool { return e.cancel }
 
-// Fired reports whether the event's callback has run.
-func (e *Event) Fired() bool { return e.fired }
-
 func (e *Event) before(o *Event) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
@@ -79,10 +76,6 @@ func (s *Simulator) Now() Time { return s.now }
 
 // Executed returns the number of events executed so far.
 func (s *Simulator) Executed() uint64 { return s.nEvent }
-
-// Pending returns the number of events still queued. Cancel removes an
-// event at once, so cancelled events are never counted.
-func (s *Simulator) Pending() int { return len(s.queue) }
 
 // Schedule runs fn after delay. A negative delay is an error in the caller;
 // it panics because it would silently reorder causality.

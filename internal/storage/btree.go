@@ -2,7 +2,6 @@ package storage
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
 
@@ -10,16 +9,15 @@ import (
 // Shore's B-tree access method. The vdbms engine builds one per indexed
 // catalog column (id, duration) so content-phase predicates do not scan.
 //
-// Duplicate keys are allowed (secondary indexes need them); Delete removes
-// one specific (key, value) pair. Leaves are chained for range scans.
-// Deletion is lazy (no merging): pages may underflow but never corrupt,
-// which matches many production trees and keeps the code auditable.
+// Duplicate keys are allowed (secondary indexes need them). Leaves are
+// chained for range scans. The tree only grows: rows are appended and
+// never deleted, so leaves never underflow.
 type BTree struct {
 	pool *BufferPool
 	vol  *Volume
 	root PageID
 	h    int // height: 1 = root is a leaf
-	n    int // live entries
+	n    int // entries
 }
 
 // Node layout within a raw page (the slotted-page header is not used):
@@ -39,11 +37,6 @@ const (
 	leafCap  = (PageSize - btHeader) / leafEntry
 	innerCap = (PageSize - btHeader - 4) / innerEntry
 )
-
-var errKeyNotFound = errors.New("storage: key not found")
-
-// ErrKeyNotFound reports a Delete of an absent (key, value) pair.
-func ErrKeyNotFound() error { return errKeyNotFound }
 
 // NewBTree creates an empty tree on the volume behind pool.
 func NewBTree(pool *BufferPool, vol *Volume) (*BTree, error) {
@@ -414,46 +407,6 @@ func (t *BTree) Range(lo, hi int64, fn func(int64, OID) bool) error {
 		}
 		if !ok {
 			return nil
-		}
-		id = next
-	}
-}
-
-// Delete removes one (key, value) pair; ErrKeyNotFound if absent. Pages
-// are not merged (lazy deletion).
-func (t *BTree) Delete(key int64, value OID) error {
-	id, err := t.findLeaf(key)
-	if err != nil {
-		return err
-	}
-	for {
-		page, err := t.pool.Pin(id)
-		if err != nil {
-			return err
-		}
-		b := page.Bytes()
-		n := nodeKeys(b)
-		for i := leafLowerBound(b, key); i < n; i++ {
-			if leafKey(b, i) != key {
-				t.pool.Unpin(id, false)
-				return errKeyNotFound
-			}
-			if leafVal(b, i) == value {
-				for j := i; j < n-1; j++ {
-					setLeafEntry(b, j, leafKey(b, j+1), leafVal(b, j+1))
-				}
-				setNodeKeys(b, n-1)
-				t.n--
-				return t.pool.Unpin(id, true)
-			}
-		}
-		// Duplicates may spill into the next leaf.
-		next, ok := leafNext(b)
-		if err := t.pool.Unpin(id, false); err != nil {
-			return err
-		}
-		if !ok {
-			return errKeyNotFound
 		}
 		id = next
 	}

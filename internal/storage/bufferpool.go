@@ -129,10 +129,3 @@ func (bp *BufferPool) Stats() (hits, misses uint64) {
 	defer bp.mu.Unlock()
 	return bp.hits, bp.misses
 }
-
-// Resident returns the number of frames currently cached.
-func (bp *BufferPool) Resident() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return len(bp.frames)
-}

@@ -90,48 +90,7 @@ func (h *HeapFile) Get(oid OID) ([]byte, error) {
 	return out, nil
 }
 
-// Delete removes the record at oid.
-func (h *HeapFile) Delete(oid OID) error {
-	if oid.Volume != h.vol.ID() {
-		return fmt.Errorf("storage: OID %v is not on volume %d", oid, h.vol.ID())
-	}
-	page, err := h.pool.Pin(oid.Page)
-	if err != nil {
-		return err
-	}
-	derr := page.Delete(int(oid.Slot))
-	if uerr := h.pool.Unpin(oid.Page, derr == nil); uerr != nil {
-		return uerr
-	}
-	return derr
-}
-
-// Update replaces the record at oid in place when the new value fits in the
-// page, otherwise it deletes and re-inserts, returning the (possibly new)
-// OID.
-func (h *HeapFile) Update(oid OID, rec []byte) (OID, error) {
-	if err := h.Delete(oid); err != nil {
-		return OID{}, err
-	}
-	// Compact the page so the replacement can reuse the space if possible.
-	page, err := h.pool.Pin(oid.Page)
-	if err != nil {
-		return OID{}, err
-	}
-	page.Compact()
-	if slot, ierr := page.Insert(rec); ierr == nil {
-		if err := h.pool.Unpin(oid.Page, true); err != nil {
-			return OID{}, err
-		}
-		return OID{Volume: h.vol.ID(), Page: oid.Page, Slot: uint16(slot)}, nil
-	}
-	if err := h.pool.Unpin(oid.Page, true); err != nil {
-		return OID{}, err
-	}
-	return h.Insert(rec)
-}
-
-// Scan calls fn with each live record (and its OID) in file order. fn's
+// Scan calls fn with each record (and its OID) in file order. fn's
 // record slice is only valid during the call. Scanning stops early if fn
 // returns false.
 func (h *HeapFile) Scan(fn func(OID, []byte) bool) error {
@@ -146,7 +105,8 @@ func (h *HeapFile) Scan(fn func(OID, []byte) bool) error {
 		for s := 0; s < page.Slots(); s++ {
 			rec, err := page.Get(s)
 			if err != nil {
-				continue // tombstone
+				h.pool.Unpin(id, false)
+				return err
 			}
 			if !fn(OID{Volume: h.vol.ID(), Page: id, Slot: uint16(s)}, rec) {
 				return h.pool.Unpin(id, false)
@@ -159,7 +119,7 @@ func (h *HeapFile) Scan(fn func(OID, []byte) bool) error {
 	return nil
 }
 
-// Len counts live records (O(pages)).
+// Len counts records (O(pages)).
 func (h *HeapFile) Len() (int, error) {
 	n := 0
 	err := h.Scan(func(OID, []byte) bool { n++; return true })

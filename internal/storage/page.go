@@ -18,7 +18,6 @@ const PageSize = 8192
 const (
 	pageHeaderSize = 4 // nslots(2) + freeStart(2)
 	slotEntrySize  = 4 // offset(2) + length(2)
-	slotTombstone  = 0xFFFF
 )
 
 // Errors returned by page and heap operations.
@@ -29,8 +28,8 @@ var (
 )
 
 // Page is a slotted data page. Records grow from the header forward; the
-// slot directory grows from the end backward. Slot numbers are stable for
-// the life of a record, so OIDs remain valid until deletion.
+// slot directory grows from the end backward. Records never move, so slot
+// numbers (and the OIDs built from them) stay valid.
 type Page struct {
 	buf [PageSize]byte
 }
@@ -62,28 +61,6 @@ func (p *Page) setSlot(slot, off, length int) {
 	binary.LittleEndian.PutUint16(p.buf[pos+2:pos+4], uint16(length))
 }
 
-// FreeSpace returns the bytes available for a new record, accounting for
-// the slot entry it would need if no tombstone is reusable.
-func (p *Page) FreeSpace() int {
-	free := PageSize - p.numSlots()*slotEntrySize - p.freeStart()
-	if !p.hasTombstone() {
-		free -= slotEntrySize
-	}
-	if free < 0 {
-		return 0
-	}
-	return free
-}
-
-func (p *Page) hasTombstone() bool {
-	for s := 0; s < p.numSlots(); s++ {
-		if _, l := p.slot(s); l == slotTombstone {
-			return true
-		}
-	}
-	return false
-}
-
 // MaxRecord is the largest record a single page can hold.
 const MaxRecord = PageSize - pageHeaderSize - slotEntrySize
 
@@ -93,27 +70,14 @@ func (p *Page) Insert(rec []byte) (int, error) {
 	if len(rec) > MaxRecord {
 		return 0, ErrRecordTooBig
 	}
-	slot := -1
-	for s := 0; s < p.numSlots(); s++ {
-		if _, l := p.slot(s); l == slotTombstone {
-			slot = s
-			break
-		}
-	}
-	need := len(rec)
-	if slot < 0 {
-		need += slotEntrySize
-	}
-	if PageSize-p.numSlots()*slotEntrySize-p.freeStart() < need {
+	slot := p.numSlots()
+	if PageSize-(slot+1)*slotEntrySize-p.freeStart() < len(rec) {
 		return 0, ErrPageFull
 	}
 	off := p.freeStart()
 	copy(p.buf[off:], rec)
 	p.setFreeStart(off + len(rec))
-	if slot < 0 {
-		slot = p.numSlots()
-		p.setNumSlots(slot + 1)
-	}
+	p.setNumSlots(slot + 1)
 	p.setSlot(slot, off, len(rec))
 	return slot, nil
 }
@@ -125,53 +89,10 @@ func (p *Page) Get(slot int) ([]byte, error) {
 		return nil, ErrNoSuchRecord
 	}
 	off, length := p.slot(slot)
-	if length == slotTombstone {
-		return nil, ErrNoSuchRecord
-	}
 	return p.buf[off : off+length], nil
 }
 
-// Delete tombstones the record in slot. Space is reclaimed by Compact.
-func (p *Page) Delete(slot int) error {
-	if slot < 0 || slot >= p.numSlots() {
-		return ErrNoSuchRecord
-	}
-	if _, l := p.slot(slot); l == slotTombstone {
-		return ErrNoSuchRecord
-	}
-	off, _ := p.slot(slot)
-	p.setSlot(slot, off, slotTombstone)
-	return nil
-}
-
-// Compact rewrites live records contiguously, reclaiming deleted space
-// while preserving slot numbers (and therefore OIDs).
-func (p *Page) Compact() {
-	type rec struct {
-		slot int
-		data []byte
-	}
-	var live []rec
-	for s := 0; s < p.numSlots(); s++ {
-		off, l := p.slot(s)
-		if l == slotTombstone {
-			continue
-		}
-		cp := make([]byte, l)
-		copy(cp, p.buf[off:off+l])
-		live = append(live, rec{s, cp})
-	}
-	next := pageHeaderSize
-	for _, r := range live {
-		copy(p.buf[next:], r.data)
-		p.setSlot(r.slot, next, len(r.data))
-		next += len(r.data)
-	}
-	p.setFreeStart(next)
-}
-
-// Slots returns the slot directory size (including tombstones); Scan
-// callers iterate [0, Slots()).
+// Slots returns the slot directory size; Scan callers iterate [0, Slots()).
 func (p *Page) Slots() int { return p.numSlots() }
 
 // Bytes exposes the raw page image for volume I/O.

@@ -26,16 +26,14 @@ func (o OID) String() string { return fmt.Sprintf("%d.%d.%d", o.Volume, o.Page, 
 var ErrNoSuchPage = errors.New("storage: no such page")
 
 // Volume is the persistent page store of one server: an append-allocated
-// array of page images with a free list. It stands in for a Shore volume on
+// array of page images. It stands in for a Shore volume on
 // a raw disk; images live in memory but are only reachable through page
 // reads, keeping the buffer pool honest.
 type Volume struct {
 	id uint16
 
-	mu            sync.Mutex
-	pages         [][]byte
-	free          []PageID
-	reads, writes uint64
+	mu    sync.Mutex
+	pages [][]byte
 }
 
 // NewVolume creates an empty volume with the given id.
@@ -50,28 +48,10 @@ func (v *Volume) ID() uint16 { return v.id }
 func (v *Volume) Alloc() PageID {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if n := len(v.free); n > 0 {
-		id := v.free[n-1]
-		v.free = v.free[:n-1]
-		copy(v.pages[id], NewPage().Bytes())
-		return id
-	}
 	img := make([]byte, PageSize)
 	copy(img, NewPage().Bytes())
 	v.pages = append(v.pages, img)
 	return PageID(len(v.pages) - 1)
-}
-
-// Free returns a page to the free list. The caller must ensure no live
-// references remain.
-func (v *Volume) Free(id PageID) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if int(id) >= len(v.pages) {
-		return ErrNoSuchPage
-	}
-	v.free = append(v.free, id)
-	return nil
 }
 
 // ReadPage copies the stored image of page id into a fresh Page.
@@ -81,7 +61,6 @@ func (v *Volume) ReadPage(id PageID) (*Page, error) {
 	if int(id) >= len(v.pages) {
 		return nil, ErrNoSuchPage
 	}
-	v.reads++
 	return LoadPage(v.pages[id])
 }
 
@@ -92,22 +71,6 @@ func (v *Volume) WritePage(id PageID, p *Page) error {
 	if int(id) >= len(v.pages) {
 		return ErrNoSuchPage
 	}
-	v.writes++
 	copy(v.pages[id], p.Bytes())
 	return nil
-}
-
-// NumPages returns the number of allocated pages (including freed ones not
-// yet reused).
-func (v *Volume) NumPages() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.pages)
-}
-
-// IOStats returns the cumulative physical read and write counts.
-func (v *Volume) IOStats() (reads, writes uint64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.reads, v.writes
 }

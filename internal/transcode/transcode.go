@@ -96,16 +96,6 @@ func PerFrameService(src, dst qos.AppQoS) simtime.Time {
 	return simtime.Time(float64(simtime.Seconds(1)) * perSecond / dst.FrameRate)
 }
 
-// Offline produces the variant resulting from transcoding video v's src
-// variant to the target quality, after validation. This is what the
-// replicator runs when materializing the quality ladder.
-func Offline(src media.Variant, dst qos.AppQoS) (media.Variant, error) {
-	if err := Validate(src.Quality, dst); err != nil {
-		return media.Variant{}, err
-	}
-	return media.NewVariant(dst), nil
-}
-
 // Bytes re-encodes a toy bitstream read from r at the dst quality, writing
 // to w. Frame count and GOP structure are preserved when the frame rate is
 // unchanged; a reduced frame rate drops frames uniformly, like the real

@@ -82,23 +82,6 @@ func TestPerFrameService(t *testing.T) {
 	}
 }
 
-func TestOffline(t *testing.T) {
-	src := media.NewVariant(dvd)
-	out, err := Offline(src, cif)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Quality != cif {
-		t.Fatalf("offline quality = %v", out.Quality)
-	}
-	if out.Bitrate >= src.Bitrate {
-		t.Fatal("transcoded variant should have lower bitrate")
-	}
-	if _, err := Offline(media.NewVariant(cif), dvd); err == nil {
-		t.Fatal("offline upscale accepted")
-	}
-}
-
 func clipVideo() *media.Video {
 	return &media.Video{
 		ID: 1, Title: "clip", Duration: simtime.Seconds(3), FrameRate: 24,

@@ -126,8 +126,8 @@ func TestStepDownOnBestEffortResizesDemand(t *testing.T) {
 		t.Fatalf("drop after step-down = %v", s.Drop())
 	}
 	want := va.Bitrate * DropAllB.ByteFactor(v, va)
-	if got := node.Link().NumFlows(); got != 1 {
-		t.Fatalf("flows = %d", got)
+	if got := bestEffortLoad(node.Link()); math.Abs(got-want) > 1e-6 {
+		t.Fatalf("best-effort load = %v, want only the resized flow's %v", got, want)
 	}
 	if got := s.currentRate(); math.Abs(got-want) > 1e-6 {
 		t.Fatalf("flow rate = %v, want resized demand %v", got, want)

@@ -51,14 +51,3 @@ func AnalyzePlayout(arrivals []simtime.Time, interval simtime.Time, startupFrame
 	}
 	return r
 }
-
-// PlayoutOK reports whether the playout was acceptable: bounded startup
-// and no more than the given stall budget.
-func (r PlayoutReport) PlayoutOK(maxStartup, maxStalled simtime.Time) bool {
-	return r.Startup <= maxStartup && r.Stalled <= maxStalled
-}
-
-// ClientArrivals returns the recorded client-side frame arrival times.
-// Arrivals are recorded when both Config.Path and Config.TraceFrames are
-// set, capped at TraceFrames entries.
-func (s *Session) ClientArrivals() []simtime.Time { return s.clientArrivals }

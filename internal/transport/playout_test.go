@@ -4,8 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"quasaq/internal/gara"
-	"quasaq/internal/netsim"
 	"quasaq/internal/simtime"
 )
 
@@ -29,9 +27,6 @@ func TestAnalyzePlayoutSmooth(t *testing.T) {
 	if r.Played != 100 {
 		t.Fatalf("played = %d", r.Played)
 	}
-	if !r.PlayoutOK(time.Second, 0) {
-		t.Fatal("smooth playout not OK")
-	}
 }
 
 func TestAnalyzePlayoutWithGap(t *testing.T) {
@@ -47,9 +42,6 @@ func TestAnalyzePlayoutWithGap(t *testing.T) {
 	}
 	if r.Stalled < 800*time.Millisecond || r.Stalled > 1200*time.Millisecond {
 		t.Fatalf("stalled = %v, want ~1s", r.Stalled)
-	}
-	if r.PlayoutOK(time.Second, 100*time.Millisecond) {
-		t.Fatal("stalled playout reported OK")
 	}
 }
 
@@ -94,39 +86,5 @@ func TestAnalyzePlayoutEdgeCases(t *testing.T) {
 	r := AnalyzePlayout(evenArrivals(3, time.Millisecond), time.Millisecond, 100)
 	if r.Played != 3 {
 		t.Fatalf("played = %d", r.Played)
-	}
-}
-
-func TestSessionRecordsClientArrivals(t *testing.T) {
-	sim := simtime.NewSimulator()
-	node := gara.NewNode(sim, "srv", gara.DefaultCapacity())
-	v := testVideo(20)
-	va := dvdVariant(v.FrameRate)
-	lease, err := node.Reserve("s", streamDemand(va, v.FrameRate, DropNone, v), v.FrameInterval())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := netsim.DefaultCampusPath()
-	s, err := StartReserved(sim, node, Config{
-		Video: v, Variant: va, Path: &path, PathSeed: 3, TraceFrames: 200,
-	}, lease, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Run()
-	arr := s.ClientArrivals()
-	if len(arr) != 200 {
-		t.Fatalf("arrivals recorded = %d, want 200 (cap)", len(arr))
-	}
-	for i := 1; i < len(arr); i++ {
-		if arr[i] < arr[i-1] {
-			t.Fatal("arrivals not monotone")
-		}
-	}
-	// A reserved stream through a campus path plays cleanly with a
-	// one-GOP buffer.
-	r := AnalyzePlayout(arr, v.FrameInterval(), 16)
-	if r.Rebuffers > 1 {
-		t.Fatalf("reserved stream rebuffered %d times", r.Rebuffers)
 	}
 }

@@ -53,11 +53,6 @@ type Config struct {
 	// TraceFrames > 0 records the completion times of the first N
 	// delivered frames for Figure 5 style analysis.
 	TraceFrames int
-	// Path, when set, models the server-to-client network path: client
-	// arrival times add the path's delay distribution and its random loss.
-	// PathSeed makes the path's draws deterministic per session.
-	Path     *netsim.Path
-	PathSeed int64
 	// StartFrame begins delivery at the given frame index instead of 0:
 	// the resume point of a mid-playback renegotiation.
 	StartFrame int
@@ -117,7 +112,6 @@ type Session struct {
 	done       bool
 	cancelled  bool
 	failed     bool
-	failCause  error
 	onDone     func(*Session)
 	onFail     func(*Session, error)
 	trace      stats.Trace
@@ -145,15 +139,6 @@ type Session struct {
 	haveDone   bool
 	delayStats stats.Summary // inter-frame delays, milliseconds
 	jitterSum  float64       // sum of |delay - ideal| over delay samples, ms
-
-	// Client-side accounting, active when cfg.Path is set.
-	pathRng        *simtime.Rand
-	clientLast     simtime.Time
-	clientHave     bool
-	clientStats    stats.Summary // client inter-frame delays, milliseconds
-	clientLost     int
-	clientFrames   int
-	clientArrivals []simtime.Time // recorded when TraceFrames > 0
 }
 
 // StartReserved begins a session whose resources are held by lease; the
@@ -201,11 +186,7 @@ func newSession(sim *simtime.Simulator, node *gara.Node, cfg Config, onDone func
 	if cfg.Video == nil {
 		panic("transport: nil video")
 	}
-	s := &Session{sim: sim, node: node, cfg: cfg, onDone: onDone, started: sim.Now()}
-	if cfg.Path != nil {
-		s.pathRng = simtime.NewRand(cfg.PathSeed)
-	}
-	return s
+	return &Session{sim: sim, node: node, cfg: cfg, onDone: onDone, started: sim.Now()}
 }
 
 // instrument resolves the session's per-site counters from the node's
@@ -297,15 +278,6 @@ func (s *Session) totalFrames() int {
 		return s.cfg.EndFrame
 	}
 	return total
-}
-
-// StartedAtFrame returns the GOP-rounded frame index the session actually
-// began delivering from (0 for a fresh playback).
-func (s *Session) StartedAtFrame() int {
-	if s.cfg.StartFrame <= 0 {
-		return 0
-	}
-	return s.cfg.StartFrame - s.cfg.StartFrame%s.cfg.Video.GOP.Len()
 }
 
 // Reserved reports whether the session streams on reserved resources (as
@@ -486,26 +458,6 @@ func (s *Session) frameDone(size int, at simtime.Time) {
 	if s.cfg.TraceFrames > 0 && s.trace.Len() < s.cfg.TraceFrames {
 		s.trace.Add(at, float64(size))
 	}
-	if s.cfg.Path != nil {
-		delay, lost := s.cfg.Path.Sample(s.pathRng)
-		if lost {
-			s.clientLost++
-		} else {
-			arrival := at + delay
-			if s.clientHave && arrival < s.clientLast {
-				arrival = s.clientLast // FIFO path: no reordering
-			}
-			if s.clientHave {
-				s.clientStats.Add(simtime.ToSeconds(arrival-s.clientLast) * 1000)
-			}
-			s.clientHave = true
-			s.clientLast = arrival
-			s.clientFrames++
-			if s.cfg.TraceFrames > 0 && len(s.clientArrivals) < s.cfg.TraceFrames {
-				s.clientArrivals = append(s.clientArrivals, arrival)
-			}
-		}
-	}
 	s.maybeFinish()
 }
 
@@ -575,7 +527,6 @@ func (s *Session) Fail(cause error) {
 	}
 	s.done = true
 	s.failed = true
-	s.failCause = cause
 	s.finished = s.sim.Now()
 	s.mFailed.Inc()
 	s.releaseResources()
@@ -592,12 +543,6 @@ func (s *Session) Cancelled() bool { return s.cancelled }
 
 // Failed reports whether the session was aborted by a mid-stream fault.
 func (s *Session) Failed() bool { return s.failed }
-
-// FailCause returns the fault that aborted the session (nil unless Failed).
-func (s *Session) FailCause() error { return s.failCause }
-
-// Started returns the session's start time.
-func (s *Session) Started() simtime.Time { return s.started }
 
 // Finished returns the completion time (zero until done).
 func (s *Session) Finished() simtime.Time { return s.finished }
@@ -700,18 +645,6 @@ func (s *Session) IdealInterFrameMillis() float64 {
 	}
 	return 1000 / fps
 }
-
-// ClientDelayStats returns the client-side inter-frame delay summary in
-// milliseconds; empty unless Config.Path was set. The paper reports that
-// client-side data "show similar results" to the server side (§5.1) — the
-// path only adds its (small) jitter on top.
-func (s *Session) ClientDelayStats() *stats.Summary { return &s.clientStats }
-
-// ClientFramesLost returns frames lost on the server-to-client path.
-func (s *Session) ClientFramesLost() int { return s.clientLost }
-
-// ClientFramesArrived returns frames that reached the client.
-func (s *Session) ClientFramesArrived() int { return s.clientFrames }
 
 // QoSOK reports whether the finished session met its QoS: bounded loss and
 // a mean inter-frame delay near ideal. This is the "succeeded session"

@@ -114,7 +114,7 @@ func TestReservedSessionDeliversAllFrames(t *testing.T) {
 		t.Fatalf("delivered %d frames, want %d", s.FramesDelivered(), v.Frames())
 	}
 	// Duration should be within a GOP of the nominal playback time.
-	elapsed := simtime.ToSeconds(s.Finished() - s.Started())
+	elapsed := simtime.ToSeconds(s.Finished() - s.started)
 	if elapsed < 9.5 || elapsed > 11.5 {
 		t.Fatalf("session took %.2f s for a 10 s video", elapsed)
 	}
@@ -162,6 +162,15 @@ func TestReservedSessionInterFrameStats(t *testing.T) {
 	}
 }
 
+// bestEffortLoad returns the bandwidth the link's best-effort flows take:
+// a probe flow demanding the whole link is left exactly the unreserved
+// capacity they do not use (max-min fairness, every other demand smaller).
+func bestEffortLoad(l *netsim.Link) float64 {
+	p := l.Join(2*l.Capacity(), nil)
+	defer p.Leave()
+	return l.Available() - p.Rate()
+}
+
 func TestBestEffortSessionCompletes(t *testing.T) {
 	sim := simtime.NewSimulator()
 	node := gara.NewNode(sim, "srv", gara.DefaultCapacity())
@@ -176,8 +185,8 @@ func TestBestEffortSessionCompletes(t *testing.T) {
 	if !s.Done() || doneAt == 0 {
 		t.Fatal("best-effort session never finished")
 	}
-	if node.Link().NumFlows() != 0 {
-		t.Fatal("flow leaked")
+	if load := bestEffortLoad(node.Link()); load != 0 {
+		t.Fatalf("flow leaked: %v B/s of best-effort load left", load)
 	}
 	if s.BytesDelivered() <= 0 {
 		t.Fatal("no bytes accounted")
@@ -340,56 +349,6 @@ func TestStartReservedValidation(t *testing.T) {
 	}
 	if _, err := StartReserved(sim, node, Config{Video: v, Variant: va}, l, nil); err == nil {
 		t.Fatal("lease without CPU job accepted")
-	}
-}
-
-func TestClientSidePathStats(t *testing.T) {
-	// The paper: "Data collected on the client side show similar results".
-	// A campus path must leave the client-side mean near the server-side
-	// ideal with slightly higher dispersion, plus a trickle of loss.
-	sim := simtime.NewSimulator()
-	node := gara.NewNode(sim, "srv", gara.DefaultCapacity())
-	v := testVideo(60)
-	va := dvdVariant(v.FrameRate)
-	lease, err := node.Reserve("s", streamDemand(va, v.FrameRate, DropNone, v), v.FrameInterval())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := netsim.DefaultCampusPath()
-	s, err := StartReserved(sim, node, Config{Video: v, Variant: va, Path: &path, PathSeed: 5}, lease, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Run()
-	server := s.DelayStats()
-	client := s.ClientDelayStats()
-	if client.N() == 0 {
-		t.Fatal("no client-side samples")
-	}
-	if d := client.Mean() - server.Mean(); d < -2 || d > 2 {
-		t.Fatalf("client mean %.2f far from server mean %.2f", client.Mean(), server.Mean())
-	}
-	if client.StdDev() < server.StdDev()-1 {
-		t.Fatalf("client SD %.2f below server SD %.2f", client.StdDev(), server.StdDev())
-	}
-	arrived, lost := s.ClientFramesArrived(), s.ClientFramesLost()
-	if arrived+lost != s.FramesDelivered() {
-		t.Fatalf("client accounting: %d + %d != %d", arrived, lost, s.FramesDelivered())
-	}
-	if lost == 0 {
-		t.Fatal("0.1% loss over ~1400 frames should drop at least one frame")
-	}
-}
-
-func TestPathSampleDeterministic(t *testing.T) {
-	p := netsim.DefaultCampusPath()
-	a, b := simtime.NewRand(9), simtime.NewRand(9)
-	for i := 0; i < 100; i++ {
-		d1, l1 := p.Sample(a)
-		d2, l2 := p.Sample(b)
-		if d1 != d2 || l1 != l2 {
-			t.Fatal("path sampling not deterministic")
-		}
 	}
 }
 

@@ -3,8 +3,6 @@ package vdbms
 import (
 	"strings"
 	"testing"
-
-	"quasaq/internal/media"
 )
 
 func pathFor(t *testing.T, src string) AccessPath {
@@ -143,40 +141,5 @@ func TestExplain(t *testing.T) {
 	out, _ = e.Explain("SELECT * FROM videos WHERE duration < 60")
 	if !strings.Contains(out, "index range scan") {
 		t.Fatalf("explain %q", out)
-	}
-}
-
-func TestDeleteVideo(t *testing.T) {
-	e := newCatalog(t)
-	if err := e.DeleteVideo(7); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.DeleteVideo(7); err == nil {
-		t.Fatal("double delete succeeded")
-	}
-	if e.Len() != 14 {
-		t.Fatalf("len = %d", e.Len())
-	}
-	// Neither access path may resurface it.
-	res, _, err := e.ExecuteSQL("SELECT * FROM videos WHERE id = 7")
-	if err != nil || len(res) != 0 {
-		t.Fatalf("id index finds deleted video: %v %v", res, err)
-	}
-	res, _, err = e.ExecuteSQL("SELECT * FROM videos WHERE fps > 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res {
-		if r.Video.ID == 7 {
-			t.Fatal("full scan finds deleted video")
-		}
-	}
-	// Reinsert works.
-	if err := e.InsertVideo(media.StandardCorpus(42)[6]); err != nil {
-		t.Fatal(err)
-	}
-	res, _, _ = e.ExecuteSQL("SELECT * FROM videos WHERE id = 7")
-	if len(res) != 1 {
-		t.Fatal("reinserted video not found")
 	}
 }

@@ -161,41 +161,6 @@ func (e *Engine) InsertVideo(v *media.Video) error {
 	return nil
 }
 
-// DeleteVideo removes a video from the catalog and its indexes. Replicas
-// and in-flight sessions are the metadata layer's concern; this only
-// removes content-phase visibility.
-func (e *Engine) DeleteVideo(id media.VideoID) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	oid, ok := e.byID[id]
-	if !ok {
-		return fmt.Errorf("vdbms: no video %v", id)
-	}
-	v := e.videos[id]
-	if err := e.heap.Delete(oid); err != nil {
-		return err
-	}
-	if err := e.idIdx.Delete(int64(id), oid); err != nil {
-		return fmt.Errorf("vdbms: id index delete: %w", err)
-	}
-	durKey := int64(simtime.ToSeconds(v.Duration) * 1000)
-	if err := e.durIdx.Delete(durKey, oid); err != nil {
-		return fmt.Errorf("vdbms: duration index delete: %w", err)
-	}
-	if err := e.titleIdx.Delete(strKey(v.Title), oid); err != nil {
-		return fmt.Errorf("vdbms: title index delete: %w", err)
-	}
-	for _, tag := range v.Tags {
-		if err := e.tagIdx.Delete(tagKey(tag), oid); err != nil {
-			return fmt.Errorf("vdbms: tag index delete: %w", err)
-		}
-	}
-	delete(e.byID, id)
-	delete(e.videos, id)
-	delete(e.shots, id)
-	return nil
-}
-
 // Video resolves a logical OID to its video object.
 func (e *Engine) Video(id media.VideoID) (*media.Video, error) {
 	e.mu.RLock()

@@ -389,20 +389,6 @@ func (db *DB) ConfigureControl(cfg ControlPlaneConfig) error {
 	return db.cluster.ConfigureControl(cfg)
 }
 
-// DeliverToClient is Deliver with a modeled server-to-client network path
-// (2-3 campus hops by default): the session additionally records
-// client-side inter-frame delays and path loss. Pass n > 0 to also keep a
-// server-side frame trace.
-func (db *DB) DeliverToClient(site string, id VideoID, req Requirement, n int) (*Delivery, error) {
-	db.observe(site, id, req)
-	path := netsim.DefaultCampusPath()
-	return db.manager.Service(site, id, req, core.ServiceOptions{
-		TraceFrames: n,
-		Path:        &path,
-		PathSeed:    int64(id)*7919 + 17,
-	})
-}
-
 func (db *DB) observe(site string, id VideoID, req Requirement) {
 	if db.dynamic != nil {
 		db.dynamic.Observe(id, req)
@@ -555,28 +541,6 @@ func (db *DB) RestoreSite(site string) error {
 func (db *DB) SiteDown(site string) bool {
 	n, err := db.cluster.Node(site)
 	return err == nil && n.Down()
-}
-
-// DegradeLink caps a site's outbound link at factor (0,1] of its
-// configured capacity, revoking newest-first any reservations that no
-// longer fit.
-func (db *DB) DegradeLink(site string, factor float64) error {
-	n, err := db.cluster.Node(site)
-	if err != nil {
-		return err
-	}
-	n.Link().Degrade(factor)
-	return nil
-}
-
-// RestoreLink returns a site's outbound link to full configured capacity.
-func (db *DB) RestoreLink(site string) error {
-	n, err := db.cluster.Node(site)
-	if err != nil {
-		return err
-	}
-	n.Link().Restore()
-	return nil
 }
 
 // InjectFaults arms a fault schedule against the database's sites on the
@@ -760,25 +724,6 @@ func (db *DB) EdgeStats() EdgeStats {
 // waiters expire with ErrAdmissionDeadline after Deadline.
 func (db *DB) ConfigureAdmissionQueue(cfg AdmissionQueueConfig) error {
 	return db.manager.ConfigureAdmissionQueue(cfg)
-}
-
-// CongestLink squeezes a site's outbound link to factor (0,1] of its
-// effective capacity with cross traffic: reservations stay booked but
-// achieved rates drop — the observable drift the guardian reacts to.
-// UncongestLink (or RestoreLink) clears it.
-func (db *DB) CongestLink(site string, factor float64) error {
-	n, err := db.cluster.Node(site)
-	if err != nil {
-		return err
-	}
-	n.Link().Congest(factor)
-	return nil
-}
-
-// UncongestLink clears cross-traffic congestion on a site's outbound link
-// without touching any degradation or partition state.
-func (db *DB) UncongestLink(site string) error {
-	return db.CongestLink(site, 1)
 }
 
 // Stats reports quality-manager outcome counters.

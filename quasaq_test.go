@@ -242,23 +242,6 @@ func TestEnableDynamicReplication(t *testing.T) {
 	}
 }
 
-func TestDeliverToClient(t *testing.T) {
-	db := openLoaded(t, Options{})
-	d, err := db.DeliverToClient("srv-a", 1, Requirement{MinResolution: ResVCD, MaxResolution: ResCIF}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.RunUntilIdle()
-	if d.Session.ClientFramesArrived() == 0 {
-		t.Fatal("no frames reached the client")
-	}
-	cs := d.Session.ClientDelayStats()
-	ss := d.Session.DelayStats()
-	if diff := cs.Mean() - ss.Mean(); diff < -2 || diff > 2 {
-		t.Fatalf("client mean %.2f far from server mean %.2f", cs.Mean(), ss.Mean())
-	}
-}
-
 func TestDynamicReplicasZeroWhenDisabled(t *testing.T) {
 	db := openLoaded(t, Options{})
 	if db.DynamicReplicasCreated() != 0 {
