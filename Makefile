@@ -31,11 +31,14 @@ race:
 	$(GO) test -race ./...
 
 # Short coverage-guided fuzz passes: the MPEG layering parser (parse or
-# ErrCorrupt, never panic) and the WITH QOS clause parser (parse or a
-# positioned error, never panic; accepted clauses re-parse canonically).
+# ErrCorrupt, never panic), the WITH QOS clause parser (parse or a
+# positioned error, never panic; accepted clauses re-parse canonically) and
+# the fault-schedule parser (parse or an error, never panic; accepted
+# factors lie in (0,1]; accepted schedules re-parse to the same events).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParser -fuzztime=10s ./internal/mpeg
 	$(GO) test -fuzz=FuzzQoSClause -fuzztime=10s ./internal/vdbms
+	$(GO) test -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/faults
 
 # The repository's benchmark (bench/README.md): five workloads, seven
 # end-to-end metrics each; `go run ./bench <workload> -trace 1` adds the
