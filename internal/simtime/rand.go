@@ -65,17 +65,9 @@ func (r *Rand) Float64() float64 { return r.r.Float64() }
 // Intn returns a uniform sample in [0,n).
 func (r *Rand) Intn(n int) int { return r.r.Intn(n) }
 
-// Int63 returns a non-negative uniform 63-bit integer.
-func (r *Rand) Int63() int64 { return r.r.Int63() }
-
 // Uniform returns a uniform sample in [lo,hi).
 func (r *Rand) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.r.Float64()
-}
-
-// Exp returns an exponential sample with the given mean (not rate).
-func (r *Rand) Exp(mean float64) float64 {
-	return r.r.ExpFloat64() * mean
 }
 
 // ExpDur returns an exponential virtual-time sample with the given mean.
