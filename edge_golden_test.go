@@ -1,6 +1,7 @@
 package quasaq
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -30,6 +31,7 @@ func metricTotal(db *DB, name string) float64 {
 func TestColdEdgeGoldenEquivalence(t *testing.T) {
 	plain := openLoaded(t, Options{})
 	wantStats, wantOutcomes := goldenFarmWorkload(t, plain)
+	checkGolden(t, "edge-plain", wantStats+"\n"+strings.Join(wantOutcomes, "\n")+"\n")
 
 	edged := openLoaded(t, Options{})
 	if err := edged.EnableEdgeTier([]EdgeSite{{Name: "edge-a"}, {Name: "edge-b"}}, neverAdmit()); err != nil {
