@@ -24,6 +24,26 @@ const (
 	tokKeyword
 )
 
+// String names the kind the way a parse error reports what it expected.
+func (k tokenKind) String() string {
+	switch k {
+	case tokEOF:
+		return "end of input"
+	case tokIdent:
+		return "identifier"
+	case tokString:
+		return "string"
+	case tokNumber:
+		return "number"
+	case tokOp:
+		return "operator"
+	case tokKeyword:
+		return "keyword"
+	default:
+		return "?"
+	}
+}
+
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
 	"NOT": true, "CONTAINS": true, "SIMILAR": true, "TO": true, "LIMIT": true,

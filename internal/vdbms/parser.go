@@ -191,11 +191,23 @@ func (p *parser) accept(kind tokenKind, text string) bool {
 	return false
 }
 
+// expect consumes the current token if it matches kind (and text, unless
+// text is empty). The error names what was wanted — the text, or the kind
+// when any token of that kind would do — and what was found.
 func (p *parser) expect(kind tokenKind, text string) (token, error) {
 	if p.at(kind, text) {
 		return p.next(), nil
 	}
-	return token{}, fmt.Errorf("vdbms: expected %q, found %q at %d", text, p.cur().text, p.cur().pos)
+	want := kind.String()
+	if text != "" {
+		want = fmt.Sprintf("%q", text)
+	}
+	cur := p.cur()
+	found := fmt.Sprintf("%q", cur.text)
+	if cur.kind == tokEOF {
+		found = tokEOF.String()
+	}
+	return token{}, fmt.Errorf("vdbms: expected %s, found %s at %d", want, found, cur.pos)
 }
 
 func (p *parser) parseQuery() (*Query, error) {

@@ -71,6 +71,22 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseErrorsNameExpectedKind: a query cut off where any token of one
+// kind would do reports that kind and where the input ended.
+func TestParseErrorsNameExpectedKind(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"SELECT * FROM videos WITH QOS (", "vdbms: expected identifier, found end of input at 31"},
+		{"SELECT * FROM videos LIMIT", "vdbms: expected number, found end of input at 26"},
+		{"SELECT * FROM videos SIMILAR TO", "vdbms: expected string, found end of input at 31"},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) error = %v, want %q", c.src, err, c.want)
+		}
+	}
+}
+
 func TestParseQoSClause(t *testing.T) {
 	q, err := Parse("SELECT * FROM videos WHERE id = 1 WITH QOS (" +
 		"resolution >= 'VCD', resolution <= 352x288, depth >= 16, " +
