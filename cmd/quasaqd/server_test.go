@@ -10,17 +10,25 @@ import (
 	"quasaq"
 )
 
+// loadedDB opens the database quasaqd serves by default: the standard
+// corpus at its default seed.
+func loadedDB(tb testing.TB) *quasaq.DB {
+	tb.Helper()
+	db, err := quasaq.Open(quasaq.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := db.AddVideos(quasaq.StandardCorpus(42)); err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
+
 // startTestServer runs a server on an ephemeral port with a frozen clock
 // (speed tiny so ticks do not interfere with assertions).
 func startTestServer(t *testing.T) net.Addr {
 	t.Helper()
-	db, err := quasaq.Open(quasaq.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.AddVideos(quasaq.StandardCorpus(42)); err != nil {
-		t.Fatal(err)
-	}
+	db := loadedDB(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
