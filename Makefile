@@ -30,13 +30,14 @@ shuffle:
 race:
 	$(GO) test -race ./...
 
-# Short coverage-guided fuzz passes: the MPEG layering parser (parse or
-# ErrCorrupt, never panic), the WITH QOS clause parser (parse or a
+# Short coverage-guided fuzz passes: the quasaqd line protocol (every reply
+# is one ERR line, or payload lines ended by OK, with no payload line that
+# reads as a terminator), the WITH QOS clause parser (parse or a
 # positioned error, never panic; accepted clauses re-parse canonically) and
 # the fault-schedule parser (parse or an error, never panic; accepted
 # factors lie in (0,1]; accepted schedules re-parse to the same events).
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzParser -fuzztime=10s ./internal/mpeg
+	$(GO) test -fuzz=FuzzDispatch -fuzztime=10s ./cmd/quasaqd
 	$(GO) test -fuzz=FuzzQoSClause -fuzztime=10s ./internal/vdbms
 	$(GO) test -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/faults
 

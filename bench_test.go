@@ -171,39 +171,6 @@ func BenchmarkDynamicReplication(b *testing.B) {
 	}
 }
 
-// BenchmarkConfigurableOptimizer exercises the paper's E = G/C framework
-// (§3.4 "configurable query optimizer"): the throughput gain (LRB-
-// equivalent) against the user-satisfaction gain, measuring total
-// delivered pixel rate and admitted sessions for the same offered load.
-func BenchmarkConfigurableOptimizer(b *testing.B) {
-	run := func(model core.CostModel) (admitted int, pixels float64) {
-		sim := simtime.NewSimulator()
-		c := core.TestbedCluster(sim)
-		if _, err := c.LoadCorpus(media.StandardCorpus(42), replication.DefaultPolicy()); err != nil {
-			b.Fatal(err)
-		}
-		mgr := core.NewManager(c, model)
-		req := qos.Requirement{MinResolution: qos.ResVCD, MinColorDepth: 16, MinFrameRate: 20}
-		for i := 0; i < 60; i++ {
-			d, err := mgr.Service(c.Sites()[i%3], media.VideoID(1+i%15), req, core.ServiceOptions{})
-			if err != nil {
-				continue
-			}
-			admitted++
-			pixels += float64(d.Plan.Delivered.Resolution.Pixels()) * d.Plan.Delivered.FrameRate
-		}
-		return admitted, pixels
-	}
-	for i := 0; i < b.N; i++ {
-		tA, pA := run(core.LRB{})
-		tB, pB := run(core.Efficiency{Gain: core.QualityGain})
-		b.ReportMetric(float64(tA), "throughput-gain-admitted")
-		b.ReportMetric(pA/1e6, "throughput-gain-Mpix/s")
-		b.ReportMetric(float64(tB), "quality-gain-admitted")
-		b.ReportMetric(pB/1e6, "quality-gain-Mpix/s")
-	}
-}
-
 // benchCluster builds a loaded testbed for micro-benchmarks.
 func benchCluster(b *testing.B) *core.Cluster {
 	b.Helper()

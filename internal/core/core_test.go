@@ -224,36 +224,6 @@ func TestRandomOrderIsPermutation(t *testing.T) {
 	}
 }
 
-func TestEfficiencyUnitGainMatchesLRB(t *testing.T) {
-	_, c := testCluster(t)
-	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
-	v, _ := c.Engine.Video(1)
-	plans := gen.GenerateAll("srv-a", v, vcdRequirement())
-	var lrb LRB
-	eff := Efficiency{Gain: UnitGain}
-	a := lrb.Order(plans, c.SiteUsage())
-	b := eff.Order(plans, c.SiteUsage())
-	for i := range a {
-		if lrb.Cost(a[i], c.SiteUsage()) != lrb.Cost(b[i], c.SiteUsage()) {
-			t.Fatalf("E=G/C with unit gain diverges from LRB at %d", i)
-		}
-	}
-}
-
-func TestQualityGainPrefersRicherPlans(t *testing.T) {
-	_, c := testCluster(t)
-	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
-	v, _ := c.Engine.Video(1)
-	plans := gen.GenerateAll("srv-a", v, qos.Requirement{MinColorDepth: 8})
-	eff := Efficiency{Gain: QualityGain}
-	ranked := eff.Order(plans, c.SiteUsage())
-	top := ranked[0].Delivered.Resolution.Pixels()
-	bottom := ranked[len(ranked)-1].Delivered.Resolution.Pixels()
-	if top < bottom {
-		t.Fatalf("quality gain ranked %d-pixel plan above %d-pixel plan", top, bottom)
-	}
-}
-
 func TestServiceAdmitsAndStreams(t *testing.T) {
 	sim, c := testCluster(t)
 	m := NewManager(c, LRB{})

@@ -163,48 +163,3 @@ func (StaticCheapest) Cost(p *Plan, usage SiteUsage) float64 {
 func (m StaticCheapest) Order(plans []*Plan, usage SiteUsage) []*Plan {
 	return sortByCost(plans, func(p *Plan) float64 { return m.Cost(p, usage) })
 }
-
-// Gain maps a plan to the benefit G of servicing the query with it,
-// realizing the configurable efficiency framework E = G / C(r) of §3.4. The
-// throughput goal uses a constant gain; a user-satisfaction goal can weight
-// the delivered quality.
-type Gain func(*Plan) float64
-
-// UnitGain is the throughput-oriented gain: every serviced query counts 1.
-func UnitGain(*Plan) float64 { return 1 }
-
-// QualityGain rewards delivered pixel throughput (a crude utility): plans
-// that deliver more of the requested quality score higher gains.
-func QualityGain(p *Plan) float64 {
-	return float64(p.Delivered.Resolution.Pixels()) * p.Delivered.FrameRate
-}
-
-// Efficiency is the configurable evaluator E = G / C(r), with C the LRB
-// cost. With UnitGain it ranks identically to LRB; with QualityGain it
-// trades resources against delivered quality ("maximized user
-// satisfaction" as an optimization goal).
-type Efficiency struct {
-	Gain Gain
-}
-
-// Name returns "efficiency".
-func (Efficiency) Name() string { return "efficiency" }
-
-// Cost is -E = -G/C, so ascending cost order is descending efficiency.
-func (m Efficiency) Cost(p *Plan, usage SiteUsage) float64 {
-	gain := m.Gain
-	if gain == nil {
-		gain = UnitGain
-	}
-	var lrb LRB
-	c := lrb.Cost(p, usage)
-	if c <= 0 {
-		c = 1e-12
-	}
-	return -gain(p) / c
-}
-
-// Order sorts by descending E = G/C.
-func (m Efficiency) Order(plans []*Plan, usage SiteUsage) []*Plan {
-	return sortByCost(plans, func(p *Plan) float64 { return m.Cost(p, usage) })
-}

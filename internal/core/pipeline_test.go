@@ -140,7 +140,7 @@ func TestBestFirstMatchesStableSort(t *testing.T) {
 	for _, model := range []interface {
 		CostModel
 		Coster
-	}{LRB{}, MinSum{}, StaticCheapest{}, Efficiency{Gain: QualityGain}} {
+	}{LRB{}, MinSum{}, StaticCheapest{}} {
 		ranked := model.Order(plans, c.SiteUsage())
 		popped := drain(NewBestFirst(plans, model, c.SiteUsage()).Next)
 		if len(ranked) != len(popped) {

@@ -1,20 +1,12 @@
 // Package cryptoact implements the encryption server activity (set A5 in
 // the paper's Figure 2). Plans may require the stream to be encrypted when
 // the query demands a security level (Table 1 lists Security among the
-// application QoS parameters); each algorithm trades CPU for strength, and
-// the plan generator uses the cost side of this package while the transport
-// uses the byte-level side.
+// application QoS parameters); each algorithm trades CPU for strength. No
+// byte is encrypted: the plan generator prices an algorithm by its CPU
+// cost, and the delivery charges that cost as CPU time per frame.
 package cryptoact
 
-import (
-	"crypto/aes"
-	"crypto/cipher"
-	"crypto/sha256"
-	"fmt"
-
-	"quasaq/internal/qos"
-	"quasaq/internal/simtime"
-)
+import "quasaq/internal/qos"
 
 // Algorithm describes one encryption choice.
 type Algorithm struct {
@@ -25,8 +17,6 @@ type Algorithm struct {
 	// Throughput is the sustainable encryption rate in bytes per second on
 	// the testbed CPU class; CPU cost of a stream is bitrate/Throughput.
 	Throughput float64
-	// rounds is the number of AES-CTR passes applied (0 = plaintext).
-	rounds int
 }
 
 // Catalog lists the supported algorithms, weakest first. Throughputs are
@@ -35,9 +25,9 @@ type Algorithm struct {
 // "strong" mode costs roughly 3x AES.
 func Catalog() []Algorithm {
 	return []Algorithm{
-		{Name: "xor-stream", Level: qos.SecurityStandard, Throughput: 400e6, rounds: 0},
-		{Name: "aes-ctr", Level: qos.SecurityStandard, Throughput: 60e6, rounds: 1},
-		{Name: "aes-ctr-x3", Level: qos.SecurityStrong, Throughput: 20e6, rounds: 3},
+		{Name: "xor-stream", Level: qos.SecurityStandard, Throughput: 400e6},
+		{Name: "aes-ctr", Level: qos.SecurityStandard, Throughput: 60e6},
+		{Name: "aes-ctr-x3", Level: qos.SecurityStrong, Throughput: 20e6},
 	}
 }
 
@@ -63,64 +53,4 @@ func (a Algorithm) CPUCost(bitrate float64) float64 {
 		return 0
 	}
 	return bitrate / a.Throughput
-}
-
-// PerFrameService converts CPUCost into per-frame scheduler service time
-// for a stream with the given frame rate.
-func (a Algorithm) PerFrameService(bitrate, frameRate float64) simtime.Time {
-	if frameRate <= 0 {
-		return 0
-	}
-	return simtime.Time(float64(simtime.Seconds(1)) * a.CPUCost(bitrate) / frameRate)
-}
-
-// Cipher is a streaming encryptor bound to a key.
-type Cipher struct {
-	alg     Algorithm
-	streams []cipher.Stream
-	xorKey  []byte
-	xorPos  int
-}
-
-// NewCipher derives a cipher for the algorithm from a key of any length.
-func NewCipher(a Algorithm, key []byte) (*Cipher, error) {
-	sum := sha256.Sum256(key)
-	c := &Cipher{alg: a}
-	if a.rounds == 0 {
-		c.xorKey = sum[:]
-		return c, nil
-	}
-	for i := 0; i < a.rounds; i++ {
-		round := sha256.Sum256(append(sum[:], byte(i)))
-		block, err := aes.NewCipher(round[:16])
-		if err != nil {
-			return nil, fmt.Errorf("cryptoact: %w", err)
-		}
-		iv := sha256.Sum256(append(round[:], 0xA5))
-		c.streams = append(c.streams, cipher.NewCTR(block, iv[:16]))
-	}
-	return c, nil
-}
-
-// Algorithm returns the cipher's algorithm descriptor.
-func (c *Cipher) Algorithm() Algorithm { return c.alg }
-
-// XORKeyStream encrypts (or, symmetrically, decrypts) src into dst, which
-// may alias. The transformation is stateful across calls, matching stream
-// delivery.
-func (c *Cipher) XORKeyStream(dst, src []byte) {
-	if len(dst) < len(src) {
-		panic("cryptoact: dst shorter than src")
-	}
-	if c.xorKey != nil {
-		for i, b := range src {
-			dst[i] = b ^ c.xorKey[c.xorPos]
-			c.xorPos = (c.xorPos + 1) % len(c.xorKey)
-		}
-		return
-	}
-	c.streams[0].XORKeyStream(dst, src)
-	for _, s := range c.streams[1:] {
-		s.XORKeyStream(dst[:len(src)], dst[:len(src)])
-	}
 }

@@ -386,7 +386,7 @@ func (m *Manager) makeRoom(sc *siteCache, bytes int64, hot int) bool {
 // bytes notionally came from, the blob lands in the edge's store, and the
 // partial replica registers in the directory — one epoch bump.
 func (m *Manager) install(sc *siteCache, v *media.Video, va media.Variant, bytes int64, hot int) bool {
-	blob, err := sc.blobs.Create(bytes, v.Seed^uint64(len(sc.name))<<48^uint64(v.ID)<<16)
+	blob, err := sc.blobs.Create(bytes)
 	if err != nil {
 		return false
 	}
@@ -468,7 +468,7 @@ func (m *Manager) promoteHot(sc *siteCache) {
 // upgrade swaps the prefix for a full replica at the same edge site in a
 // single directory transition (one epoch bump).
 func (m *Manager) upgrade(sc *siteCache, id media.VideoID, e *entry, full int64) {
-	blob, err := sc.blobs.Create(full-e.bytes, e.video.Seed^uint64(e.rep.Blob)<<8)
+	blob, err := sc.blobs.Create(full - e.bytes)
 	if err != nil {
 		return
 	}

@@ -47,7 +47,7 @@ func testWorld(t *testing.T, cfg Config) (*metadata.Directory, *Manager, []*medi
 	blobs := storage.NewBlobStore(0)
 	for _, v := range videos {
 		va := media.NewVariant(media.LadderQuality(media.LinkLAN, v.FrameRate))
-		blob, err := blobs.Create(va.SizeBytes(v), v.Seed)
+		blob, err := blobs.Create(va.SizeBytes(v))
 		if err != nil {
 			t.Fatal(err)
 		}

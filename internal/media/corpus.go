@@ -32,10 +32,10 @@ type LinkClass uint8
 
 // Link classes in decreasing bandwidth order.
 const (
-	LinkLAN LinkClass = iota
-	LinkT1
-	LinkDSL
-	LinkModem
+	LinkLAN   LinkClass = iota // 100 Mb/s Ethernet, 12.5 MB/s
+	LinkT1                     // 1.544 Mb/s, 193 kB/s
+	LinkDSL                    // 768 kb/s ADSL, typical of the paper's era, 96 kB/s
+	LinkModem                  // 56 kb/s, 7 kB/s
 )
 
 // String names the link class.
@@ -51,22 +51,6 @@ func (c LinkClass) String() string {
 		return "modem"
 	default:
 		return "?"
-	}
-}
-
-// Bandwidth returns the class's nominal capacity in bytes per second.
-func (c LinkClass) Bandwidth() float64 {
-	switch c {
-	case LinkLAN:
-		return 12.5e6 // 100 Mb/s Ethernet
-	case LinkT1:
-		return 193e3 // 1.544 Mb/s
-	case LinkDSL:
-		return 96e3 // 768 kb/s ADSL, typical of the paper's era
-	case LinkModem:
-		return 7e3 // 56 kb/s
-	default:
-		return 0
 	}
 }
 

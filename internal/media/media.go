@@ -51,8 +51,8 @@ func (k FrameKind) String() string {
 }
 
 // GOPPattern is a repeating picture-type sequence, e.g. the classic
-// IBBPBBPBBPBBPBB used by the synthetic corpus. Display order is assumed;
-// the toy bitstream does not model coded-order reordering.
+// IBBPBBPBBPBBPBB used by the synthetic corpus. Frames are in display
+// order; coded-order reordering is not modelled.
 type GOPPattern []FrameKind
 
 // DefaultGOP is the 15-frame, M=3 pattern typical of MPEG-1 video. At

@@ -209,7 +209,7 @@ func (d *Dynamic) materialize(key demandKey) bool {
 	site := candidates[0]
 
 	register := func() bool {
-		blob, err := site.Blobs.Create(va.SizeBytes(v), v.Seed^uint64(key.tier+7)<<40)
+		blob, err := site.Blobs.Create(va.SizeBytes(v))
 		if err != nil {
 			return false // quota full; migration/eviction is future work
 		}

@@ -150,7 +150,7 @@ func TestRebalanceRespectsQuota(t *testing.T) {
 	}
 	// Exhaust the remaining quota.
 	used := ss[0].Blobs.Used()
-	if _, err := ss[0].Blobs.Create((1<<30)-used, 1); err != nil {
+	if _, err := ss[0].Blobs.Create((1 << 30) - used); err != nil {
 		t.Fatal(err)
 	}
 	dyn := NewDynamic(sim, dir, videos, ss)

@@ -74,7 +74,7 @@ func Replicate(videos []*media.Video, sites []Site, dir *metadata.Directory, pol
 	var total int64
 	for vi, v := range videos {
 		home := vi % len(sites)
-		for ti, tier := range pol.Tiers {
+		for _, tier := range pol.Tiers {
 			q := media.LadderQuality(tier, v.FrameRate)
 			va := media.NewVariant(q)
 			for si, site := range sites {
@@ -82,7 +82,7 @@ func Replicate(videos []*media.Video, sites []Site, dir *metadata.Directory, pol
 					continue
 				}
 				size := va.SizeBytes(v)
-				blob, err := site.Blobs.Create(size, v.Seed^uint64(ti+1)<<32^uint64(si+1))
+				blob, err := site.Blobs.Create(size)
 				if err != nil {
 					return total, fmt.Errorf("replication: %s tier %v at %s: %w", v.ID, tier, site.Name, err)
 				}

@@ -1,10 +1,8 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -15,52 +13,12 @@ type BlobID uint32
 var ErrNoSuchBlob = errors.New("storage: no such blob")
 
 // Blob is a stored media object: the physical bytes behind one replica.
-// Content is synthesized deterministically from the seed rather than
-// materialized — an 18-minute DVD-quality replica is ~500 MB, and only the
-// byte *stream* matters to the transport and encryption activities, never a
-// second read of the same region. ReadAt stays random-access and
-// reproducible, so the substitution is observationally equivalent for every
-// consumer in this system.
+// Only its size is kept: delivery is priced from bitrates and frame sizes,
+// and nothing reads a blob's content, so the store accounts space and holds
+// no byte.
 type Blob struct {
 	ID   BlobID
 	Size int64
-	Seed uint64
-}
-
-// ReadAt fills p with the blob's deterministic content at off, satisfying
-// io.ReaderAt semantics.
-func (b *Blob) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("storage: negative blob offset %d", off)
-	}
-	if off >= b.Size {
-		return 0, io.EOF
-	}
-	n := len(p)
-	var err error
-	if int64(n) > b.Size-off {
-		n = int(b.Size - off)
-		err = io.EOF
-	}
-	// Content is generated in aligned 8-byte cells keyed by (seed, cell),
-	// so overlapping reads agree byte-for-byte.
-	var cell [8]byte
-	for i := 0; i < n; {
-		pos := off + int64(i)
-		cellIdx := uint64(pos / 8)
-		within := int(pos % 8)
-		binary.LittleEndian.PutUint64(cell[:], mix(b.Seed, cellIdx))
-		c := copy(p[i:n], cell[within:])
-		i += c
-	}
-	return n, err
-}
-
-func mix(seed, n uint64) uint64 {
-	x := seed ^ n*0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
 }
 
 // BlobStore tracks the media blobs resident on one server's disk and their
@@ -83,9 +41,8 @@ func NewBlobStore(quota int64) *BlobStore {
 	return &BlobStore{blobs: make(map[BlobID]*Blob), quota: quota}
 }
 
-// Create registers a blob of the given size with deterministic content
-// derived from seed.
-func (s *BlobStore) Create(size int64, seed uint64) (*Blob, error) {
+// Create registers a blob of the given size.
+func (s *BlobStore) Create(size int64) (*Blob, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("storage: negative blob size %d", size)
 	}
@@ -95,20 +52,9 @@ func (s *BlobStore) Create(size int64, seed uint64) (*Blob, error) {
 		return nil, ErrDiskFull
 	}
 	s.next++
-	b := &Blob{ID: s.next, Size: size, Seed: seed}
+	b := &Blob{ID: s.next, Size: size}
 	s.blobs[b.ID] = b
 	s.used += size
-	return b, nil
-}
-
-// Open returns the blob with the given id.
-func (s *BlobStore) Open(id BlobID) (*Blob, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.blobs[id]
-	if !ok {
-		return nil, ErrNoSuchBlob
-	}
 	return b, nil
 }
 

@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"testing"
 	"testing/quick"
 )
@@ -268,57 +267,19 @@ func TestHeapScanEarlyStop(t *testing.T) {
 	}
 }
 
-func TestBlobDeterministicReads(t *testing.T) {
-	s := NewBlobStore(0)
-	b, err := s.Create(10000, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole := make([]byte, 10000)
-	if _, err := b.ReadAt(whole, 0); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	// Arbitrary offset reads must agree with the whole-blob image.
-	for _, off := range []int64{0, 1, 7, 8, 13, 9991} {
-		part := make([]byte, 9)
-		n, err := b.ReadAt(part, off)
-		if err != nil && err != io.EOF {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(part[:n], whole[off:off+int64(n)]) {
-			t.Fatalf("read at %d disagrees with contiguous image", off)
-		}
-	}
-}
-
-func TestBlobReadAtBounds(t *testing.T) {
-	s := NewBlobStore(0)
-	b, _ := s.Create(100, 1)
-	p := make([]byte, 50)
-	if n, err := b.ReadAt(p, 80); n != 20 || err != io.EOF {
-		t.Fatalf("tail read: n=%d err=%v, want 20/EOF", n, err)
-	}
-	if _, err := b.ReadAt(p, 100); err != io.EOF {
-		t.Fatal("read at end should be EOF")
-	}
-	if _, err := b.ReadAt(p, -1); err == nil {
-		t.Fatal("negative offset accepted")
-	}
-}
-
 func TestBlobStoreQuota(t *testing.T) {
 	s := NewBlobStore(1000)
-	a, err := s.Create(600, 1)
+	a, err := s.Create(600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Create(600, 2); err != ErrDiskFull {
+	if _, err := s.Create(600); err != ErrDiskFull {
 		t.Fatalf("over-quota create = %v, want ErrDiskFull", err)
 	}
 	if err := s.Delete(a.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Create(600, 2); err != nil {
+	if _, err := s.Create(600); err != nil {
 		t.Fatalf("create after reclaim failed: %v", err)
 	}
 	if s.Count() != 1 || s.Used() != 600 {
@@ -326,9 +287,6 @@ func TestBlobStoreQuota(t *testing.T) {
 	}
 	if err := s.Delete(999); err != ErrNoSuchBlob {
 		t.Fatal("deleting unknown blob should fail")
-	}
-	if _, err := s.Open(999); err != ErrNoSuchBlob {
-		t.Fatal("opening unknown blob should fail")
 	}
 }
 

@@ -6,20 +6,16 @@
 //
 // Planning needs two things from a transcoder: a validity predicate (which
 // conversions make sense) and a resource cost (CPU to run in real time).
-// The byte-level path re-encodes the toy bitstream for the examples and
-// tests.
+// No byte is re-encoded: a transcode costs only CPU time, reserved by the
+// plan and charged per frame by the delivery, or per GOP by the farm.
 package transcode
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
-	"quasaq/internal/media"
-	"quasaq/internal/mpeg"
 	"quasaq/internal/qos"
-	"quasaq/internal/simtime"
 )
 
 // ErrInvalid reports a conversion that static QoS rules forbid.
@@ -82,59 +78,4 @@ func pixelRate(q qos.AppQoS) float64 {
 // values, and one poisoned plan would corrupt the whole admission ranking.
 func CPUCost(src, dst qos.AppQoS) float64 {
 	return pixelRate(src)*decodeCostPerPixel + pixelRate(dst)*encodeCostPerPixel
-}
-
-// PerFrameService converts CPUCost to a per-output-frame CPU service time:
-// what the transport submits to the scheduler for each delivered frame when
-// the plan carries an online transcode. A non-positive (or NaN) target
-// frame rate yields zero service rather than an infinite one.
-func PerFrameService(src, dst qos.AppQoS) simtime.Time {
-	if !(dst.FrameRate > 0) {
-		return 0
-	}
-	perSecond := CPUCost(src, dst)
-	return simtime.Time(float64(simtime.Seconds(1)) * perSecond / dst.FrameRate)
-}
-
-// Bytes re-encodes a toy bitstream read from r at the dst quality, writing
-// to w. Frame count and GOP structure are preserved when the frame rate is
-// unchanged; a reduced frame rate drops frames uniformly, like the real
-// tool's fps conversion.
-func Bytes(v *media.Video, r io.Reader, w io.Writer, dst qos.AppQoS) error {
-	p, err := mpeg.NewParser(r)
-	if err != nil {
-		return err
-	}
-	src := p.Info().Quality
-	if err := Validate(src, dst); err != nil {
-		return err
-	}
-	dstVar := media.NewVariant(dst)
-	keepEvery := 1.0
-	if dst.FrameRate < src.FrameRate {
-		keepEvery = src.FrameRate / dst.FrameRate
-	}
-	enc, err := mpeg.NewEncoder(w, v, dstVar, p.Info().FrameCount)
-	if err != nil {
-		return err
-	}
-	next := 0.0
-	in := 0
-	for {
-		_, err := p.NextFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if float64(in) >= next {
-			next += keepEvery
-			if err := enc.EncodeNext(); err != nil && err != io.EOF {
-				return err
-			}
-		}
-		in++
-	}
-	return enc.Close()
 }

@@ -11,8 +11,7 @@ import (
 // ParseRequirement(req.String()) reproduces an equal requirement — so the
 // grammar and the printer can never drift apart. Seeds start inside every
 // term parser: well-formed clauses at several quality points plus
-// truncations and character mutations of a full clause, mirroring the mpeg
-// FuzzParser corpus structure.
+// truncations and character mutations of a full clause.
 func FuzzQoSClause(f *testing.F) {
 	full := "resolution >= 'VCD', resolution <= 352x288, depth >= 16, " +
 		"fps >= 20, fps <= 30, format IN (MPEG1, MPEG2), security >= standard, " +
