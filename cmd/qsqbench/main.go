@@ -102,8 +102,9 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 11, "workload seed (replica 0 runs this seed itself)")
 	flag.IntVar(&o.sweep.Workers, "parallel", 0, "worker pool size for sweep cells (0 = GOMAXPROCS)")
 	flag.IntVar(&o.sweep.Replicas, "replicas", 1, "independently seeded repetitions of every sweep point")
-	flag.IntVar(&o.frames, "frames", 1000, "fig5: trace length in frames")
-	flag.IntVar(&o.contention, "contention", 45, "fig5: competing streams at high contention")
+	fig5 := experiments.DefaultFig5Config()
+	flag.IntVar(&o.frames, "frames", fig5.Frames, "fig5: trace length in frames")
+	flag.IntVar(&o.contention, "contention", fig5.Contention, "fig5: competing streams at high contention")
 	flag.Float64Var(&o.fig6Secs, "fig6-horizon", 1000, "fig6/throughput: simulated seconds")
 	flag.Float64Var(&o.fig7Secs, "fig7-horizon", 7000, "fig7: simulated seconds")
 	flag.IntVar(&o.queries, "overhead-queries", 500, "overhead: planning calls to time")
