@@ -182,26 +182,18 @@ func benchCluster(b *testing.B) *core.Cluster {
 	return c
 }
 
-// BenchmarkMetadataLookup measures replica resolution with the per-site
-// cache on and off (the metadata-cache ablation).
+// BenchmarkMetadataLookup measures replica resolution through the
+// per-site metadata cache.
 func BenchmarkMetadataLookup(b *testing.B) {
-	for _, cached := range []bool{true, false} {
-		name := "cache-on"
-		if !cached {
-			name = "cache-off"
+	b.Run("cache-on", func(b *testing.B) {
+		c := benchCluster(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Dir.Lookup("srv-a", media.VideoID(1+i%15))
 		}
-		b.Run(name, func(b *testing.B) {
-			c := benchCluster(b)
-			c.Dir.SetCaching(cached)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Dir.Lookup("srv-a", media.VideoID(1+i%15))
-			}
-			remote, hits := c.Dir.CacheStats()
-			b.ReportMetric(float64(remote)/float64(b.N), "remote-lookups/op")
-			_ = hits
-		})
-	}
+		remote, _ := c.Dir.CacheStats()
+		b.ReportMetric(float64(remote)/float64(b.N), "remote-lookups/op")
+	})
 }
 
 // BenchmarkSimulatedStreaming measures the event engine's throughput:

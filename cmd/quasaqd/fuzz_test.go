@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"quasaq/internal/qop"
 )
 
 // FuzzDispatch drives arbitrary request lines through Server.dispatch on one
@@ -30,18 +28,18 @@ func FuzzDispatch(f *testing.F) {
 		"PLAY srv-a v001 vcd", "PLAY srv-a v001", "PLAY srv-a vxx vcd",
 		"PLAY srv-a v001 ultra", "PLAY srv-z v001 vcd", "PLAY srv-a v099 vcd",
 	}
-	qp := &qop.QueryProducer{Profile: qop.DefaultProfile("fuzz")}
-	q := qop.QoP{Spatial: qop.SpatialVCD, Temporal: qop.TemporalStandard, Color: qop.ColorBasic}
+	const qosClause = " WITH QOS (resolution >= VCD, resolution <= CIF, depth >= 8, fps >= 20)"
+	quote := func(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
 	sites := db.Sites()
 	for i, v := range db.Videos() {
 		site := sites[i%len(sites)]
 		seeds = append(seeds,
-			"QUERY "+site+" "+qp.ByTitle(v.Title, q),
-			"SEARCH "+qp.SimilarTo(v.ID.String(), 3, q),
+			"QUERY "+site+" SELECT * FROM videos WHERE title = "+quote(v.Title)+qosClause,
+			"SEARCH SELECT * FROM videos SIMILAR TO "+quote(v.ID.String())+" LIMIT 3"+qosClause,
 			fmt.Sprintf("EXPLAIN SELECT * FROM videos WHERE id = %d", v.ID),
 			fmt.Sprintf("PLAY %s %s tv", site, v.ID))
 		for _, tag := range v.Tags {
-			seeds = append(seeds, "QUERY "+site+" "+qp.ByTag(tag, q))
+			seeds = append(seeds, "QUERY "+site+" SELECT * FROM videos WHERE tags CONTAINS "+quote(tag)+qosClause)
 		}
 	}
 	for _, s := range seeds {

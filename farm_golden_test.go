@@ -57,7 +57,7 @@ func goldenFarmWorkload(t *testing.T, db *DB) (string, []string) {
 	db.RunUntilIdle()
 
 	for i, d := range deliveries {
-		outcomes = append(outcomes, fmt.Sprintf("observed %d: %+v", i, d.Observed()))
+		outcomes = append(outcomes, fmt.Sprintf("observed %d: %+v", i, observed(d)))
 	}
 	return fmt.Sprintf("%+v", db.Stats()), outcomes
 }

@@ -29,6 +29,26 @@ func injectNow(db *DB, kind faults.Kind, site string, factor float64) error {
 	return db.InjectFaults(FaultSchedule{{At: db.Now(), Kind: kind, Target: site, Factor: factor}})
 }
 
+// observed is what the delivery's live session observed: zero while no
+// session is bound.
+func observed(d *Delivery) ObservedQoS {
+	if d.Session == nil {
+		return ObservedQoS{}
+	}
+	return d.Session.Observed()
+}
+
+// terminalErr is the error an abandoned delivery reports to a caller that
+// tries to re-plan it; Renegotiate wraps the delivery's terminal cause.
+func terminalErr(t *testing.T, db *DB, d *Delivery) error {
+	t.Helper()
+	nd, err := db.Renegotiate(d, Requirement{})
+	if nd != nil || err == nil {
+		t.Fatalf("renegotiating an abandoned delivery = %v, %v; want its terminal error", nd, err)
+	}
+	return err
+}
+
 // TestGuardianLadderOrderUnderChaos pins the escalation order: cross
 // traffic squeezes every site so no rung can actually fix the stream, and
 // the guardian must walk step-down → renegotiate → migrate → abandon in
@@ -75,12 +95,13 @@ func TestGuardianLadderOrderUnderChaos(t *testing.T) {
 	if abandoned == nil || !abandoned.Failed() {
 		t.Fatalf("abandoned delivery not marked failed: %+v", abandoned)
 	}
-	if !errors.Is(abandoned.Err(), ErrQoSAbandoned) {
-		t.Fatalf("abandon err = %v, want ErrQoSAbandoned", abandoned.Err())
+	abandonErr := terminalErr(t, db, abandoned)
+	if !errors.Is(abandonErr, ErrQoSAbandoned) {
+		t.Fatalf("abandon err = %v, want ErrQoSAbandoned", abandonErr)
 	}
 	var v *QoSViolation
-	if !errors.As(abandoned.Err(), &v) {
-		t.Fatalf("abandon err carries no *QoSViolation: %v", abandoned.Err())
+	if !errors.As(abandonErr, &v) {
+		t.Fatalf("abandon err carries no *QoSViolation: %v", abandonErr)
 	}
 	if v.Metric.String() != "loss" {
 		t.Fatalf("violated metric = %s, want loss under congestion", v.Metric)
@@ -191,7 +212,7 @@ func TestGuardianIdleMatchesDisabledGolden(t *testing.T) {
 		db.RunUntilIdle()
 		fp := fmt.Sprintf("%+v\n", db.Stats())
 		for _, d := range ds {
-			fp += fmt.Sprintf("%+v\n", d.Observed())
+			fp += fmt.Sprintf("%+v\n", observed(d))
 		}
 		if withGuardian {
 			st := db.GuardianStats()
@@ -234,12 +255,13 @@ func TestGuardianCustomLadderAbandonError(t *testing.T) {
 	if !d.Failed() {
 		t.Fatal("delivery survived an abandon-only ladder under congestion")
 	}
-	if !errors.Is(d.Err(), ErrQoSAbandoned) {
-		t.Fatalf("err = %v, want ErrQoSAbandoned", d.Err())
+	abandonErr := terminalErr(t, db, d)
+	if !errors.Is(abandonErr, ErrQoSAbandoned) {
+		t.Fatalf("err = %v, want ErrQoSAbandoned", abandonErr)
 	}
 	var v *QoSViolation
-	if !errors.As(d.Err(), &v) {
-		t.Fatalf("err carries no *QoSViolation: %v", d.Err())
+	if !errors.As(abandonErr, &v) {
+		t.Fatalf("err carries no *QoSViolation: %v", abandonErr)
 	}
 	if v.Metric.String() != "loss" || v.Site != d.Plan.DeliverySite {
 		t.Fatalf("violation = %+v, want loss at %s", v, d.Plan.DeliverySite)
@@ -280,9 +302,9 @@ func TestGuardianCoexistsWithFailoverOnDegradedLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.RunUntilIdle()
-	if d.Failovers() != 1 || d.Plan.DeliverySite == from {
+	if n := db.Stats().Failovers; n != 1 || d.Plan.DeliverySite == from {
 		t.Fatalf("failovers=%d site=%s (from %s), want one migration off the degraded link",
-			d.Failovers(), d.Plan.DeliverySite, from)
+			n, d.Plan.DeliverySite, from)
 	}
 	if d.Failed() || !d.Session.Done() {
 		t.Fatalf("failed=%v done=%v, want a completed stream", d.Failed(), d.Session.Done())

@@ -66,12 +66,6 @@ func New(sim *simtime.Simulator, node *gara.Node, reg *obs.Registry) *Broker {
 	}
 }
 
-// Site returns the site this broker manages.
-func (b *Broker) Site() string { return b.site }
-
-// Node returns the gara node the broker owns.
-func (b *Broker) Node() *gara.Node { return b.node }
-
 // PendingPrepares returns the number of prepared transactions awaiting
 // commit or abort — orphan-leak diagnostics for chaos tests.
 func (b *Broker) PendingPrepares() int {

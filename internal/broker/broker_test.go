@@ -137,6 +137,12 @@ func (w *world) preparedLive(t *testing.T, site string) int64 {
 	return counterValue(t, w.reg, "gara_leases_prepared_live", map[string]string{"site": site})
 }
 
+// leasesLive reads the live-lease gauge gara publishes for site.
+func (w *world) leasesLive(t *testing.T, site string) int64 {
+	t.Helper()
+	return counterValue(t, w.reg, "gara_leases_live", map[string]string{"site": site})
+}
+
 // counterValue digs one series out of a snapshot.
 func counterValue(t *testing.T, reg *obs.Registry, name string, labels map[string]string) int64 {
 	t.Helper()
@@ -162,20 +168,19 @@ func counterValue(t *testing.T, reg *obs.Registry, name string, labels map[strin
 func TestPrepareCommitLifecycle(t *testing.T) {
 	w := newWorld(t, Config{})
 	b := w.bks["b"]
-	n := w.nodes["b"]
 	rep := b.Handle(prepReq(7, 0))
 	if !rep.OK || rep.Lease == nil {
 		t.Fatalf("prepare: %+v", rep)
 	}
-	if w.preparedLive(t, "b") != 1 || n.Leases() != 1 {
-		t.Fatalf("after prepare: prepared=%d leases=%d", w.preparedLive(t, "b"), n.Leases())
+	if w.preparedLive(t, "b") != 1 || w.leasesLive(t, "b") != 1 {
+		t.Fatalf("after prepare: prepared=%d leases=%d", w.preparedLive(t, "b"), w.leasesLive(t, "b"))
 	}
 	crep := b.Handle(Request{Op: OpCommit, TxID: 7})
 	if !crep.OK || crep.Lease != rep.Lease {
 		t.Fatalf("commit: %+v", crep)
 	}
-	if w.preparedLive(t, "b") != 0 || n.Leases() != 1 {
-		t.Fatalf("after commit: prepared=%d leases=%d", w.preparedLive(t, "b"), n.Leases())
+	if w.preparedLive(t, "b") != 0 || w.leasesLive(t, "b") != 1 {
+		t.Fatalf("after commit: prepared=%d leases=%d", w.preparedLive(t, "b"), w.leasesLive(t, "b"))
 	}
 	if b.PendingPrepares() != 0 {
 		t.Fatalf("pending prepares = %d after commit", b.PendingPrepares())
@@ -190,8 +195,8 @@ func TestPrepareIsIdempotentUnderRetry(t *testing.T) {
 	if r1.Lease != r2.Lease {
 		t.Fatal("duplicate prepare created a second lease")
 	}
-	if w.nodes["b"].Leases() != 1 {
-		t.Fatalf("leases = %d, want 1", w.nodes["b"].Leases())
+	if w.leasesLive(t, "b") != 1 {
+		t.Fatalf("leases = %d, want 1", w.leasesLive(t, "b"))
 	}
 }
 
@@ -205,14 +210,14 @@ func TestCommitUnknownTxIsNacked(t *testing.T) {
 
 func TestAbortReleasesPreparedLease(t *testing.T) {
 	w := newWorld(t, Config{})
-	b, n := w.bks["b"], w.nodes["b"]
+	b := w.bks["b"]
 	b.Handle(prepReq(5, 0))
 	if rep := b.Handle(Request{Op: OpAbort, TxID: 5}); !rep.OK {
 		t.Fatalf("abort: %+v", rep)
 	}
-	if n.Leases() != 0 || w.preparedLive(t, "b") != 0 || b.PendingPrepares() != 0 {
+	if w.leasesLive(t, "b") != 0 || w.preparedLive(t, "b") != 0 || b.PendingPrepares() != 0 {
 		t.Fatalf("after abort: leases=%d prepared=%d pending=%d",
-			n.Leases(), w.preparedLive(t, "b"), b.PendingPrepares())
+			w.leasesLive(t, "b"), w.preparedLive(t, "b"), b.PendingPrepares())
 	}
 	// Aborting again — or aborting a transaction that never existed — acks.
 	if rep := b.Handle(Request{Op: OpAbort, TxID: 5}); !rep.OK {
@@ -223,18 +228,18 @@ func TestAbortReleasesPreparedLease(t *testing.T) {
 func TestPrepareTTLReclaimsOrphan(t *testing.T) {
 	ttl := simtime.Seconds(0.25)
 	w := newWorld(t, Config{Latency: simtime.Seconds(0.005)})
-	b, n := w.bks["b"], w.nodes["b"]
+	b := w.bks["b"]
 	b.Handle(prepReq(11, ttl))
-	if n.Leases() != 1 {
+	if w.leasesLive(t, "b") != 1 {
 		t.Fatal("prepare did not hold resources")
 	}
 	w.sim.RunUntil(ttl - 1)
-	if n.Leases() != 1 {
+	if w.leasesLive(t, "b") != 1 {
 		t.Fatal("TTL fired early")
 	}
 	w.sim.Run()
-	if n.Leases() != 0 || b.PendingPrepares() != 0 {
-		t.Fatalf("orphan survived TTL: leases=%d pending=%d", n.Leases(), b.PendingPrepares())
+	if w.leasesLive(t, "b") != 0 || b.PendingPrepares() != 0 {
+		t.Fatalf("orphan survived TTL: leases=%d pending=%d", w.leasesLive(t, "b"), b.PendingPrepares())
 	}
 	if exp := counterValue(t, w.reg, "quasaq_ctrl_orphans_expired_total", map[string]string{"site": "b"}); exp != 1 {
 		t.Fatalf("orphans_expired = %d, want 1", exp)
@@ -259,8 +264,8 @@ func TestNodeCrashDropsPreparedEntry(t *testing.T) {
 	// The cancelled TTL timer must not fire against the restored node.
 	n.Restore()
 	w.sim.Run()
-	if n.Leases() != 0 {
-		t.Fatalf("leases = %d after crash/restore", n.Leases())
+	if w.leasesLive(t, "b") != 0 {
+		t.Fatalf("leases = %d after crash/restore", w.leasesLive(t, "b"))
 	}
 }
 
@@ -279,8 +284,8 @@ func TestCommitRetryAfterLostAckIsIdempotent(t *testing.T) {
 	if arep := b.Handle(Request{Op: OpAbort, TxID: 17}); !arep.OK {
 		t.Fatalf("abort-after-commit: %+v", arep)
 	}
-	if w.nodes["b"].Leases() != 0 {
-		t.Fatalf("leases = %d after abort-after-commit", w.nodes["b"].Leases())
+	if w.leasesLive(t, "b") != 0 {
+		t.Fatalf("leases = %d after abort-after-commit", w.leasesLive(t, "b"))
 	}
 	w.sim.Run() // the forget timer was cancelled; nothing should fire
 }
@@ -344,7 +349,7 @@ func TestBrokerSurvivesConcurrentNodeFaults(t *testing.T) {
 	if got := b.PendingPrepares(); got != 0 {
 		t.Fatalf("%d prepares pending at quiesce", got)
 	}
-	if u := n.Usage(); u != (qos.ResourceVector{}) || n.Leases() != 0 {
-		t.Fatalf("node holds %v in %d leases at quiesce", u, n.Leases())
+	if u := n.Usage(); u != (qos.ResourceVector{}) || w.leasesLive(t, "b") != 0 {
+		t.Fatalf("node holds %v in %d leases at quiesce", u, w.leasesLive(t, "b"))
 	}
 }

@@ -48,8 +48,8 @@ func TestStagedReserveCommitsAllThreeStages(t *testing.T) {
 		t.Fatalf("got %d leases, want 3", len(got))
 	}
 	for _, s := range []string{"a", "b", "c"} {
-		if w.nodes[s].Leases() != 1 || w.preparedLive(t, s) != 0 {
-			t.Fatalf("%s: leases=%d prepared=%d", s, w.nodes[s].Leases(), w.preparedLive(t, s))
+		if w.leasesLive(t, s) != 1 || w.preparedLive(t, s) != 0 {
+			t.Fatalf("%s: leases=%d prepared=%d", s, w.leasesLive(t, s), w.preparedLive(t, s))
 		}
 		if w.bks[s].PendingPrepares() != 0 {
 			t.Fatalf("%s left pending prepares", s)
@@ -88,13 +88,13 @@ func TestPartitionDuringStagedPrepareLeavesNoOrphan(t *testing.T) {
 	// Just after c's prepare delivery both remote stages must be holding
 	// prepared leases the coordinator can no longer reach.
 	w.sim.RunUntil(simtime.Seconds(0.016))
-	if w.nodes["b"].Leases() != 1 || w.bks["b"].PendingPrepares() != 1 {
+	if w.leasesLive(t, "b") != 1 || w.bks["b"].PendingPrepares() != 1 {
 		t.Fatalf("b's stage not prepared: leases=%d pending=%d",
-			w.nodes["b"].Leases(), w.bks["b"].PendingPrepares())
+			w.leasesLive(t, "b"), w.bks["b"].PendingPrepares())
 	}
-	if w.nodes["c"].Leases() != 1 || w.bks["c"].PendingPrepares() != 1 {
+	if w.leasesLive(t, "c") != 1 || w.bks["c"].PendingPrepares() != 1 {
 		t.Fatalf("c's stage not prepared: leases=%d pending=%d",
-			w.nodes["c"].Leases(), w.bks["c"].PendingPrepares())
+			w.leasesLive(t, "c"), w.bks["c"].PendingPrepares())
 	}
 
 	w.sim.Run()
@@ -105,9 +105,9 @@ func TestPartitionDuringStagedPrepareLeavesNoOrphan(t *testing.T) {
 		t.Fatalf("err = %v, want ErrControlTimeout", got)
 	}
 	for _, s := range []string{"a", "b", "c"} {
-		if w.nodes[s].Leases() != 0 || w.preparedLive(t, s) != 0 {
+		if w.leasesLive(t, s) != 0 || w.preparedLive(t, s) != 0 {
 			t.Fatalf("%s leaked a stage lease: leases=%d prepared=%d",
-				s, w.nodes[s].Leases(), w.preparedLive(t, s))
+				s, w.leasesLive(t, s), w.preparedLive(t, s))
 		}
 		if w.bks[s].PendingPrepares() != 0 {
 			t.Fatalf("%s: %d pending prepares after TTL", s, w.bks[s].PendingPrepares())

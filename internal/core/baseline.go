@@ -40,29 +40,17 @@ func (c *Cluster) originalReplica(site string, id media.VideoID) (*metadata.Repl
 	return best, nil
 }
 
-// BaselineStats counts baseline service outcomes.
-type BaselineStats struct {
-	Queries  uint64
-	Admitted uint64
-	Rejected uint64
-}
-
 // VDBMSService is the original-VDBMS delivery path.
 type VDBMSService struct {
 	cluster *Cluster
-	stats   BaselineStats
 }
 
 // NewVDBMSService creates the no-QoS baseline.
 func NewVDBMSService(c *Cluster) *VDBMSService { return &VDBMSService{cluster: c} }
 
-// Stats returns the outcome counters.
-func (b *VDBMSService) Stats() BaselineStats { return b.stats }
-
 // Service streams the original replica best-effort from the query site.
 // Nothing is ever rejected: "all video jobs were admitted" (§5.2).
 func (b *VDBMSService) Service(querySite string, id media.VideoID, traceFrames int, onDone func(*transport.Session)) (*transport.Session, error) {
-	b.stats.Queries++
 	v, err := b.cluster.Engine.Video(id)
 	if err != nil {
 		return nil, err
@@ -86,26 +74,20 @@ func (b *VDBMSService) Service(querySite string, id media.VideoID, traceFrames i
 		return nil, err
 	}
 	b.cluster.sessionStarted()
-	b.stats.Admitted++
 	return sess, nil
 }
 
 // QoSAPIService is the "VDBMS enhanced with QoS APIs" baseline.
 type QoSAPIService struct {
 	cluster *Cluster
-	stats   BaselineStats
 }
 
 // NewQoSAPIService creates the admission+reservation baseline.
 func NewQoSAPIService(c *Cluster) *QoSAPIService { return &QoSAPIService{cluster: c} }
 
-// Stats returns the outcome counters.
-func (b *QoSAPIService) Stats() BaselineStats { return b.stats }
-
 // Service reserves the full original-quality profile at the query site and
 // streams with those guarantees, or rejects the query.
 func (b *QoSAPIService) Service(querySite string, id media.VideoID, traceFrames int, onDone func(*transport.Session)) (*transport.Session, error) {
-	b.stats.Queries++
 	v, err := b.cluster.Engine.Video(id)
 	if err != nil {
 		return nil, err
@@ -127,7 +109,6 @@ func (b *QoSAPIService) Service(querySite string, id media.VideoID, traceFrames 
 	period := simtime.Seconds(1 / rep.Variant.Quality.FrameRate)
 	lease, err := node.Reserve(v.Title, demand, period)
 	if err != nil {
-		b.stats.Rejected++
 		return nil, fmt.Errorf("%w: %w", ErrRejected, err)
 	}
 	cfg := transport.Config{Video: v, Variant: rep.Variant, TraceFrames: traceFrames}
@@ -142,6 +123,5 @@ func (b *QoSAPIService) Service(querySite string, id media.VideoID, traceFrames 
 		return nil, err
 	}
 	b.cluster.sessionStarted()
-	b.stats.Admitted++
 	return sess, nil
 }

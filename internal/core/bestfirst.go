@@ -35,9 +35,6 @@ func (b *BestFirst) Next() (p *Plan, ok bool) {
 	return heap.Pop(&b.h).(planItem).p, true
 }
 
-// Len reports the plans not yet popped.
-func (b *BestFirst) Len() int { return len(b.h) }
-
 type planItem struct {
 	p    *Plan
 	cost float64

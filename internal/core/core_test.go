@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"quasaq/internal/gara"
 	"quasaq/internal/media"
 	"quasaq/internal/metadata"
 	"quasaq/internal/qos"
@@ -12,6 +13,15 @@ import (
 	"quasaq/internal/simtime"
 	"quasaq/internal/transport"
 )
+
+// liveLeases reads the live-lease gauge gara publishes for the node's site.
+func liveLeases(t *testing.T, n *gara.Node) int64 {
+	t.Helper()
+	if n.Registry() == nil {
+		t.Fatalf("%s: node not instrumented", n.Name())
+	}
+	return n.Registry().Gauge("gara_leases_live", "site", n.Name()).Value()
+}
 
 func testCluster(t *testing.T) (*simtime.Simulator, *Cluster) {
 	t.Helper()
@@ -38,8 +48,8 @@ func TestClusterSetup(t *testing.T) {
 	if len(c.Sites()) != 3 {
 		t.Fatalf("sites = %v", c.Sites())
 	}
-	if c.Engine.Len() != 15 {
-		t.Fatalf("catalog = %d", c.Engine.Len())
+	if n := len(c.Engine.All()); n != 15 {
+		t.Fatalf("catalog = %d", n)
 	}
 	for _, s := range c.Sites() {
 		if c.Blobs[s].Count() != 60 { // 15 videos x 4 tiers
@@ -171,8 +181,7 @@ func TestGenerateImpossibleRequirement(t *testing.T) {
 	if plans := gen.GenerateAll("srv-a", v, req); len(plans) != 0 {
 		t.Fatalf("impossible requirement produced %d plans", len(plans))
 	}
-	_, pruned := gen.Stats()
-	if pruned == 0 {
+	if gen.pruned.Load() == 0 {
 		t.Fatal("pruning not counted")
 	}
 }
@@ -317,9 +326,9 @@ func TestServiceLoadBalancesAcrossSites(t *testing.T) {
 	// All queries arrive at srv-a, but LRB must spread load: every site
 	// should host some sessions.
 	for _, s := range c.Sites() {
-		if c.Nodes[s].Leases() == 0 {
+		if liveLeases(t, c.Nodes[s]) == 0 {
 			t.Fatalf("site %s idle: LRB did not balance (leases: a=%d b=%d c=%d)",
-				s, c.Nodes["srv-a"].Leases(), c.Nodes["srv-b"].Leases(), c.Nodes["srv-c"].Leases())
+				s, liveLeases(t, c.Nodes["srv-a"]), liveLeases(t, c.Nodes["srv-b"]), liveLeases(t, c.Nodes["srv-c"]))
 		}
 	}
 }
@@ -331,9 +340,6 @@ func TestVDBMSBaselineAdmitsEverything(t *testing.T) {
 		if _, err := b.Service("srv-a", media.VideoID(1+i%15), 0, nil); err != nil {
 			t.Fatalf("VDBMS rejected query %d: %v", i, err)
 		}
-	}
-	if b.Stats().Admitted != 50 {
-		t.Fatalf("admitted = %d", b.Stats().Admitted)
 	}
 	if got := c.Obs.Counter("transport_sessions_started_total", "site", "srv-a", "mode", "best-effort").Value(); got != 50 {
 		t.Fatalf("best-effort sessions on srv-a = %d, want 50", got)

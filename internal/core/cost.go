@@ -16,7 +16,6 @@ type SiteUsage func(site string) (usage, capacity qos.ResourceVector)
 // the first plan in this order that satisfies the QoS requirements is used"
 // (§3.4); admission control then walks the order.
 type CostModel interface {
-	Name() string
 	Order(plans []*Plan, usage SiteUsage) []*Plan
 }
 
@@ -57,9 +56,6 @@ func sortByCost(plans []*Plan, cost func(*Plan) float64) []*Plan {
 // bucket from growing faster than the others".
 type LRB struct{}
 
-// Name returns "lrb".
-func (LRB) Name() string { return "lrb" }
-
 // Cost evaluates Eq. 1 for one plan under the given usage: the maximum
 // bucket fill over every reservation stage of the plan. Farm-offloaded
 // plans thereby charge the farm tier's CPU bucket too, so a congested farm
@@ -92,9 +88,6 @@ type Random struct {
 // NewRandom creates the randomized evaluator with its own stream.
 func NewRandom(rng *simtime.Rand) *Random { return &Random{rng: rng} }
 
-// Name returns "random".
-func (*Random) Name() string { return "random" }
-
 // Order returns the plans in uniformly random order.
 func (m *Random) Order(plans []*Plan, _ SiteUsage) []*Plan {
 	out := make([]*Plan, len(plans))
@@ -117,9 +110,6 @@ type singleShot interface{ SingleShot() bool }
 // unlike LRB, ignores how full each bucket already is on a per-axis basis.
 type MinSum struct{}
 
-// Name returns "min-sum".
-func (MinSum) Name() string { return "min-sum" }
-
 // Cost is the summed normalized bucket demand of one plan, over every
 // reservation stage.
 func (MinSum) Cost(p *Plan, usage SiteUsage) float64 {
@@ -141,9 +131,6 @@ func (m MinSum) Order(plans []*Plan, usage SiteUsage) []*Plan {
 // argues against (§2 item 4): plans are ranked by their demand relative to
 // an empty site.
 type StaticCheapest struct{}
-
-// Name returns "static".
-func (StaticCheapest) Name() string { return "static" }
 
 // Cost is the plan's fill ratio against empty sites, maximized over every
 // reservation stage.

@@ -437,7 +437,7 @@ func TestLeaseConservation(t *testing.T) {
 					if (l == nil) != (i == deliverStage) {
 						t.Fatalf("held[%d] = %v: the session owns the deliver lease and nothing else", i, l)
 					}
-					if m.cluster.Nodes[stages[i].Site].Leases() != 1 {
+					if liveLeases(t, m.cluster.Nodes[stages[i].Site]) != 1 {
 						t.Fatalf("stage %s holds no lease at %s", stages[i].Kind, stages[i].Site)
 					}
 				}
@@ -465,8 +465,8 @@ func TestLeaseConservation(t *testing.T) {
 				}
 				var granted uint64
 				for site, n := range m.cluster.Nodes {
-					if u := n.Usage(); u != (qos.ResourceVector{}) || n.Leases() != 0 {
-						t.Fatalf("site %s: usage %v, %d leases after the delivery ended", site, u, n.Leases())
+					if u := n.Usage(); u != (qos.ResourceVector{}) || liveLeases(t, n) != 0 {
+						t.Fatalf("site %s: usage %v, %d leases after the delivery ended", site, u, liveLeases(t, n))
 					}
 					reg := m.cluster.Obs
 					g := reg.Counter("gara_leases_granted_total", "site", site).Value()
@@ -503,7 +503,7 @@ func TestBindRejectsLeaseCountMismatch(t *testing.T) {
 	if err := m.bind(d, p, []*gara.Lease{l}, 0); err == nil {
 		t.Fatal("bind accepted one lease for a two-stage plan")
 	}
-	if node.Leases() != 0 || d.Session != nil {
-		t.Fatalf("refused bind left %d leases and session %v", node.Leases(), d.Session)
+	if liveLeases(t, node) != 0 || d.Session != nil {
+		t.Fatalf("refused bind left %d leases and session %v", liveLeases(t, node), d.Session)
 	}
 }

@@ -58,7 +58,7 @@ func singleCopyCtrlWorld(t *testing.T) (*simtime.Simulator, *Cluster, *Manager, 
 func assertNoLeakedLeases(t *testing.T, c *Cluster) {
 	t.Helper()
 	for _, s := range c.Sites() {
-		leases := c.Nodes[s].Leases()
+		leases := liveLeases(t, c.Nodes[s])
 		prepared := c.Obs.Gauge("gara_leases_prepared_live", "site", s).Value()
 		if leases != 0 || prepared != 0 || c.Brokers[s].PendingPrepares() != 0 {
 			t.Fatalf("%s leaked reservation state: leases=%d prepared=%d pending=%d",

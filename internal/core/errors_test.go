@@ -121,7 +121,7 @@ func TestAbandonedDeliveryCarriesCrashCause(t *testing.T) {
 	if !d.Failed() {
 		t.Fatal("delivery not abandoned")
 	}
-	ferr := d.Err()
+	ferr := d.err
 	if !errors.Is(ferr, ErrNoViablePlan) {
 		t.Fatalf("err = %v, want ErrNoViablePlan", ferr)
 	}
@@ -161,7 +161,7 @@ func TestAbandonedDeliveryCarriesRevocationCause(t *testing.T) {
 	if !d.Failed() {
 		t.Fatal("delivery not abandoned")
 	}
-	ferr := d.Err()
+	ferr := d.err
 	for _, want := range []error{ErrNoViablePlan, gara.ErrLeaseRevoked, netsim.ErrInsufficientBandwidth} {
 		if !errors.Is(ferr, want) {
 			t.Fatalf("err = %v, want %v in the chain", ferr, want)

@@ -42,16 +42,16 @@ func TestFailoverResumesOnAlternateReplica(t *testing.T) {
 	if done != d {
 		t.Fatal("delivery did not complete after failover")
 	}
-	if d.Failovers() != 1 {
-		t.Fatalf("failovers = %d, want 1", d.Failovers())
+	if d.failovers != 1 {
+		t.Fatalf("failovers = %d, want 1", d.failovers)
 	}
 	if d.Plan.DeliverySite == origSite {
 		t.Fatalf("resumed on the crashed site %s", origSite)
 	}
-	if d.Failed() || d.Degraded() || d.Recovering() {
-		t.Fatalf("failed=%v degraded=%v recovering=%v", d.Failed(), d.Degraded(), d.Recovering())
+	if d.Failed() || d.degraded || d.Recovering() {
+		t.Fatalf("failed=%v degraded=%v recovering=%v", d.Failed(), d.degraded, d.Recovering())
 	}
-	if d.FramesLostInFailover() <= 0 {
+	if d.framesLost <= 0 {
 		t.Fatal("no frames-lost accounting")
 	}
 	if len(events) != 1 {
@@ -86,8 +86,8 @@ func TestFailoverResumesNearLastPosition(t *testing.T) {
 	origSite := d.Plan.DeliverySite
 	sim.ScheduleAt(simtime.Seconds(10), func() { c.Nodes[origSite].Fail() })
 	sim.RunUntil(simtime.Seconds(12))
-	if d.Failovers() != 1 {
-		t.Fatalf("failovers = %d", d.Failovers())
+	if d.failovers != 1 {
+		t.Fatalf("failovers = %d", d.failovers)
 	}
 	// Ten seconds at >=20 fps is >=200 frames; the resumed session must
 	// start near there, not from zero. A session restarted from frame zero
@@ -129,8 +129,8 @@ func TestFailoverNoViablePlanRejectsGracefully(t *testing.T) {
 	if !errors.Is(failedErr, ErrNoViablePlan) {
 		t.Fatalf("err = %v, want ErrNoViablePlan", failedErr)
 	}
-	if !d.Failed() || !errors.Is(d.Err(), ErrNoViablePlan) {
-		t.Fatalf("failed=%v err=%v", d.Failed(), d.Err())
+	if !d.Failed() || !errors.Is(d.err, ErrNoViablePlan) {
+		t.Fatalf("failed=%v err=%v", d.Failed(), d.err)
 	}
 	st := m.Stats()
 	if st.FailoverRejects != 1 || st.Failovers != 0 {
@@ -177,10 +177,12 @@ func TestFailoverBestEffortFallback(t *testing.T) {
 	sim.ScheduleAt(simtime.Seconds(5), func() { c.Nodes["srv-b"].Fail() })
 	sim.RunUntil(simtime.Seconds(30))
 	for _, d := range deliveries {
-		if d.Degraded() {
+		if d.degraded {
 			degraded = append(degraded, d)
-			if d.Session.Reserved() {
-				t.Fatal("degraded session still claims reservations")
+			for _, l := range d.held {
+				if l != nil {
+					t.Fatal("degraded delivery still holds a lease")
+				}
 			}
 		}
 	}

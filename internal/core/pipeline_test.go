@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -99,14 +100,14 @@ func TestPipelineGoldenEquivalence(t *testing.T) {
 					return false
 				}
 				// Warm: a hit must do zero enumeration work and keep order.
-				genBefore, _ := m.Generator().Stats()
+				genBefore := m.Generator().generated.Load()
 				want2 := planStrings(eagerReference(m, refGen, refModel, site, v, req))
 				warm := planStrings(drain(m.admissionOrder(m.viable(planSet(m, site, v, req)))))
 				if !equalStrings(want2, warm) {
 					t.Logf("warm mismatch for %s@%s %v", v.ID, site, req)
 					return false
 				}
-				if genAfter, _ := m.Generator().Stats(); genAfter != genBefore {
+				if genAfter := m.Generator().generated.Load(); genAfter != genBefore {
 					t.Logf("warm lookup enumerated plans (%d -> %d)", genBefore, genAfter)
 					return false
 				}
@@ -144,11 +145,11 @@ func TestBestFirstMatchesStableSort(t *testing.T) {
 		ranked := model.Order(plans, c.SiteUsage())
 		popped := drain(NewBestFirst(plans, model, c.SiteUsage()).Next)
 		if len(ranked) != len(popped) {
-			t.Fatalf("%s: %d ranked vs %d popped", model.Name(), len(ranked), len(popped))
+			t.Fatalf("%s: %d ranked vs %d popped", fmt.Sprintf("%T", model), len(ranked), len(popped))
 		}
 		for i := range ranked {
 			if ranked[i] != popped[i] {
-				t.Fatalf("%s: position %d differs: %s vs %s", model.Name(), i, ranked[i], popped[i])
+				t.Fatalf("%s: position %d differs: %s vs %s", fmt.Sprintf("%T", model), i, ranked[i], popped[i])
 			}
 		}
 	}
@@ -170,7 +171,7 @@ func TestServiceWarmCacheSkipsEnumeration(t *testing.T) {
 	if st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("cold stats = %+v, want 1 miss", st)
 	}
-	genBefore, prunedBefore := m.Generator().Stats()
+	genBefore, prunedBefore := m.Generator().generated.Load(), m.Generator().pruned.Load()
 	d2, err := m.Service("srv-a", 1, req, ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +181,7 @@ func TestServiceWarmCacheSkipsEnumeration(t *testing.T) {
 	if st.Hits != 1 {
 		t.Fatalf("warm stats = %+v, want 1 hit", st)
 	}
-	genAfter, prunedAfter := m.Generator().Stats()
+	genAfter, prunedAfter := m.Generator().generated.Load(), m.Generator().pruned.Load()
 	if genAfter != genBefore || prunedAfter != prunedBefore {
 		t.Fatalf("warm Service enumerated: emitted %d->%d pruned %d->%d",
 			genBefore, genAfter, prunedBefore, prunedAfter)
@@ -300,20 +301,17 @@ func TestPlanPipelineRaceSafety(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				plans := gen.GenerateAll("srv-a", v, req)
-				if _, ok := cache.Get("srv-a", v.ID, req); !ok {
-					cache.Put("srv-a", v.ID, req, plans)
-				}
+				cache.GetOrFill("srv-a", v.ID, req, func() []*Plan { return plans })
 				if w%2 == 0 && i%10 == 9 {
 					cache.BumpLiveness()
 				}
-				gen.Stats()
+				gen.generated.Load()
 				cache.Stats()
 			}
 		}()
 	}
 	wg.Wait()
-	gen2, _ := gen.Stats()
-	if gen2 == 0 {
+	if gen.generated.Load() == 0 {
 		t.Fatal("no plans generated under contention")
 	}
 }

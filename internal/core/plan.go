@@ -151,8 +151,9 @@ type Generator struct {
 	dir *metadata.Directory
 	cfg GeneratorConfig
 
-	// Counters for the §5.2 overhead analysis. Atomic: the plan cache's
-	// equivalence and race tests enumerate from multiple goroutines.
+	// Enumeration counters: the plan-cache tests read them to show a warm
+	// lookup enumerates nothing. Atomic: the plan cache's equivalence and
+	// race tests enumerate from multiple goroutines.
 	generated atomic.Uint64
 	pruned    atomic.Uint64
 }
@@ -163,11 +164,6 @@ func NewGenerator(dir *metadata.Directory, cfg GeneratorConfig) *Generator {
 		cfg.Drops = []transport.DropStrategy{transport.DropNone}
 	}
 	return &Generator{dir: dir, cfg: cfg}
-}
-
-// Stats returns cumulative (plans emitted, candidates pruned).
-func (g *Generator) Stats() (generated, pruned uint64) {
-	return g.generated.Load(), g.pruned.Load()
 }
 
 // GenerateAll enumerates the plans able to answer the query for video v

@@ -214,17 +214,6 @@ func (c *PlanCache) GetOrFill(site string, id media.VideoID, req qos.Requirement
 	}
 }
 
-// Put stores a candidate set under the current epochs. Callers must not
-// mutate the slice afterwards; the admission pipeline treats cached plans
-// as immutable.
-func (c *PlanCache) Put(site string, id media.VideoID, req qos.Requirement, plans []*Plan) {
-	key := newPlanCacheKey(site, id, req)
-	e := &planCacheEntry{plans: plans, dirEpoch: c.dir.Epoch(), liveEpoch: c.liveEpoch.Load()}
-	c.mu.Lock()
-	c.entries[key] = e
-	c.mu.Unlock()
-}
-
 // Stats returns a snapshot of the cache counters.
 func (c *PlanCache) Stats() PlanCacheStats {
 	c.mu.Lock()

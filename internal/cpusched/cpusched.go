@@ -90,12 +90,6 @@ type Job struct {
 	finished bool
 }
 
-// Name returns the job's diagnostic name.
-func (j *Job) Name() string { return j.name }
-
-// Reserved reports whether the job holds a CPU reservation.
-func (j *Job) Reserved() bool { return j.reserved }
-
 // Backlog returns the number of released, uncompleted tasks.
 func (j *Job) Backlog() int { return j.tasks.n }
 
@@ -122,8 +116,6 @@ type CPU struct {
 
 	util       float64
 	dispatches uint64
-	busy       simtime.Time
-	lastStart  simtime.Time
 
 	// Registry handles, nil (no-op) until Instrument is called.
 	mDispatches *obs.Counter
@@ -308,11 +300,10 @@ func (c *CPU) stopCurrent(requeue bool) {
 	}
 }
 
-// charge books the time the interrupted dispatch r ran: busy time for the
-// CPU, and progress past the dispatch overhead for its task.
+// charge books the time the interrupted dispatch r ran as progress past
+// the dispatch overhead for its task.
 func (c *CPU) charge(r running) {
 	consumed := c.sim.Now() - r.started
-	c.busy += consumed
 	t := r.job.tasks.front()
 	t.remaining -= max(consumed-c.DispatchOverhead, 0)
 	t.remaining = max(t.remaining, 0)
@@ -371,7 +362,6 @@ func (c *CPU) start(j *Job, quantumEnd simtime.Time) {
 func (c *CPU) onComplete() {
 	r := c.cur
 	now := c.sim.Now()
-	c.busy += now - r.started
 	j := r.job
 	t := j.tasks.pop()
 	c.cur = running{}

@@ -154,9 +154,6 @@ func New(sim *simtime.Simulator, dir *metadata.Directory, videos []*media.Video,
 	}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (m *Manager) Config() Config { return m.cfg }
-
 // AddSite registers an edge site's blob store and metadata store with the
 // cache. Sites tick in name order regardless of registration order.
 func (m *Manager) AddSite(name string, blobs *storage.BlobStore, store *metadata.Store) {
@@ -228,17 +225,6 @@ func (m *Manager) Start() {
 	defer m.mu.Unlock()
 	m.started = true
 	m.armLocked()
-}
-
-// Stop halts the periodic tick.
-func (m *Manager) Stop() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.started = false
-	if m.ticker != nil {
-		m.ticker.Stop()
-		m.ticker = nil
-	}
 }
 
 func (m *Manager) armLocked() {
@@ -534,17 +520,6 @@ func (m *Manager) Stats() Stats {
 		s.Promotions += sc.promotions.Value()
 	}
 	return s
-}
-
-// Sites returns the edge site names, sorted.
-func (m *Manager) Sites() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, len(m.sites))
-	for i, sc := range m.sites {
-		out[i] = sc.name
-	}
-	return out
 }
 
 // ladderTier maps a variant quality back onto the replication ladder.

@@ -88,7 +88,7 @@ func TestEdgeModeSemantics(t *testing.T) {
 			t.Fatalf("%s: completed %d + failed %d != admitted %d",
 				p.Mode, p.Completed, p.Failed, p.Admitted)
 		}
-		if got := p.Startup.N(); got != p.Admitted {
+		if got := len(p.Startup.Values()); got != p.Admitted {
 			t.Fatalf("%s: %d startup samples for %d admissions", p.Mode, got, p.Admitted)
 		}
 	}

@@ -52,18 +52,21 @@ func TestInjectorAppliesCongestion(t *testing.T) {
 	if err := in.Apply(s); err != nil {
 		t.Fatal(err)
 	}
-	base := n.Link().Capacity()
+	base := n.Link().Available()
 	r, err := n.Link().Reserve(base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	revoked := false
+	r.SetOnRevoke(func(error) { revoked = true })
 	sim.RunUntil(simtime.Seconds(6))
 	if got := r.EffectiveRate(); got != 0.4*base {
 		t.Fatalf("achieved rate at 6s = %v, want 0.4 x %v", got, base)
 	}
 	// Congestion squeezes achieved rates but leaves admission capacity
-	// alone — bookings made before the cross traffic are never revoked.
-	if n.Link().Capacity() != base || r.Revoked() {
+	// alone — bookings made before the cross traffic are never revoked, and
+	// the full-capacity booking leaves no headroom.
+	if n.Link().Available() != 0 || revoked {
 		t.Fatal("congestion changed the admission capacity")
 	}
 	sim.RunUntil(simtime.Seconds(11))

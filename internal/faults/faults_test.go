@@ -70,12 +70,12 @@ func TestScheduleRejectsNaNFactor(t *testing.T) {
 		n := gara.NewNode(sim, "srv-a", gara.DefaultCapacity())
 		in := NewInjector(sim)
 		in.RegisterNode(n)
-		base := n.Link().Capacity()
+		base := n.Link().Available() // nothing reserved: the effective capacity
 		if err := in.Apply(s); err == nil {
 			t.Errorf("Apply accepted a NaN %v factor", kind)
 		}
 		sim.Run()
-		if got := n.Link().Capacity(); got != base {
+		if got := n.Link().Available(); got != base {
 			t.Errorf("capacity after rejected NaN %v = %v, want %v", kind, got, base)
 		}
 	}
@@ -94,9 +94,9 @@ func TestInjectorAppliesInOrder(t *testing.T) {
 	if err := in.Apply(s); err != nil {
 		t.Fatal(err)
 	}
-	base := n.Link().Capacity()
+	base := n.Link().Available() // nothing reserved: the effective capacity
 	sim.RunUntil(simtime.Seconds(6))
-	if got := n.Link().Capacity(); got != 0.25*base {
+	if got := n.Link().Available(); got != 0.25*base {
 		t.Fatalf("capacity after degrade = %v", got)
 	}
 	sim.RunUntil(simtime.Seconds(11))
@@ -107,7 +107,7 @@ func TestInjectorAppliesInOrder(t *testing.T) {
 	if n.Down() || n.Link().Down() {
 		t.Fatal("node not restored")
 	}
-	if got := n.Link().Capacity(); got != base {
+	if got := n.Link().Available(); got != base {
 		t.Fatalf("capacity after restore = %v", got)
 	}
 	log := in.Log()
@@ -182,7 +182,7 @@ func TestLeaseRevokeEvent(t *testing.T) {
 
 func TestStandaloneLinkRegistration(t *testing.T) {
 	sim := simtime.NewSimulator()
-	l := netsim.NewLink(sim, "backbone", 1e6)
+	l := netsim.NewLink("backbone", 1e6)
 	in := NewInjector(sim)
 	in.links["backbone"] = l
 	if err := in.Apply(Schedule{{At: 0, Kind: LinkPartition, Target: "backbone"}}); err != nil {

@@ -21,8 +21,8 @@ func TestDoubleReleaseIsNoOp(t *testing.T) {
 	if n.Usage() != before {
 		t.Fatal("second Release changed usage")
 	}
-	if n.Leases() != 0 {
-		t.Fatalf("leases = %d", n.Leases())
+	if n.leases != 0 {
+		t.Fatalf("leases = %d", n.leases)
 	}
 }
 

@@ -85,7 +85,6 @@ func TestNodeConcurrentReserveReleaseFail(t *testing.T) {
 						badRead.Store(&bad)
 					}
 				}
-				_ = node.Leases()
 				_ = node.Down()
 				runtime.Gosched()
 			}
@@ -112,7 +111,7 @@ func TestNodeConcurrentReserveReleaseFail(t *testing.T) {
 	if got := node.Usage(); got != (qos.ResourceVector{}) {
 		t.Fatalf("usage at quiesce = %v, want zero", got)
 	}
-	if n := node.Leases(); n != 0 {
+	if n := node.leases; n != 0 {
 		t.Fatalf("%d live leases at quiesce, want 0", n)
 	}
 }

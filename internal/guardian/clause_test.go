@@ -243,7 +243,7 @@ func (f *fakeQoELog) AppendQoE(r vdbms.QoERecord) error {
 func TestRecordQoEOrdinalsAndStats(t *testing.T) {
 	g, ds := guardedWorld(t, Config{}, baseRequirement(), baseRequirement())
 	log := &fakeQoELog{}
-	g.SetQoELog(log)
+	g.qoe = log
 	m0, m1 := g.monitors[ds[0]], g.monitors[ds[1]]
 	if m0 == nil || m1 == nil {
 		t.Fatal("admission observer did not create monitors")

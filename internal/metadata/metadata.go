@@ -86,9 +86,8 @@ func (r *Replica) ID() string {
 type Store struct {
 	site string
 
-	mu       sync.RWMutex
-	byVideo  map[media.VideoID][]*Replica
-	replicas int
+	mu      sync.RWMutex
+	byVideo map[media.VideoID][]*Replica
 }
 
 // NewStore creates the metadata store for a site.
@@ -109,7 +108,6 @@ func (s *Store) Add(r *Replica) error {
 	defer s.mu.Unlock()
 	r.Seq = len(s.byVideo[r.Video]) + 1
 	s.byVideo[r.Video] = append(s.byVideo[r.Video], r)
-	s.replicas++
 	return nil
 }
 
@@ -126,7 +124,6 @@ func (s *Store) Remove(r *Replica) bool {
 			if len(s.byVideo[r.Video]) == 0 {
 				delete(s.byVideo, r.Video)
 			}
-			s.replicas--
 			return true
 		}
 	}
@@ -140,13 +137,6 @@ func (s *Store) Local(id media.VideoID) []*Replica {
 	return append([]*Replica(nil), s.byVideo[id]...)
 }
 
-// Count returns the number of replicas hosted at the site.
-func (s *Store) Count() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.replicas
-}
-
 // Directory federates the per-site stores. One Directory instance serves
 // the whole simulated cluster; per-site caches model the paper's metadata
 // caching.
@@ -158,23 +148,21 @@ type Directory struct {
 
 	remoteLookups uint64
 	cacheHits     uint64
-	cacheEnabled  bool
 
 	// epoch is the topology epoch: it advances on every replica or site
-	// change (store registration, replication invalidation, cache toggles).
+	// change (store registration, tier assignment, replication invalidation).
 	// Consumers that memoize anything derived from the replica topology —
 	// the plan-candidate cache above all — key their entries on this value
 	// and treat a mismatch as staleness.
 	epoch atomic.Uint64
 }
 
-// NewDirectory creates a directory with caching enabled.
+// NewDirectory creates an empty directory.
 func NewDirectory() *Directory {
 	return &Directory{
-		stores:       make(map[string]*Store),
-		caches:       make(map[string]map[media.VideoID][]*Replica),
-		tiers:        make(map[string]Tier),
-		cacheEnabled: true,
+		stores: make(map[string]*Store),
+		caches: make(map[string]map[media.VideoID][]*Replica),
+		tiers:  make(map[string]Tier),
 	}
 }
 
@@ -200,18 +188,6 @@ func (d *Directory) Tier(site string) Tier {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.tiers[site]
-}
-
-// SetCaching toggles the non-local metadata cache (the cache on/off
-// ablation in DESIGN.md).
-func (d *Directory) SetCaching(on bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.cacheEnabled = on
-	if !on {
-		d.caches = make(map[string]map[media.VideoID][]*Replica)
-	}
-	d.epoch.Add(1)
 }
 
 // AddStore registers a site's store.
@@ -259,11 +235,9 @@ func (d *Directory) Lookup(fromSite string, id media.VideoID) []*Replica {
 	if local, ok := d.stores[fromSite]; ok {
 		out = append(out, local.Local(id)...)
 	}
-	if d.cacheEnabled {
-		if cached, ok := d.caches[fromSite][id]; ok {
-			d.cacheHits++
-			return append(out, cached...)
-		}
+	if cached, ok := d.caches[fromSite][id]; ok {
+		d.cacheHits++
+		return append(out, cached...)
 	}
 	var remote []*Replica
 	for site, s := range d.stores {
@@ -279,12 +253,10 @@ func (d *Directory) Lookup(fromSite string, id media.VideoID) []*Replica {
 		}
 		return remote[i].Seq < remote[j].Seq
 	})
-	if d.cacheEnabled {
-		if d.caches[fromSite] == nil {
-			d.caches[fromSite] = make(map[media.VideoID][]*Replica)
-		}
-		d.caches[fromSite][id] = remote
+	if d.caches[fromSite] == nil {
+		d.caches[fromSite] = make(map[media.VideoID][]*Replica)
 	}
+	d.caches[fromSite][id] = remote
 	return append(out, remote...)
 }
 

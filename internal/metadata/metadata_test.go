@@ -33,8 +33,8 @@ func TestStoreAddAndLocal(t *testing.T) {
 	if local[0].Seq != 1 || local[1].Seq != 2 {
 		t.Fatalf("seq assignment wrong: %d %d", local[0].Seq, local[1].Seq)
 	}
-	if s.Count() != 3 {
-		t.Fatalf("count = %d", s.Count())
+	if n := len(local) + len(s.Local(2)); n != 3 {
+		t.Fatalf("count = %d", n)
 	}
 	if got := s.Local(9); len(got) != 0 {
 		t.Fatal("missing video returned replicas")
@@ -106,17 +106,6 @@ func TestDirectoryInvalidate(t *testing.T) {
 	remote, hits := d.CacheStats()
 	if remote != 4 || hits != 0 {
 		t.Fatalf("after invalidate: remote=%d hits=%d, want 4/0", remote, hits)
-	}
-}
-
-func TestDirectoryCachingDisabled(t *testing.T) {
-	d := newDirectory(t)
-	d.SetCaching(false)
-	d.Lookup("A", 1)
-	d.Lookup("A", 1)
-	remote, hits := d.CacheStats()
-	if hits != 0 || remote != 4 {
-		t.Fatalf("cache disabled: remote=%d hits=%d, want 4/0", remote, hits)
 	}
 }
 

@@ -20,8 +20,8 @@ func TestCongestSqueezesWithoutRevoking(t *testing.T) {
 		t.Fatalf("factor = %v, want 0.5", l.congestion)
 	}
 	// Bookings are untouched — admission state does not change.
-	if l.Reserved() != 800 {
-		t.Fatalf("reserved = %v, want 800 (no revocation)", l.Reserved())
+	if l.reserved != 800 {
+		t.Fatalf("reserved = %v, want 800 (no revocation)", l.reserved)
 	}
 	// Achieved rates waterfill 500 effective bytes/s: the small booking
 	// fits whole (200 < the 250 fair share), the big one takes the rest.
@@ -106,7 +106,7 @@ func TestCongestComposesWithDegrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Degrade(0.5) // capacity 500: the 400 booking still fits, no revocation
-	if r.Revoked() {
+	if r.released {
 		t.Fatal("degrade within capacity revoked the reservation")
 	}
 	l.Congest(0.5) // effective 250
@@ -143,7 +143,7 @@ func TestDegradePanicsOnBadFactor(t *testing.T) {
 			l.Degrade(bad)
 		}()
 	}
-	if l.Capacity() != 1000 {
-		t.Fatalf("capacity = %v after rejected degradations, want 1000", l.Capacity())
+	if l.capacity != 1000 {
+		t.Fatalf("capacity = %v after rejected degradations, want 1000", l.capacity)
 	}
 }

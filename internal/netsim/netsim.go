@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"quasaq/internal/obs"
-	"quasaq/internal/simtime"
 )
 
 // ErrInsufficientBandwidth reports that a reservation exceeds the link's
@@ -27,13 +26,6 @@ var ErrInsufficientBandwidth = errors.New("netsim: insufficient bandwidth")
 // ErrLinkDown reports an operation against a partitioned link.
 var ErrLinkDown = errors.New("netsim: link down")
 
-// LinkEvent describes a link state transition delivered to watchers.
-type LinkEvent struct {
-	Link     *Link
-	Down     bool    // true after a partition, false otherwise
-	Capacity float64 // effective capacity after the transition
-}
-
 // Link is one direction of a network attachment with fixed capacity in
 // bytes per second. Reserved bandwidth is guaranteed; best-effort flows
 // share what remains, max-min fairly.
@@ -42,7 +34,6 @@ type LinkEvent struct {
 // the fault injector; reservations that no longer fit are revoked
 // newest-first and their holders notified through the revocation callback.
 type Link struct {
-	sim      *simtime.Simulator
 	name     string
 	base     float64 // configured capacity
 	capacity float64 // effective capacity (base x degradation factor)
@@ -52,8 +43,6 @@ type Link struct {
 	resvs      []*Reservation // live reservations, oldest first
 	flows      []*Flow
 	congestion float64 // achieved-rate factor in (0,1]; 1 = uncongested
-
-	watchers []func(LinkEvent)
 
 	peakReserved float64
 
@@ -68,38 +57,15 @@ type Link struct {
 }
 
 // NewLink creates a link with the given capacity in bytes per second.
-func NewLink(sim *simtime.Simulator, name string, capacity float64) *Link {
+func NewLink(name string, capacity float64) *Link {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("netsim: non-positive capacity %v", capacity))
 	}
-	return &Link{sim: sim, name: name, base: capacity, capacity: capacity, congestion: 1}
+	return &Link{name: name, base: capacity, capacity: capacity, congestion: 1}
 }
-
-// Name returns the link's diagnostic name.
-func (l *Link) Name() string { return l.name }
-
-// Capacity returns the effective capacity in bytes per second (the
-// configured capacity scaled by any active degradation; zero when
-// partitioned).
-func (l *Link) Capacity() float64 { return l.capacity }
 
 // Down reports whether the link is partitioned.
 func (l *Link) Down() bool { return l.down }
-
-// Watch registers fn to be called on every link state transition
-// (degradation, partition, restore). Watchers fire in registration order.
-func (l *Link) Watch(fn func(LinkEvent)) {
-	if fn != nil {
-		l.watchers = append(l.watchers, fn)
-	}
-}
-
-func (l *Link) notify() {
-	ev := LinkEvent{Link: l, Down: l.down, Capacity: l.capacity}
-	for _, fn := range l.watchers {
-		fn(ev)
-	}
-}
 
 // Instrument wires the link's accounting onto the metrics registry under
 // the given label pairs (conventionally "site", name). Call once at
@@ -114,9 +80,6 @@ func (l *Link) Instrument(reg *obs.Registry, labels ...string) {
 	l.mPeak = reg.FloatGauge("netsim_peak_reserved_bytes", labels...)
 	l.mCapacity.Set(l.capacity)
 }
-
-// Reserved returns the total currently reserved bandwidth.
-func (l *Link) Reserved() float64 { return l.reserved }
 
 // Available returns capacity not held by reservations, clamped at zero:
 // a degradation below the reserved total (reservations are shed
@@ -136,16 +99,8 @@ type Reservation struct {
 	link     *Link
 	rate     float64
 	released bool
-	revoked  bool
 	onRevoke func(cause error)
 }
-
-// Rate returns the reserved bytes per second.
-func (r *Reservation) Rate() float64 { return r.rate }
-
-// Revoked reports whether the link withdrew the reservation (fault path),
-// as opposed to the holder releasing it.
-func (r *Reservation) Revoked() bool { return r.revoked }
 
 // EffectiveRate returns the rate the reservation actually achieves: the
 // booked rate on an uncongested link, or its max-min fair share of the
@@ -180,7 +135,6 @@ func (r *Reservation) revoke(cause error) {
 		return
 	}
 	r.released = true
-	r.revoked = true
 	r.link.mRevocations.Inc()
 	r.link.drop(r)
 	if r.onRevoke != nil {
@@ -245,7 +199,6 @@ func (l *Link) Degrade(factor float64) {
 	l.mCapacity.Set(l.capacity)
 	l.shedReservations(fmt.Errorf("%w: %s degraded to %.0f B/s", ErrInsufficientBandwidth, l.name, l.capacity))
 	l.recompute()
-	l.notify()
 }
 
 // Partition takes the link down entirely: every reservation is revoked
@@ -258,7 +211,6 @@ func (l *Link) Partition() {
 	l.mCapacity.Set(0)
 	l.shedReservations(fmt.Errorf("%w: %s partitioned", ErrLinkDown, l.name))
 	l.recompute()
-	l.notify()
 }
 
 // Congest models cross-traffic squeezing the link's achieved throughput to
@@ -282,7 +234,6 @@ func (l *Link) Congest(factor float64) {
 		l.mFaults.Inc()
 	}
 	l.recompute()
-	l.notify()
 }
 
 // effectiveCapacity is the throughput actually achievable right now:
@@ -336,7 +287,6 @@ func (l *Link) Restore() {
 	l.congestion = 1
 	l.mCapacity.Set(l.capacity)
 	l.recompute()
-	l.notify()
 }
 
 // shedReservations revokes reservations newest-first until the reserved
@@ -374,9 +324,6 @@ func (l *Link) Join(demand float64, onRate func(float64)) *Flow {
 
 // Rate returns the flow's current achieved rate in bytes per second.
 func (f *Flow) Rate() float64 { return f.rate }
-
-// Demand returns the flow's demanded rate.
-func (f *Flow) Demand() float64 { return f.demand }
 
 // SetDemand changes the demanded rate and recomputes shares.
 func (f *Flow) SetDemand(d float64) {

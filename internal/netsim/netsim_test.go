@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"time"
 
@@ -11,7 +10,7 @@ import (
 
 func newLink(capacity float64) (*simtime.Simulator, *Link) {
 	sim := simtime.NewSimulator()
-	return sim, NewLink(sim, "srv0-out", capacity)
+	return sim, NewLink("srv0-out", capacity)
 }
 
 func TestReserveAndRelease(t *testing.T) {
@@ -32,8 +31,8 @@ func TestReserveAndRelease(t *testing.T) {
 	}
 	r1.Release()
 	r1.Release() // idempotent
-	if l.Reserved() != 1200e3 {
-		t.Fatalf("reserved after release = %v", l.Reserved())
+	if l.reserved != 1200e3 {
+		t.Fatalf("reserved after release = %v", l.reserved)
 	}
 	r2.Release()
 	if l.peakReserved != 3200e3 {
@@ -172,33 +171,6 @@ func TestTransferAdaptsToContention(t *testing.T) {
 	}
 }
 
-func TestTransferRemaining(t *testing.T) {
-	sim, l := newLink(1000)
-	tr := StartTransfer(sim, l, 10000, 1000, nil)
-	sim.RunUntil(3 * time.Second)
-	if got := tr.Remaining(); math.Abs(float64(got-7000)) > 1 {
-		t.Fatalf("remaining = %d, want 7000", got)
-	}
-	sim.Run()
-	if tr.Remaining() != 0 {
-		t.Fatalf("remaining after completion = %d", tr.Remaining())
-	}
-}
-
-func TestTransferCancel(t *testing.T) {
-	sim, l := newLink(1000)
-	fired := false
-	tr := StartTransfer(sim, l, 10000, 1000, func(simtime.Time) { fired = true })
-	sim.Schedule(time.Second, tr.Cancel)
-	sim.Run()
-	if fired {
-		t.Fatal("done fired after cancel")
-	}
-	if len(l.flows) != 0 {
-		t.Fatal("cancelled transfer left its flow on the link")
-	}
-}
-
 func TestTransferStarvationRecovers(t *testing.T) {
 	sim, l := newLink(1000)
 	// Reserve the whole link, starving the transfer, then release.
@@ -223,13 +195,12 @@ func TestJoinPanicsOnBadDemand(t *testing.T) {
 }
 
 func TestNewLinkPanicsOnBadCapacity(t *testing.T) {
-	sim := simtime.NewSimulator()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero capacity accepted")
 		}
 	}()
-	NewLink(sim, "bad", 0)
+	NewLink("bad", 0)
 }
 
 // Regression: Available() used to go negative when a degradation landed
@@ -260,12 +231,12 @@ func TestAvailableClampedUnderDegradeBelowReserved(t *testing.T) {
 	if midShed[0] != 0 {
 		t.Fatalf("Available() mid-shed = %v, want 0 (clamped)", midShed[0])
 	}
-	if l.Reserved() != 0 {
+	if l.reserved != 0 {
 		// Both reservations shed: 3000e3 alone still exceeds 1600e3.
-		t.Fatalf("reserved after shed = %v, want 0", l.Reserved())
+		t.Fatalf("reserved after shed = %v, want 0", l.reserved)
 	}
-	if got := l.Available(); got != l.Capacity() {
-		t.Fatalf("Available() after shed = %v, want capacity %v", got, l.Capacity())
+	if got := l.Available(); got != l.capacity {
+		t.Fatalf("Available() after shed = %v, want capacity %v", got, l.capacity)
 	}
 	if got := l.peakReserved; got != peakBefore {
 		t.Fatalf("PeakReserved changed across Degrade: %v, want %v (high-water mark is monotone)", got, peakBefore)
@@ -274,7 +245,7 @@ func TestAvailableClampedUnderDegradeBelowReserved(t *testing.T) {
 	if got := l.peakReserved; got != peakBefore {
 		t.Fatalf("PeakReserved changed across Restore: %v, want %v", got, peakBefore)
 	}
-	if got := l.Available(); got != l.Capacity() {
-		t.Fatalf("Available after restore = %v, want full capacity %v", got, l.Capacity())
+	if got := l.Available(); got != l.capacity {
+		t.Fatalf("Available after restore = %v, want full capacity %v", got, l.capacity)
 	}
 }

@@ -67,28 +67,3 @@ func (t *Transfer) complete() {
 		t.done(t.sim.Now())
 	}
 }
-
-// Cancel aborts the transfer; done never fires.
-func (t *Transfer) Cancel() {
-	if t.finished {
-		return
-	}
-	t.finished = true
-	t.sim.Cancel(t.doneEv)
-	t.flow.Leave()
-}
-
-// Remaining returns bytes left, accounting progress up to now.
-func (t *Transfer) Remaining() int64 {
-	if t.finished {
-		return 0
-	}
-	rem := t.remaining
-	if t.prevRate > 0 {
-		rem -= simtime.ToSeconds(t.sim.Now()-t.lastTick) * t.prevRate
-	}
-	if rem < 0 {
-		rem = 0
-	}
-	return int64(rem + 0.5)
-}

@@ -136,36 +136,12 @@ func (h *Histogram) Observe(x float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations (zero for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// Sum returns the sum of observations (zero for nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // snapshot returns bounds plus a copy of the counts.
 func (h *Histogram) snapshot() (bounds []float64, counts []uint64, sum float64, n uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.bounds, append([]uint64(nil), h.counts...), h.sum, h.n
 }
-
-// DefaultLatencyBuckets covers sub-millisecond planning up to multi-second
-// failover latencies (values in milliseconds).
-var DefaultLatencyBuckets = []float64{0.1, 0.5, 1, 5, 10, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
 // Registry holds every metric of one database instance, keyed by
 // name+labels. Lookup is mutex-guarded and intended for wiring time;

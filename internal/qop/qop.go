@@ -9,7 +9,6 @@ package qop
 
 import (
 	"fmt"
-	"strings"
 
 	"quasaq/internal/qos"
 )
@@ -249,55 +248,4 @@ func Nurse() *Profile {
 	p := DefaultProfile("nurse")
 	p.Weights = Weights{Spatial: 2, Temporal: 1, Color: 1}
 	return p
-}
-
-// QueryProducer generates QoS-aware query text from user actions and the
-// profile's translations — the Query Producer of §3.2. Emitting SQL (rather
-// than a struct) keeps the full parser in the loop, as in the prototype
-// where the client talked to the modified VDBMS SQL surface.
-type QueryProducer struct {
-	Profile *Profile
-}
-
-// ByTitle produces a query for one titled video with the given QoP.
-func (qp *QueryProducer) ByTitle(title string, q QoP) string {
-	return fmt.Sprintf("SELECT * FROM videos WHERE title = '%s' WITH QOS (%s)",
-		strings.ReplaceAll(title, "'", "''"), qp.clause(q))
-}
-
-// ByTag produces a query for all videos carrying a tag.
-func (qp *QueryProducer) ByTag(tag string, q QoP) string {
-	return fmt.Sprintf("SELECT * FROM videos WHERE tags CONTAINS '%s' WITH QOS (%s)",
-		strings.ReplaceAll(tag, "'", "''"), qp.clause(q))
-}
-
-// SimilarTo produces a content-based similarity query.
-func (qp *QueryProducer) SimilarTo(ref string, limit int, q QoP) string {
-	return fmt.Sprintf("SELECT * FROM videos SIMILAR TO '%s' LIMIT %d WITH QOS (%s)",
-		strings.ReplaceAll(ref, "'", "''"), limit, qp.clause(q))
-}
-
-// clause renders the translated requirement as a WITH QOS term list.
-func (qp *QueryProducer) clause(q QoP) string {
-	req := qp.Profile.Translate(q)
-	var terms []string
-	if req.MinResolution.W > 0 {
-		terms = append(terms, fmt.Sprintf("resolution >= %dx%d", req.MinResolution.W, req.MinResolution.H))
-	}
-	if req.MaxResolution.W > 0 {
-		terms = append(terms, fmt.Sprintf("resolution <= %dx%d", req.MaxResolution.W, req.MaxResolution.H))
-	}
-	if req.MinColorDepth > 0 {
-		terms = append(terms, fmt.Sprintf("depth >= %d", req.MinColorDepth))
-	}
-	if req.MinFrameRate > 0 {
-		terms = append(terms, fmt.Sprintf("fps >= %g", req.MinFrameRate))
-	}
-	if req.Security > qos.SecurityNone {
-		terms = append(terms, "security >= "+req.Security.String())
-	}
-	if len(terms) == 0 {
-		terms = append(terms, "depth >= 8")
-	}
-	return strings.Join(terms, ", ")
 }

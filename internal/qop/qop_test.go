@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"quasaq/internal/qos"
-	"quasaq/internal/vdbms"
 )
 
 func TestTranslateVCDExample(t *testing.T) {
@@ -116,42 +115,6 @@ func TestAlternativesStopAtFloor(t *testing.T) {
 	alts := p.Alternatives(QoP{Spatial: SpatialLow, Temporal: TemporalChoppy, Color: ColorGray}, 5)
 	if len(alts) != 0 {
 		t.Fatalf("floor QoP produced %d alternatives", len(alts))
-	}
-}
-
-func TestQueryProducerParsesCleanly(t *testing.T) {
-	qp := &QueryProducer{Profile: Physician()}
-	queries := []string{
-		qp.ByTitle("cardiac-mri-patient-007", QoP{Spatial: SpatialDVD, Temporal: TemporalSmooth, Color: ColorTrue, Security: qos.SecurityStandard}),
-		qp.ByTag("medical", QoP{Spatial: SpatialVCD, Temporal: TemporalStandard}),
-		qp.SimilarTo("v003", 3, QoP{Spatial: SpatialTV, Color: ColorBasic}),
-		qp.ByTitle("o'brien's scan", QoP{}),
-	}
-	for _, src := range queries {
-		q, err := vdbms.Parse(src)
-		if err != nil {
-			t.Errorf("produced query does not parse: %s: %v", src, err)
-			continue
-		}
-		if !q.HasQoS {
-			t.Errorf("produced query lacks QoS clause: %s", src)
-		}
-	}
-}
-
-func TestQueryProducerRoundTripsRequirement(t *testing.T) {
-	prof := DefaultProfile("u")
-	qp := &QueryProducer{Profile: prof}
-	in := QoP{Spatial: SpatialVCD, Temporal: TemporalStandard, Color: ColorBasic, Security: qos.SecurityStandard}
-	q, err := vdbms.Parse(qp.ByTitle("x", in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := prof.Translate(in)
-	if q.QoS.MinResolution != want.MinResolution || q.QoS.MaxResolution != want.MaxResolution ||
-		q.QoS.MinColorDepth != want.MinColorDepth || q.QoS.MinFrameRate != want.MinFrameRate ||
-		q.QoS.Security != want.Security {
-		t.Fatalf("parsed requirement %+v != translated %+v", q.QoS, want)
 	}
 }
 

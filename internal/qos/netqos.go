@@ -20,7 +20,6 @@ const (
 	NetDelay
 	NetJitter
 	NetThroughput
-	numNetMetrics // sentinel for array sizing
 )
 
 // NetMetrics lists every metric in precedence order (loss > delay > jitter
@@ -51,22 +50,6 @@ func ParseNetMetric(s string) (NetMetric, error) {
 		}
 	}
 	return 0, fmt.Errorf("qos: unknown network metric %q", s)
-}
-
-// Unit names the unit each metric's bound is expressed in: milliseconds for
-// delay and jitter, a 0..1 fraction for loss, and bytes per second for
-// throughput (matching ResNetBandwidth).
-func (m NetMetric) Unit() string {
-	switch m {
-	case NetLoss:
-		return "fraction"
-	case NetDelay, NetJitter:
-		return "ms"
-	case NetThroughput:
-		return "bytes/s"
-	default:
-		return ""
-	}
 }
 
 // Direction says which side of a threshold bound is acceptable.

@@ -3,7 +3,6 @@ package qos
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestFormatRoundTrip(t *testing.T) {
@@ -94,25 +93,6 @@ func TestRequirementExactFrameRateBoundary(t *testing.T) {
 	}
 }
 
-func TestResourceVectorArithmetic(t *testing.T) {
-	a := ResourceVector{0.5, 100, 200, 1 << 20}
-	b := ResourceVector{0.25, 50, 300, 0}
-	sum := a.Add(b)
-	if sum[ResCPU] != 0.75 || sum[ResNetBandwidth] != 150 {
-		t.Fatalf("Add wrong: %v", sum)
-	}
-	diff := a.Sub(b)
-	if diff[ResDiskBandwidth] != 0 {
-		t.Fatalf("Sub should clamp at zero: %v", diff)
-	}
-	if diff[ResCPU] != 0.25 {
-		t.Fatalf("Sub wrong: %v", diff)
-	}
-	if s := a.Scale(2); s[ResNetBandwidth] != 200 {
-		t.Fatalf("Scale wrong: %v", s)
-	}
-}
-
 func TestFitsWithin(t *testing.T) {
 	capacity := ResourceVector{1, 1000, 1000, 1000}
 	usage := ResourceVector{0.5, 500, 0, 0}
@@ -154,17 +134,6 @@ func TestSumRatio(t *testing.T) {
 	demand := ResourceVector{0.5, 50, 25, 0}
 	if got := demand.SumRatio(capacity); got != 1.25 {
 		t.Fatalf("SumRatio = %v, want 1.25", got)
-	}
-}
-
-func TestResourceVectorPropertyAddSubInverse(t *testing.T) {
-	if err := quick.Check(func(a0, a1, b0, b1 uint16) bool {
-		a := ResourceVector{float64(a0), float64(a1), 0, 0}
-		b := ResourceVector{float64(b0), float64(b1), 0, 0}
-		got := a.Add(b).Sub(b)
-		return got[0] == a[0] && got[1] == a[1]
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

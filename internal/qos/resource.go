@@ -42,34 +42,6 @@ func (k ResourceKind) String() string {
 // (§3.4) and the input to the LRB cost function (Eq. 1).
 type ResourceVector [NumResourceKinds]float64
 
-// Add returns v + o element-wise.
-func (v ResourceVector) Add(o ResourceVector) ResourceVector {
-	for i := range v {
-		v[i] += o[i]
-	}
-	return v
-}
-
-// Sub returns v - o element-wise, clamping at zero: releases never drive
-// usage negative even if accounting is slightly lossy.
-func (v ResourceVector) Sub(o ResourceVector) ResourceVector {
-	for i := range v {
-		v[i] -= o[i]
-		if v[i] < 0 {
-			v[i] = 0
-		}
-	}
-	return v
-}
-
-// Scale returns v scaled by f.
-func (v ResourceVector) Scale(f float64) ResourceVector {
-	for i := range v {
-		v[i] *= f
-	}
-	return v
-}
-
 // FitsWithin reports whether usage+v stays within capacity on every axis.
 // This is the admission-control predicate.
 func (v ResourceVector) FitsWithin(usage, capacity ResourceVector) bool {

@@ -123,14 +123,6 @@ func (d *Dynamic) Start(interval simtime.Time, batch int) {
 	})
 }
 
-// Stop halts periodic rebalancing.
-func (d *Dynamic) Stop() {
-	if d.ticker != nil {
-		d.ticker.Stop()
-		d.ticker = nil
-	}
-}
-
 // Created returns the number of replicas materialized so far.
 func (d *Dynamic) Created() int { return d.created }
 

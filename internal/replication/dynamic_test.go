@@ -170,12 +170,6 @@ func TestDynamicTicker(t *testing.T) {
 	if len(dir.Lookup("A", videos[2].ID)) != before+1 {
 		t.Fatal("periodic rebalance did not materialize the replica")
 	}
-	dyn.Stop()
-	sim.Schedule(time.Second, func() { dyn.Observe(videos[3].ID, vcdReq()) })
-	sim.RunUntil(60 * time.Second)
-	if dyn.Created() != 1 {
-		t.Fatalf("replicas created after Stop: %d", dyn.Created())
-	}
 	if dyn.String() == "" {
 		t.Fatal("empty String()")
 	}
@@ -194,7 +188,7 @@ func TestMaterializeOverLinksTakesTime(t *testing.T) {
 	}()
 	links := map[string]*netsim.Link{}
 	for _, s := range ss {
-		links[s.Name] = netsim.NewLink(sim, s.Name+"-out", 3200e3)
+		links[s.Name] = netsim.NewLink(s.Name+"-out", 3200e3)
 	}
 	dyn.SetLinks(links)
 	// Video 2's original lives at site B (round-robin homes); demand its

@@ -42,16 +42,8 @@ type Event struct {
 	h      Handler
 	arg    int
 	index  int32 // heap position + 1; zero while not queued (int32 keeps the Event at 48 bytes)
-	fired  bool
-	cancel bool
-	pooled bool // posted handle-free: returns to the free list when it leaves the queue
+	pooled bool  // posted handle-free: returns to the free list when it leaves the queue
 }
-
-// At reports the virtual time the event is (or was) due to fire.
-func (e *Event) At() Time { return e.at }
-
-// Cancelled reports whether Cancel removed the event before it fired.
-func (e *Event) Cancelled() bool { return e.cancel }
 
 func (e *Event) before(o *Event) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
@@ -124,7 +116,6 @@ func (s *Simulator) Arm(e *Event, at Time, h Handler, arg int) {
 	}
 	s.seq++
 	e.at, e.seq, e.h, e.arg = at, s.seq, h, arg
-	e.fired, e.cancel = false, false
 	s.queue = append(s.queue, e)
 	s.up(len(s.queue) - 1)
 }
@@ -135,7 +126,6 @@ func (s *Simulator) Cancel(e *Event) {
 	if e == nil || e.index == 0 {
 		return
 	}
-	e.cancel = true
 	s.remove(int(e.index) - 1)
 }
 
@@ -207,7 +197,6 @@ func (s *Simulator) Step() bool {
 	h, arg := s.queue[0].h, s.queue[0].arg
 	e := s.remove(0)
 	s.now = e.at
-	e.fired = true
 	s.nEvent++
 	h.HandleEvent(arg)
 	return true

@@ -47,8 +47,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if len(s.queue) != 0 || e.index != 0 {
+		t.Fatalf("cancelled event still queued (%d pending)", len(s.queue))
 	}
 }
 
@@ -56,12 +56,12 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	s := NewSimulator()
 	e := s.Schedule(time.Millisecond, func() {})
 	s.Run()
-	s.Cancel(e)
-	if e.Cancelled() {
-		t.Fatal("fired event reported cancelled")
-	}
-	if !e.fired {
-		t.Fatal("fired = false after run")
+	fired := false
+	s.Schedule(time.Second, func() { fired = true })
+	s.Cancel(e) // e has left the queue: the pending event must survive
+	s.Run()
+	if !fired {
+		t.Fatal("cancelling a fired event removed a pending one")
 	}
 }
 
@@ -516,16 +516,13 @@ func TestEventLifecycle(t *testing.T) {
 	}()
 	s.Cancel(&e)
 	s.Cancel(&e) // second cancel: no-op
-	if !e.Cancelled() || e.fired || e.h != nil || len(s.queue) != 0 {
+	if e.index != 0 || e.h != nil || len(s.queue) != 0 {
 		t.Fatalf("cancelled owned event: %+v, pending %d", e, len(s.queue))
 	}
 	s.Arm(&e, s.Now()+time.Millisecond, h, 3)
-	if e.Cancelled() {
-		t.Fatal("re-armed event still reports cancelled")
-	}
 	s.Run()
 	s.Cancel(&e) // after fire: no-op
-	if !e.fired || e.Cancelled() || h.sum != 7+3 {
+	if h.sum != 7+3 {
 		t.Fatalf("re-armed event: %+v, handler sum %d", e, h.sum)
 	}
 	if len(s.free) != 1 {

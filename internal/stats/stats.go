@@ -54,9 +54,6 @@ func (s *Summary) Var() float64 {
 // StdDev returns the unbiased sample standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Var()) }
 
-// Min returns the smallest observation, or 0 for an empty summary.
-func (s *Summary) Min() float64 { return s.min }
-
 // Max returns the largest observation, or 0 for an empty summary.
 func (s *Summary) Max() float64 { return s.max }
 
@@ -104,9 +101,6 @@ func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
 	s.sorted = nil
 }
-
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
 
 // Values returns the raw observations in insertion order. The caller must
 // not mutate the returned slice.

@@ -13,7 +13,6 @@ import (
 type TimeSeries struct {
 	bucket simtime.Time
 	sums   []float64
-	counts []int
 }
 
 // NewTimeSeries returns a series with the given bucket width.
@@ -24,13 +23,9 @@ func NewTimeSeries(bucket simtime.Time) *TimeSeries {
 	return &TimeSeries{bucket: bucket}
 }
 
-// Bucket returns the configured bucket width.
-func (ts *TimeSeries) Bucket() simtime.Time { return ts.bucket }
-
 func (ts *TimeSeries) grow(i int) {
 	for len(ts.sums) <= i {
 		ts.sums = append(ts.sums, 0)
-		ts.counts = append(ts.counts, 0)
 	}
 }
 
@@ -39,18 +34,6 @@ func (ts *TimeSeries) Observe(t simtime.Time, x float64) {
 	i := int(t / ts.bucket)
 	ts.grow(i)
 	ts.sums[i] += x
-	ts.counts[i]++
-}
-
-// Len returns the number of buckets touched so far.
-func (ts *TimeSeries) Len() int { return len(ts.sums) }
-
-// Mean returns the mean observation in bucket i, or 0 if it is empty.
-func (ts *TimeSeries) Mean(i int) float64 {
-	if i >= len(ts.sums) || ts.counts[i] == 0 {
-		return 0
-	}
-	return ts.sums[i] / float64(ts.counts[i])
 }
 
 // Sum returns the sum of observations in bucket i.
@@ -59,14 +42,6 @@ func (ts *TimeSeries) Sum(i int) float64 {
 		return 0
 	}
 	return ts.sums[i]
-}
-
-// Count returns the number of observations in bucket i.
-func (ts *TimeSeries) Count(i int) int {
-	if i >= len(ts.counts) {
-		return 0
-	}
-	return ts.counts[i]
 }
 
 // Trace records (time, value) pairs in order; Figure 5's per-frame delay
@@ -84,15 +59,6 @@ func (tr *Trace) Add(t simtime.Time, v float64) {
 
 // Len returns the number of points.
 func (tr *Trace) Len() int { return len(tr.Values) }
-
-// Summary computes moments over the trace values.
-func (tr *Trace) Summary() *Summary {
-	s := &Summary{}
-	for _, v := range tr.Values {
-		s.Add(v)
-	}
-	return s
-}
 
 // ASCIIPlot renders the trace as a crude fixed-height column chart, one
 // character column per downsampled point. It exists so that qsqbench output

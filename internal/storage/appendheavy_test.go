@@ -71,11 +71,7 @@ func TestHeapAppendPastPageBoundaryMidScan(t *testing.T) {
 	if len(visited) > before+extra {
 		t.Fatalf("scan saw %d records, more than ever inserted", len(visited))
 	}
-	n, err := heap.Len()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != before+extra {
+	if n := heapLen(t, heap); n != before+extra {
 		t.Fatalf("post-scan Len = %d, want %d", n, before+extra)
 	}
 }
@@ -124,7 +120,8 @@ func TestBTreeDuplicateKeyAppendGrowth(t *testing.T) {
 }
 
 // TestAppendHeavyFlushReadBack grows a qoe-style heap+index well past
-// several page boundaries, flushes the pool, and verifies every record and
+// several page boundaries, cycles the pool through fresh pages so every
+// dirty frame is evicted and written back, and verifies every record and
 // index entry reads back byte-for-byte through a fresh pool over the same
 // volume, so the pages that reached the volume are complete.
 func TestAppendHeavyFlushReadBack(t *testing.T) {
@@ -151,8 +148,14 @@ func TestAppendHeavyFlushReadBack(t *testing.T) {
 		}
 		entries = append(entries, entry{oid, int64(i % 97)})
 	}
-	if err := pool.Flush(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 128; i++ { // one pin per frame evicts every older frame
+		id := vol.Alloc()
+		if _, err := pool.Pin(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.Unpin(id, false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rpool := NewBufferPool(vol, 128)
 	for i, e := range entries {
@@ -170,7 +173,7 @@ func TestAppendHeavyFlushReadBack(t *testing.T) {
 		}
 		rpool.Unpin(e.oid.Page, false)
 	}
-	rtree := &BTree{pool: rpool, vol: vol, root: tree.root, h: tree.h, n: tree.n}
+	rtree := &BTree{pool: rpool, vol: vol, root: tree.root}
 	count := 0
 	if err := rtree.Range(0, 96, func(int64, OID) bool { count++; return true }); err != nil {
 		t.Fatal(err)

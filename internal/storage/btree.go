@@ -16,8 +16,6 @@ type BTree struct {
 	pool *BufferPool
 	vol  *Volume
 	root PageID
-	h    int // height: 1 = root is a leaf
-	n    int // entries
 }
 
 // Node layout within a raw page (the slotted-page header is not used):
@@ -40,7 +38,7 @@ const (
 
 // NewBTree creates an empty tree on the volume behind pool.
 func NewBTree(pool *BufferPool, vol *Volume) (*BTree, error) {
-	t := &BTree{pool: pool, vol: vol, h: 1}
+	t := &BTree{pool: pool, vol: vol}
 	root := vol.Alloc()
 	page, err := pool.Pin(root)
 	if err != nil {
@@ -53,12 +51,6 @@ func NewBTree(pool *BufferPool, vol *Volume) (*BTree, error) {
 	t.root = root
 	return t, nil
 }
-
-// Len returns the number of entries.
-func (t *BTree) Len() int { return t.n }
-
-// Height returns the tree height (1 = single leaf).
-func (t *BTree) Height() int { return t.h }
 
 func initLeaf(b []byte) {
 	for i := range b[:btHeader] {
@@ -188,9 +180,7 @@ func (t *BTree) Insert(key int64, value OID) error {
 			return err
 		}
 		t.root = newRoot
-		t.h++
 	}
-	t.n++
 	return nil
 }
 
@@ -363,16 +353,6 @@ func (t *BTree) findLeaf(key int64) (PageID, error) {
 		}
 		id = next
 	}
-}
-
-// Search returns every OID stored under key.
-func (t *BTree) Search(key int64) ([]OID, error) {
-	var out []OID
-	err := t.Range(key, key, func(_ int64, v OID) bool {
-		out = append(out, v)
-		return true
-	})
-	return out, err
 }
 
 // Range calls fn for each entry with lo <= key <= hi in key order,

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -17,6 +18,26 @@ func newTree(t *testing.T, poolSize int) *BTree {
 	return tree
 }
 
+// search returns every value stored under key, through a point range scan.
+func search(tree *BTree, key int64) ([]OID, error) {
+	var out []OID
+	err := tree.Range(key, key, func(_ int64, v OID) bool {
+		out = append(out, v)
+		return true
+	})
+	return out, err
+}
+
+// treeLen counts the tree's entries by a full range scan.
+func treeLen(t *testing.T, tree *BTree) int {
+	t.Helper()
+	n := 0
+	if err := tree.Range(math.MinInt64, math.MaxInt64, func(int64, OID) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func oidFor(i int) OID {
 	return OID{Volume: 7, Page: PageID(i / 100), Slot: uint16(i % 100)}
 }
@@ -28,11 +49,11 @@ func TestBTreeInsertSearchSmall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tree.Len() != 100 {
-		t.Fatalf("len = %d", tree.Len())
+	if n := treeLen(t, tree); n != 100 {
+		t.Fatalf("len = %d", n)
 	}
 	for i := 0; i < 100; i++ {
-		got, err := tree.Search(int64(i * 3))
+		got, err := search(tree, int64(i*3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +61,7 @@ func TestBTreeInsertSearchSmall(t *testing.T) {
 			t.Fatalf("key %d: got %v", i*3, got)
 		}
 	}
-	if got, _ := tree.Search(1); len(got) != 0 {
+	if got, _ := search(tree, 1); len(got) != 0 {
 		t.Fatalf("absent key found: %v", got)
 	}
 }
@@ -55,11 +76,19 @@ func TestBTreeSplitsAndHeightGrowth(t *testing.T) {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-	if tree.Height() < 2 {
-		t.Fatalf("height = %d after %d inserts", tree.Height(), n)
+	root, err := tree.pool.Pin(tree.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafRoot := nodeIsLeaf(root.Bytes())
+	if err := tree.pool.Unpin(tree.root, false); err != nil {
+		t.Fatal(err)
+	}
+	if leafRoot {
+		t.Fatalf("root is still a leaf after %d inserts", n)
 	}
 	for _, probe := range []int{0, 1, 510, 511, 512, 9999, n - 1} {
-		got, err := tree.Search(int64(probe))
+		got, err := search(tree, int64(probe))
 		if err != nil || len(got) != 1 || got[0] != oidFor(probe) {
 			t.Fatalf("probe %d: %v %v", probe, got, err)
 		}
@@ -112,7 +141,7 @@ func TestBTreeDuplicateKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := tree.Search(42)
+	got, err := search(tree, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +220,7 @@ func TestBTreePropertyMatchesMap(t *testing.T) {
 			}
 		}
 		for k, vs := range ref {
-			got, err := tree.Search(k)
+			got, err := search(tree, k)
 			if err != nil || len(got) != len(vs) {
 				return false
 			}
@@ -200,7 +229,7 @@ func TestBTreePropertyMatchesMap(t *testing.T) {
 		for _, vs := range ref {
 			total += len(vs)
 		}
-		return tree.Len() == total
+		return treeLen(t, tree) == total
 	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +252,6 @@ func BenchmarkBTreeSearch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.Search(int64(i % 100000))
+		search(tree, int64(i%100000))
 	}
 }

@@ -12,7 +12,7 @@ var ErrPoolExhausted = errors.New("storage: buffer pool exhausted (all frames pi
 
 // BufferPool caches volume pages with LRU replacement and pin counting, in
 // the style of Shore's buffer manager. A pinned frame is never evicted;
-// dirty frames are written back on eviction or Flush.
+// dirty frames are written back on eviction.
 type BufferPool struct {
 	vol  *Volume
 	size int
@@ -104,22 +104,6 @@ func (bp *BufferPool) evictLocked() error {
 		}
 	}
 	delete(bp.frames, f.id)
-	return nil
-}
-
-// Flush writes back every dirty frame. Pinned frames are flushed but stay
-// resident.
-func (bp *BufferPool) Flush() error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	for _, f := range bp.frames {
-		if f.dirty {
-			if err := bp.vol.WritePage(f.id, f.page); err != nil {
-				return err
-			}
-			f.dirty = false
-		}
-	}
 	return nil
 }
 

@@ -118,10 +118,3 @@ func (h *HeapFile) Scan(fn func(OID, []byte) bool) error {
 	}
 	return nil
 }
-
-// Len counts records (O(pages)).
-func (h *HeapFile) Len() (int, error) {
-	n := 0
-	err := h.Scan(func(OID, []byte) bool { n++; return true })
-	return n, err
-}

@@ -234,9 +234,6 @@ func NewFarm(sim *simtime.Simulator, cfg FarmConfig, reg *obs.Registry) (*Farm, 
 	return f, nil
 }
 
-// Config returns the normalized configuration the farm runs.
-func (f *Farm) Config() FarmConfig { return f.cfg }
-
 // Neutral reports whether the farm is timing- and accounting-neutral.
 func (f *Farm) Neutral() bool { return f.cfg.Neutral() }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"quasaq/internal/gara"
+	"quasaq/internal/qos"
 	"quasaq/internal/simtime"
 )
 
@@ -29,8 +30,8 @@ func TestSessionCancelIdempotent(t *testing.T) {
 	if node.Usage() != before {
 		t.Fatal("second Cancel changed node usage")
 	}
-	if node.Leases() != 0 {
-		t.Fatalf("leases after cancel = %d", node.Leases())
+	if u := node.Usage(); u != (qos.ResourceVector{}) {
+		t.Fatalf("usage after cancel = %v, want every lease released", u)
 	}
 	sim.Run()
 	if done != 0 {
@@ -98,7 +99,7 @@ func TestSessionFailThenCancelIsNoOp(t *testing.T) {
 	if len(causes) != 1 || causes[0].Error() != "injected" {
 		t.Fatalf("fail causes = %v, want only the first", causes)
 	}
-	if node.Leases() != 0 {
-		t.Fatalf("leases = %d", node.Leases())
+	if u := node.Usage(); u != (qos.ResourceVector{}) {
+		t.Fatalf("usage = %v, want every lease released", u)
 	}
 }

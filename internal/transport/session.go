@@ -133,7 +133,6 @@ type Session struct {
 	// saturated outbound link drops the excess); shed frames are dropped at
 	// the server when the CPU backlog exceeds shedBacklog.
 	framesLost float64
-	bytesLost  float64
 	framesShed int
 	lastDone   simtime.Time
 	haveDone   bool
@@ -280,10 +279,6 @@ func (s *Session) totalFrames() int {
 	return total
 }
 
-// Reserved reports whether the session streams on reserved resources (as
-// opposed to a best-effort fallback).
-func (s *Session) Reserved() bool { return s.lease != nil }
-
 // The session seen as the target of its three per-frame events: the next
 // GOP's pacing, a frame's release (argument: its size) and that frame's CPU
 // completion. Posting a receiver and an integer allocates nothing.
@@ -366,7 +361,6 @@ func (s *Session) scheduleGOP() {
 		if carriable < keptBytes {
 			lossFrac := 1 - carriable/keptBytes
 			s.framesLost += lossFrac * float64(len(sends))
-			s.bytesLost += lossFrac * keptBytes
 			s.mLost.Add(lossFrac * float64(len(sends)))
 		}
 	}
@@ -549,13 +543,6 @@ func (s *Session) Finished() simtime.Time { return s.finished }
 
 // FramesDelivered returns the number of frames processed so far.
 func (s *Session) FramesDelivered() int { return s.framesSent }
-
-// FramesLost returns the expected frames lost to outbound-link saturation
-// (fractional: loss accrues per GOP as a carried-bytes shortfall).
-func (s *Session) FramesLost() float64 { return s.framesLost }
-
-// FramesShed returns frames dropped at the server under CPU backlog.
-func (s *Session) FramesShed() int { return s.framesShed }
 
 // LossRatio returns the fraction of delivered-intended frames that were
 // lost or shed.

@@ -118,8 +118,8 @@ func TestReservedSessionDeliversAllFrames(t *testing.T) {
 	if elapsed < 9.5 || elapsed > 11.5 {
 		t.Fatalf("session took %.2f s for a 10 s video", elapsed)
 	}
-	if node.Leases() != 0 {
-		t.Fatal("lease not released at completion")
+	if u := node.Usage(); u != (qos.ResourceVector{}) {
+		t.Fatalf("lease not released at completion: usage %v", u)
 	}
 }
 
@@ -163,10 +163,10 @@ func TestReservedSessionInterFrameStats(t *testing.T) {
 }
 
 // bestEffortLoad returns the bandwidth the link's best-effort flows take:
-// a probe flow demanding the whole link is left exactly the unreserved
-// capacity they do not use (max-min fairness, every other demand smaller).
+// a probe flow demanding more than the unreserved capacity is left exactly
+// the part they do not use (max-min fairness, every other demand smaller).
 func bestEffortLoad(l *netsim.Link) float64 {
-	p := l.Join(2*l.Capacity(), nil)
+	p := l.Join(2*l.Available()+1, nil)
 	defer p.Leave()
 	return l.Available() - p.Rate()
 }
@@ -180,6 +180,9 @@ func TestBestEffortSessionCompletes(t *testing.T) {
 	s, err := StartBestEffort(sim, node, Config{Video: v, Variant: va}, func(x *Session) { doneAt = x.Finished() })
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s.lease != nil {
+		t.Fatal("best-effort session holds a reservation")
 	}
 	sim.Run()
 	if !s.Done() || doneAt == 0 {
@@ -240,8 +243,8 @@ func TestReservedSessionQoSOK(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run()
-	if s.LossRatio() != 0 || s.FramesShed() != 0 {
-		t.Fatalf("reserved session lost frames: loss=%v shed=%d", s.LossRatio(), s.FramesShed())
+	if s.LossRatio() != 0 || s.framesShed != 0 {
+		t.Fatalf("reserved session lost frames: loss=%v shed=%d", s.LossRatio(), s.framesShed)
 	}
 	if !s.QoSOK() {
 		t.Fatalf("uncontended reserved session failed QoS: mean=%.2f ideal=%.2f",
@@ -267,7 +270,7 @@ func TestBestEffortShedsUnderCPUBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.RunUntil(120 * time.Second)
-	if s.FramesShed() == 0 {
+	if s.framesShed == 0 {
 		t.Fatal("no frames shed despite hopeless CPU backlog")
 	}
 	if !s.Done() {
@@ -323,8 +326,8 @@ func TestSessionCancelReleasesResources(t *testing.T) {
 	if !s.Cancelled() {
 		t.Fatal("session not marked cancelled")
 	}
-	if node.Leases() != 0 {
-		t.Fatal("cancel leaked the lease")
+	if u := node.Usage(); u != (qos.ResourceVector{}) {
+		t.Fatalf("cancel leaked the lease: usage %v", u)
 	}
 	u := node.Usage()
 	if u[qos.ResNetBandwidth] > 1e-9 {

@@ -184,13 +184,6 @@ func (e *Engine) All() []*media.Video {
 	return out
 }
 
-// Len returns the catalog size.
-func (e *Engine) Len() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.videos)
-}
-
 // ExecuteSQL parses and executes a query string.
 func (e *Engine) ExecuteSQL(src string) ([]Result, *Query, error) {
 	q, err := Parse(src)

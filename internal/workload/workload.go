@@ -66,7 +66,6 @@ type Generator struct {
 	tiers   []qop.QoP
 	pick    func() int
 	now     simtime.Time
-	count   int
 }
 
 // New creates a generator. It panics on an empty corpus or site list, which
@@ -120,7 +119,6 @@ func (g *Generator) phaseMean(t simtime.Time) simtime.Time {
 func (g *Generator) Next() Request {
 	g.now += g.rng.ExpDur(g.phaseMean(g.now))
 	tier := g.rng.Intn(len(g.tiers))
-	g.count++
 	return Request{
 		At:    g.now,
 		Site:  g.cfg.Sites[g.rng.Intn(len(g.cfg.Sites))],
@@ -129,9 +127,6 @@ func (g *Generator) Next() Request {
 		Req:   g.profile.Translate(g.tiers[tier]),
 	}
 }
-
-// Count returns the number of requests generated so far.
-func (g *Generator) Count() int { return g.count }
 
 // Drive schedules every arrival up to horizon on the simulator, invoking
 // serve for each request at its arrival instant.

@@ -41,9 +41,6 @@ func TestArrivalsIncreasingExponential(t *testing.T) {
 	if mean < 950*time.Millisecond || mean > 1050*time.Millisecond {
 		t.Fatalf("mean inter-arrival = %v, want ~1s", mean)
 	}
-	if g.Count() != n {
-		t.Fatalf("count = %d", g.Count())
-	}
 }
 
 func TestUniformVideoAccess(t *testing.T) {
