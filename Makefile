@@ -5,7 +5,10 @@ GO ?= go
 # The full gate, and the only one: what CI (and a careful human) runs before
 # merging. The race target runs every package under the race detector; the
 # shuffle target catches inter-test state leaks; the hygiene targets keep
-# the tree gofmt-clean and the module file tidy.
+# the tree gofmt-clean and the module file tidy. Both test targets include
+# the root TestUnreachedNames, which fails on a name declared under
+# internal/ that no non-test file reaches and testdata/unreached.txt does
+# not list with a reason, and on a listed name that is reached again.
 check: fmt-check tidy-check vet build race shuffle fuzz-smoke
 
 # gofmt -l prints offending files and exits 0; fail when it prints.

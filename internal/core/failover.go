@@ -273,7 +273,7 @@ func (m *Manager) bestEffortFallback(d *Delivery, attempt int) bool {
 // rejection of an unrecoverable mid-stream fault. The error chain carries
 // ErrNoViablePlan, the last per-attempt admission cause, and the original
 // fault that killed the session (so errors.Is finds ErrNodeDown /
-// ErrLeaseRevoked / netsim.ErrLinkDown on Delivery.Err).
+// ErrLeaseRevoked / netsim.ErrLinkDown in the error OnFailed receives).
 func (m *Manager) abandon(d *Delivery, attempts int, cause error) {
 	d.recovering = false
 	d.failed = true
