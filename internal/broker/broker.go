@@ -2,7 +2,6 @@ package broker
 
 import (
 	"fmt"
-	"sync"
 
 	"quasaq/internal/gara"
 	"quasaq/internal/obs"
@@ -33,12 +32,6 @@ type Broker struct {
 	sim  *simtime.Simulator
 	node *gara.Node
 
-	// mu guards the transaction tables and their entries' timers. Handlers
-	// run on the caller's goroutine, but a fault revoking a prepared lease
-	// reaches drop from whichever goroutine crashed the node. gara fires
-	// revoke callbacks outside its node lock, so the only lock order is
-	// broker, then node.
-	mu        sync.Mutex
 	prepared  map[uint64]*prepEntry
 	committed map[uint64]*commitEntry
 
@@ -68,16 +61,10 @@ func New(sim *simtime.Simulator, node *gara.Node, reg *obs.Registry) *Broker {
 
 // PendingPrepares returns the number of prepared transactions awaiting
 // commit or abort — orphan-leak diagnostics for chaos tests.
-func (b *Broker) PendingPrepares() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.prepared)
-}
+func (b *Broker) PendingPrepares() int { return len(b.prepared) }
 
 // Handle is the broker's message loop body, registered with Net.Register.
 func (b *Broker) Handle(req Request) Reply {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	switch req.Op {
 	case OpPrepare:
 		return b.prepare(req)
@@ -110,8 +97,6 @@ func (b *Broker) prepare(req Request) Reply {
 	e := &prepEntry{lease: lease}
 	if req.TTL > 0 {
 		e.timer = b.sim.Schedule(req.TTL, func() {
-			b.mu.Lock()
-			defer b.mu.Unlock()
 			e.timer = nil
 			if b.prepared[req.TxID] != e {
 				return
@@ -132,8 +117,6 @@ func (b *Broker) prepare(req Request) Reply {
 
 // drop removes a prepared entry whose lease the fault layer reclaimed.
 func (b *Broker) drop(tx uint64, e *prepEntry) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.prepared[tx] != e {
 		return
 	}
@@ -172,8 +155,6 @@ func (b *Broker) commit(req Request) Reply {
 	if req.TTL > 0 {
 		ce := &commitEntry{lease: e.lease}
 		ce.forget = b.sim.Schedule(req.TTL, func() {
-			b.mu.Lock()
-			defer b.mu.Unlock()
 			if b.committed[req.TxID] == ce {
 				delete(b.committed, req.TxID)
 			}

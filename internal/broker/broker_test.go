@@ -2,9 +2,7 @@ package broker
 
 import (
 	"errors"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"math/rand"
 	"testing"
 
 	"quasaq/internal/gara"
@@ -290,60 +288,73 @@ func TestCommitRetryAfterLostAckIsIdempotent(t *testing.T) {
 	w.sim.Run() // the forget timer was cancelled; nothing should fire
 }
 
-// TestBrokerSurvivesConcurrentNodeFaults drives one broker's prepare →
-// commit loop while another goroutine crashes and restores its node: gara
-// fires the prepared leases' revoke callbacks — Broker.drop — on the
-// faulting goroutine, so the transaction tables are shared state. Under
-// -race an unguarded table fails this on every run. At quiesce nothing may
-// be left prepared and the node's books must read exactly zero.
+// TestBrokerSurvivesConcurrentNodeFaults interleaves, in a seeded order,
+// one broker's prepare → commit loop with crashes and restores of its node:
+// gara fires the prepared leases' revoke callbacks — Broker.drop — from
+// inside Node.Fail, between the loop's own steps. After every step each
+// prepared entry must still hold a live lease, and the broker's table must
+// match the node's prepared-lease gauge. At quiesce nothing may be left
+// prepared and the node's books must read exactly zero.
 func TestBrokerSurvivesConcurrentNodeFaults(t *testing.T) {
 	w := newWorld(t, Config{}) // synchronous: no TTL timers, the simulator stays idle
 	b, n := w.bks["b"], w.nodes["b"]
+	preparedNow := w.reg.Gauge("gara_leases_prepared_live", "site", "b")
 
-	var stop atomic.Bool
-	var faults sync.WaitGroup
-	faults.Add(1)
-	go func() {
-		defer faults.Done()
-		for !stop.Load() {
-			n.Fail()
-			runtime.Gosched()
-			n.Restore()
-			runtime.Gosched()
-		}
-	}()
-
-	// Prepare in batches, and yield before committing, so a crash finds
-	// prepared leases to revoke while the loop is still using the tables;
-	// keep going until faults have provably dropped entries under it.
+	// The loop prepares in batches and commits afterwards, so a crash
+	// between the two finds prepared leases to revoke; it keeps going until
+	// faults have provably dropped entries under it.
 	const batch, wantDropped, maxRounds = 4, 20, 200000
 	req := prepReq(0, 0)
 	req.Vec[qos.ResCPU] = 0.125 // a binary fraction: overlapping leases sum and cancel exactly
-	dropped := 0
-	for round := 0; dropped < wantDropped; round++ {
-		if round == maxRounds {
-			t.Fatalf("only %d prepared entries dropped by faults in %d rounds", dropped, round)
-		}
+	dropped, round, slot := 0, 0, 0
+	var prepared [batch]bool
+	// loopStep runs the loop's next Handle call: batch prepares, then one
+	// commit (and its abort) per transaction of the batch.
+	loopStep := func() {
 		base := uint64(round) * batch
-		var prepared [batch]bool
-		for i := range prepared {
-			req.TxID = base + uint64(i)
-			prepared[i] = b.Handle(req).OK
-		}
-		runtime.Gosched()
-		for i, ok := range prepared {
+		if slot < batch {
+			req.TxID = base + uint64(slot)
+			prepared[slot] = b.Handle(req).OK
+		} else {
+			i := slot - batch
 			id := base + uint64(i)
 			switch rep := b.Handle(Request{Op: OpCommit, TxID: id}); {
 			case rep.OK:
 				rep.Lease.Release()
-			case ok && errors.Is(rep.Err, ErrUnknownTx):
+			case prepared[i] && errors.Is(rep.Err, ErrUnknownTx):
 				dropped++ // prepared, then revoked by a crash before the commit
 			}
 			b.Handle(Request{Op: OpAbort, TxID: id})
 		}
+		if slot++; slot == 2*batch {
+			slot = 0
+			round++
+		}
 	}
-	stop.Store(true)
-	faults.Wait()
+
+	order := rand.New(rand.NewSource(3))
+	for step := 0; dropped < wantDropped || slot != 0; step++ { // whole rounds only
+		if round == maxRounds {
+			t.Fatalf("only %d prepared entries dropped by faults in %d rounds", dropped, round)
+		}
+		if order.Intn(4) == 0 {
+			if n.Down() {
+				n.Restore()
+			} else {
+				n.Fail()
+			}
+		} else {
+			loopStep()
+		}
+		for tx, e := range b.prepared {
+			if e.lease.Revoked() {
+				t.Fatalf("step %d: tx %d is still prepared on a revoked lease", step, tx)
+			}
+		}
+		if got, want := int64(b.PendingPrepares()), preparedNow.Value(); got != want {
+			t.Fatalf("step %d: broker holds %d prepares, node %d prepared leases", step, got, want)
+		}
+	}
 	n.Restore()
 
 	if got := b.PendingPrepares(); got != 0 {

@@ -181,7 +181,7 @@ func TestGenerateImpossibleRequirement(t *testing.T) {
 	if plans := gen.GenerateAll("srv-a", v, req); len(plans) != 0 {
 		t.Fatalf("impossible requirement produced %d plans", len(plans))
 	}
-	if gen.pruned.Load() == 0 {
+	if gen.pruned == 0 {
 		t.Fatal("pruning not counted")
 	}
 }

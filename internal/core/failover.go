@@ -160,10 +160,8 @@ func (m *Manager) attemptFailover(d *Delivery, attempt int) {
 				return
 			}
 			d.recovering = false
-			d.failovers++
 			latency := m.cluster.Sim.Now() - d.failedAt
 			lost := simtime.ToSeconds(latency) * d.fpsAtFail
-			d.framesLost += lost
 			m.met.failovers.Inc()
 			m.met.framesLost.Add(lost)
 			m.met.failoverLatency.Add(int64(latency))
@@ -241,10 +239,8 @@ func (m *Manager) bestEffortFallback(d *Delivery, attempt int) bool {
 		m.cluster.sessionStarted()
 		d.Session = sess
 		d.recovering = false
-		d.degraded = true
 		latency := m.cluster.Sim.Now() - d.failedAt
 		lost := simtime.ToSeconds(latency) * d.fpsAtFail
-		d.framesLost += lost
 		m.met.bestEffortFallbacks.Inc()
 		m.met.framesLost.Add(lost)
 		d.failSpan.SetArg("to", rep.Site)

@@ -9,6 +9,7 @@ import (
 	"quasaq/internal/qos"
 	"quasaq/internal/replication"
 	"quasaq/internal/simtime"
+	"quasaq/internal/transport"
 )
 
 // Tentpole coverage: failure detection, mid-stream failover, graceful
@@ -42,22 +43,19 @@ func TestFailoverResumesOnAlternateReplica(t *testing.T) {
 	if done != d {
 		t.Fatal("delivery did not complete after failover")
 	}
-	if d.failovers != 1 {
-		t.Fatalf("failovers = %d, want 1", d.failovers)
+	if len(events) != 1 {
+		t.Fatalf("failovers = %d, want 1", len(events))
 	}
+	ev := events[0]
 	if d.Plan.DeliverySite == origSite {
 		t.Fatalf("resumed on the crashed site %s", origSite)
 	}
-	if d.Failed() || d.degraded || d.Recovering() {
-		t.Fatalf("failed=%v degraded=%v recovering=%v", d.Failed(), d.degraded, d.Recovering())
+	if d.Failed() || ev.Degraded || d.Recovering() {
+		t.Fatalf("failed=%v degraded=%v recovering=%v", d.Failed(), ev.Degraded, d.Recovering())
 	}
-	if d.framesLost <= 0 {
+	if ev.Frames <= 0 {
 		t.Fatal("no frames-lost accounting")
 	}
-	if len(events) != 1 {
-		t.Fatalf("events = %d, want 1", len(events))
-	}
-	ev := events[0]
 	if ev.FromSite != origSite || ev.ToSite != d.Plan.DeliverySite || ev.Err != nil || ev.Degraded {
 		t.Fatalf("event = %+v", ev)
 	}
@@ -86,8 +84,8 @@ func TestFailoverResumesNearLastPosition(t *testing.T) {
 	origSite := d.Plan.DeliverySite
 	sim.ScheduleAt(simtime.Seconds(10), func() { c.Nodes[origSite].Fail() })
 	sim.RunUntil(simtime.Seconds(12))
-	if d.failovers != 1 {
-		t.Fatalf("failovers = %d", d.failovers)
+	if n := m.Stats().Failovers; n != 1 {
+		t.Fatalf("failovers = %d", n)
 	}
 	// Ten seconds at >=20 fps is >=200 frames; the resumed session must
 	// start near there, not from zero. A session restarted from frame zero
@@ -155,34 +153,48 @@ func TestFailoverBestEffortFallback(t *testing.T) {
 	pol.MaxRetries = 0
 	pol.BestEffortFallback = true
 	m.EnableFailover(pol)
-	var degraded []*Delivery
+	var deliveries, degraded []*Delivery
+	// Recovery swaps a delivery's session and then notifies the observer,
+	// so the one delivery whose session changed since the last event is the
+	// one this event reports.
+	seen := map[*Delivery]*transport.Session{}
 	m.SetFailoverObserver(func(ev FailoverEvent) {
 		if ev.Err != nil {
 			t.Fatalf("with the fallback enabled nothing should be abandoned: %v", ev.Err)
 		}
+		var swapped []*Delivery
+		for _, d := range deliveries {
+			if d.Session != seen[d] {
+				seen[d] = d.Session
+				swapped = append(swapped, d)
+			}
+		}
+		if len(swapped) != 1 {
+			t.Fatalf("%d deliveries changed session before one failover event", len(swapped))
+		}
+		if ev.Degraded {
+			degraded = append(degraded, swapped[0])
+		}
 	})
 
 	top := qos.Requirement{MinResolution: qos.ResDVD, MinFrameRate: 23, MinColorDepth: 24}
-	var deliveries []*Delivery
 	for i := 0; ; i++ {
 		d, err := m.Service(c.Sites()[i%3], media.VideoID(1+i%15), top, ServiceOptions{})
 		if err != nil {
 			break
 		}
 		deliveries = append(deliveries, d)
+		seen[d] = d.Session
 	}
 	if len(deliveries) < 3 {
 		t.Fatalf("only %d deliveries admitted", len(deliveries))
 	}
 	sim.ScheduleAt(simtime.Seconds(5), func() { c.Nodes["srv-b"].Fail() })
 	sim.RunUntil(simtime.Seconds(30))
-	for _, d := range deliveries {
-		if d.degraded {
-			degraded = append(degraded, d)
-			for _, l := range d.held {
-				if l != nil {
-					t.Fatal("degraded delivery still holds a lease")
-				}
+	for _, d := range degraded {
+		for _, l := range d.held {
+			if l != nil {
+				t.Fatal("degraded delivery still holds a lease")
 			}
 		}
 	}

@@ -79,10 +79,7 @@ type Delivery struct {
 	failedFrom string
 	resumeFrom int
 	fpsAtFail  float64
-	failovers  int
-	framesLost float64
 	failCause  error // the fault that killed the most recent session
-	degraded   bool
 	failed     bool
 	aborted    bool // Cancel was called; in-flight reservations roll back
 	err        error
@@ -227,7 +224,7 @@ func (s *ManagerStats) Merge(o ManagerStats) {
 
 // managerMetrics holds the quality manager's registry-backed counters: the
 // single source of truth behind Manager.Stats. Handles are resolved once at
-// construction, so the hot path pays one atomic per outcome.
+// construction, so the hot path pays one increment per outcome.
 type managerMetrics struct {
 	queries             *obs.Counter
 	admitted            *obs.Counter

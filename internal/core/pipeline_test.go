@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -100,14 +100,14 @@ func TestPipelineGoldenEquivalence(t *testing.T) {
 					return false
 				}
 				// Warm: a hit must do zero enumeration work and keep order.
-				genBefore := m.Generator().generated.Load()
+				genBefore := m.Generator().generated
 				want2 := planStrings(eagerReference(m, refGen, refModel, site, v, req))
 				warm := planStrings(drain(m.admissionOrder(m.viable(planSet(m, site, v, req)))))
 				if !equalStrings(want2, warm) {
 					t.Logf("warm mismatch for %s@%s %v", v.ID, site, req)
 					return false
 				}
-				if genAfter := m.Generator().generated.Load(); genAfter != genBefore {
+				if genAfter := m.Generator().generated; genAfter != genBefore {
 					t.Logf("warm lookup enumerated plans (%d -> %d)", genBefore, genAfter)
 					return false
 				}
@@ -171,7 +171,7 @@ func TestServiceWarmCacheSkipsEnumeration(t *testing.T) {
 	if st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("cold stats = %+v, want 1 miss", st)
 	}
-	genBefore, prunedBefore := m.Generator().generated.Load(), m.Generator().pruned.Load()
+	genBefore, prunedBefore := m.Generator().generated, m.Generator().pruned
 	d2, err := m.Service("srv-a", 1, req, ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestServiceWarmCacheSkipsEnumeration(t *testing.T) {
 	if st.Hits != 1 {
 		t.Fatalf("warm stats = %+v, want 1 hit", st)
 	}
-	genAfter, prunedAfter := m.Generator().generated.Load(), m.Generator().pruned.Load()
+	genAfter, prunedAfter := m.Generator().generated, m.Generator().pruned
 	if genAfter != genBefore || prunedAfter != prunedBefore {
 		t.Fatalf("warm Service enumerated: emitted %d->%d pruned %d->%d",
 			genBefore, genAfter, prunedBefore, prunedAfter)
@@ -284,34 +284,47 @@ func TestServiceRejectionCarriesCause(t *testing.T) {
 	}
 }
 
-// TestPlanPipelineRaceSafety hammers the generator and the cache from
-// concurrent goroutines; `make check` runs this under -race to prove the
-// counters are safe.
+// TestPlanPipelineRaceSafety interleaves, in a seeded order, eight
+// callers' enumerate → GetOrFill loops over one generator and one cache,
+// some of them staling the cache between calls. After every step the cache
+// must agree with a one-key model: a lookup after a liveness bump (or the
+// first one) fills, every other lookup hits, and misses equal fills.
 func TestPlanPipelineRaceSafety(t *testing.T) {
 	_, c := testCluster(t)
 	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
 	cache := NewPlanCache(c.Dir)
 	v, _ := c.Engine.Video(1)
 	req := vcdRequirement()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				plans := gen.GenerateAll("srv-a", v, req)
-				cache.GetOrFill("srv-a", v.ID, req, func() []*Plan { return plans })
-				if w%2 == 0 && i%10 == 9 {
-					cache.BumpLiveness()
-				}
-				gen.generated.Load()
-				cache.Stats()
-			}
-		}()
+	const callers, iterations = 8, 25
+	var done [callers]int
+	order := rand.New(rand.NewSource(5))
+	fills, stale := uint64(0), true
+	for step := 0; step < callers*iterations; step++ {
+		w := order.Intn(callers)
+		for done[w] == iterations {
+			w = (w + 1) % callers
+		}
+		i := done[w]
+		done[w]++
+		plans := gen.GenerateAll("srv-a", v, req)
+		filled := false
+		cache.GetOrFill("srv-a", v.ID, req, func() []*Plan { filled = true; return plans })
+		if filled {
+			fills++
+		}
+		if filled != stale {
+			t.Fatalf("step %d: lookup filled=%v, want %v", step, filled, stale)
+		}
+		stale = false
+		if w%2 == 0 && i%10 == 9 {
+			cache.BumpLiveness()
+			stale = true
+		}
+		if st := cache.Stats(); st.Misses != fills || st.Hits+st.Misses != uint64(step+1) {
+			t.Fatalf("step %d: stats %+v after %d fills", step, st, fills)
+		}
 	}
-	wg.Wait()
-	if gen.generated.Load() == 0 {
-		t.Fatal("no plans generated under contention")
+	if gen.generated == 0 {
+		t.Fatal("no plans generated")
 	}
 }

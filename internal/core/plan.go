@@ -11,7 +11,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"quasaq/internal/cryptoact"
 	"quasaq/internal/media"
@@ -152,10 +151,8 @@ type Generator struct {
 	cfg GeneratorConfig
 
 	// Enumeration counters: the plan-cache tests read them to show a warm
-	// lookup enumerates nothing. Atomic: the plan cache's equivalence and
-	// race tests enumerate from multiple goroutines.
-	generated atomic.Uint64
-	pruned    atomic.Uint64
+	// lookup enumerates nothing.
+	generated, pruned uint64
 }
 
 // NewGenerator creates a plan generator over the cluster's metadata.
@@ -217,7 +214,7 @@ func (g *Generator) GenerateAll(querySite string, v *media.Video, req qos.Requir
 		// Rule: a replica below the required minimum resolution can never
 		// satisfy the query — transcoding cannot upscale (§3.4).
 		if req.MinResolution.W > 0 && !rep.Variant.Quality.Resolution.AtLeast(req.MinResolution) {
-			e.pruned++
+			e.g.pruned++
 			continue
 		}
 		deliverySites := []string{rep.Site}
@@ -258,26 +255,23 @@ func (g *Generator) GenerateAll(querySite string, v *media.Video, req qos.Requir
 			}
 		}
 	}
-	g.generated.Add(e.generated)
-	g.pruned.Add(e.pruned)
 	return e.out
 }
 
 // enumeration is one GenerateAll call's scratch: what does not depend on
 // the candidate, worked out once, and the slabs plans are cut from. It is
-// per call because the generator runs on several goroutines and a Video
-// may be copied with another Seed.
+// per call, not a field of media.Video, because callers copy a Video with
+// another Seed.
 type enumeration struct {
-	g                 *Generator
-	v                 *media.Video
-	req               qos.Requirement
-	encs              []*cryptoact.Algorithm               // set A5
-	frameFactor       [transport.NumDropStrategies]float64 // drop.FrameFactor(v.GOP)
-	priced            []*pricedQuality
-	plans             []Plan  // the current slab chunk
-	stages            []Stage // three per plan slot of the chunk
-	out               []*Plan
-	generated, pruned uint64
+	g           *Generator
+	v           *media.Video
+	req         qos.Requirement
+	encs        []*cryptoact.Algorithm               // set A5
+	frameFactor [transport.NumDropStrategies]float64 // drop.FrameFactor(v.GOP)
+	priced      []*pricedQuality
+	plans       []Plan  // the current slab chunk
+	stages      []Stage // three per plan slot of the chunk
+	out         []*Plan
 }
 
 // pricedQuality is what every candidate delivering one quality shares. The
@@ -333,12 +327,12 @@ func (e *enumeration) slot() (*Plan, []Stage) {
 // handover) while dropping and encryption apply to both legs alike.
 func (e *enumeration) splitPlans(prefix *metadata.Replica, replicas []*metadata.Replica) {
 	if e.req.MinResolution.W > 0 && !prefix.Variant.Quality.Resolution.AtLeast(e.req.MinResolution) {
-		e.pruned++
+		e.g.pruned++
 		return
 	}
 	split := prefix.PrefixFrames(e.v)
 	if split <= 0 || split >= e.v.Frames() {
-		e.pruned++
+		e.g.pruned++
 		return
 	}
 	for _, tail := range replicas {
@@ -448,7 +442,7 @@ func (e *enumeration) build(rep *metadata.Replica, site string, priced *pricedQu
 	deliveredEff := delivered
 	deliveredEff.FrameRate = effFPS
 	if !e.req.SatisfiedBy(deliveredEff) {
-		e.pruned++
+		e.g.pruned++
 		return nil
 	}
 
@@ -472,7 +466,7 @@ func (e *enumeration) build(rep *metadata.Replica, site string, priced *pricedQu
 	if cap := e.g.cfg.SiteCapacity; cap != (qos.ResourceVector{}) {
 		var zero qos.ResourceVector
 		if !deliveryDemand.FitsWithin(zero, cap) || !sourceDemand.FitsWithin(zero, cap) {
-			e.pruned++
+			e.g.pruned++
 			return nil
 		}
 	}
@@ -510,7 +504,7 @@ func (e *enumeration) build(rep *metadata.Replica, site string, priced *pricedQu
 		Stages:           stages,
 		reserved:         reserved,
 	}
-	e.generated++
+	e.g.generated++
 	e.out = append(e.out, p)
 	return p
 }

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"quasaq/internal/media"
 	"quasaq/internal/metadata"
 	"quasaq/internal/obs"
@@ -23,7 +20,7 @@ import (
 //
 //   - the metadata Directory's topology epoch, which advances on every
 //     replica or site change (offline replication, dynamic replication,
-//     store registration, metadata-cache toggles);
+//     store registration, tier assignment);
 //   - the cache's own liveness epoch, which the quality manager advances on
 //     every node crash/restart (CrashSite, RestoreSite, fault injection) via
 //     gara node watchers.
@@ -33,12 +30,9 @@ import (
 // subsequent retry — and every repeated workload query — skips enumeration
 // entirely.
 type PlanCache struct {
-	dir *metadata.Directory
-
-	mu      sync.Mutex
-	entries map[planCacheKey]*planCacheEntry
-
-	liveEpoch atomic.Uint64
+	dir       *metadata.Directory
+	entries   map[planCacheKey]*planCacheEntry
+	liveEpoch uint64
 
 	// Outcome counters: standalone by default so an uninstrumented cache
 	// still counts; Instrument rebinds them to registry-backed series.
@@ -71,12 +65,6 @@ type planCacheEntry struct {
 	plans     []*Plan
 	dirEpoch  uint64
 	liveEpoch uint64
-
-	// Single-flight state for GetOrFill entries: ready is closed when the
-	// fill finishes and done flips true (both under mu). Entries stored by
-	// Put have a nil ready and are born done.
-	ready chan struct{}
-	done  bool
 }
 
 func newPlanCacheKey(site string, id media.VideoID, req qos.Requirement) planCacheKey {
@@ -134,30 +122,23 @@ func (c *PlanCache) Instrument(reg *obs.Registry) {
 // BumpLiveness advances the liveness epoch, staling every entry. The
 // quality manager calls it from node watchers on crash/restart; tests and
 // operators may call it directly to force re-enumeration.
-func (c *PlanCache) BumpLiveness() { c.liveEpoch.Add(1) }
+func (c *PlanCache) BumpLiveness() { c.liveEpoch++ }
 
 // Get returns the cached candidate set for the key, or (nil, false) on a
 // miss. A hit requires both epochs to match; a mismatch evicts the entry
 // and reports a miss.
 func (c *PlanCache) Get(site string, id media.VideoID, req qos.Requirement) ([]*Plan, bool) {
-	key := newPlanCacheKey(site, id, req)
-	dirEpoch := c.dir.Epoch()
-	liveEpoch := c.liveEpoch.Load()
-	c.mu.Lock()
+	return c.lookup(newPlanCacheKey(site, id, req))
+}
+
+// lookup counts one hit or miss for key, evicting a stale entry first.
+func (c *PlanCache) lookup(key planCacheKey) ([]*Plan, bool) {
 	e, ok := c.entries[key]
-	if ok && e.ready != nil && !e.done {
-		// A GetOrFill is mid-enumeration; Get cannot wait, so it reports a
-		// plain miss and leaves the pending entry for the filler.
-		c.mu.Unlock()
-		c.misses.Inc()
-		return nil, false
-	}
-	if ok && (e.dirEpoch != dirEpoch || e.liveEpoch != liveEpoch) {
+	if ok && (e.dirEpoch != c.dir.Epoch() || e.liveEpoch != c.liveEpoch) {
 		delete(c.entries, key)
 		ok = false
 		c.invalidations.Inc()
 	}
-	c.mu.Unlock()
 	if !ok {
 		c.misses.Inc()
 		return nil, false
@@ -167,62 +148,28 @@ func (c *PlanCache) Get(site string, id media.VideoID, req qos.Requirement) ([]*
 }
 
 // GetOrFill returns the candidate set for the key, enumerating it with fill
-// at most once per cold key — the single-flight discipline the admission
-// pipeline relies on. Concurrent lookups of a key whose fill is in flight
-// block until the fill lands and are served from it (counted as hits, since
-// they enumerated nothing), so misses equals enumerations exactly even
-// under contention. A fill that completes after an epoch bump is stored
-// stale and re-enumerated by the next lookup, exactly like any other stale
-// entry. The second result reports whether the cache (rather than this
-// call's own fill) served the set.
+// on a miss and storing the result, so misses equal enumerations exactly.
+// Both epochs are read before fill runs: a fill that bumps either one
+// stores an entry that is already stale, and the next lookup re-enumerates
+// it like any other stale entry. The second result reports whether the
+// cache (rather than this call's own fill) served the set.
 func (c *PlanCache) GetOrFill(site string, id media.VideoID, req qos.Requirement, fill func() []*Plan) ([]*Plan, bool) {
 	key := newPlanCacheKey(site, id, req)
-	for {
-		dirEpoch := c.dir.Epoch()
-		liveEpoch := c.liveEpoch.Load()
-		c.mu.Lock()
-		e, ok := c.entries[key]
-		if ok && e.ready != nil && !e.done {
-			ch := e.ready
-			c.mu.Unlock()
-			<-ch
-			// Re-validate from scratch: the fill may have landed already
-			// stale, or the entry may have been evicted meanwhile.
-			continue
-		}
-		if ok && (e.dirEpoch != dirEpoch || e.liveEpoch != liveEpoch) {
-			delete(c.entries, key)
-			ok = false
-			c.invalidations.Inc()
-		}
-		if ok {
-			c.mu.Unlock()
-			c.hits.Inc()
-			return e.plans, true
-		}
-		e = &planCacheEntry{ready: make(chan struct{}), dirEpoch: dirEpoch, liveEpoch: liveEpoch}
-		c.entries[key] = e
-		c.mu.Unlock()
-		c.misses.Inc()
-		plans := fill()
-		c.mu.Lock()
-		e.plans = plans
-		e.done = true
-		close(e.ready)
-		c.mu.Unlock()
-		return plans, false
+	if plans, ok := c.lookup(key); ok {
+		return plans, true
 	}
+	e := &planCacheEntry{dirEpoch: c.dir.Epoch(), liveEpoch: c.liveEpoch}
+	e.plans = fill()
+	c.entries[key] = e
+	return e.plans, false
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *PlanCache) Stats() PlanCacheStats {
-	c.mu.Lock()
-	n := len(c.entries)
-	c.mu.Unlock()
 	return PlanCacheStats{
 		Hits:          c.hits.Value(),
 		Misses:        c.misses.Value(),
 		Invalidations: c.invalidations.Value(),
-		Entries:       n,
+		Entries:       len(c.entries),
 	}
 }

@@ -18,7 +18,6 @@ package edgecache
 
 import (
 	"sort"
-	"sync"
 
 	"quasaq/internal/media"
 	"quasaq/internal/metadata"
@@ -116,7 +115,6 @@ func (s Stats) HitRatio() float64 {
 
 // Manager owns every edge site's prefix cache and their cooperation.
 type Manager struct {
-	mu     sync.Mutex
 	sim    *simtime.Simulator
 	dir    *metadata.Directory
 	videos map[media.VideoID]*media.Video
@@ -157,8 +155,6 @@ func New(sim *simtime.Simulator, dir *metadata.Directory, videos []*media.Video,
 // AddSite registers an edge site's blob store and metadata store with the
 // cache. Sites tick in name order regardless of registration order.
 func (m *Manager) AddSite(name string, blobs *storage.BlobStore, store *metadata.Store) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	sc := &siteCache{
 		name:          name,
 		blobs:         blobs,
@@ -182,16 +178,12 @@ func (m *Manager) AddSite(name string, blobs *storage.BlobStore, store *metadata
 // MapClient declares edgeSite as the home edge for queries arriving at
 // querySite; popularity observed there accrues to that edge's cache.
 func (m *Manager) MapClient(querySite, edgeSite string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.homes[querySite] = edgeSite
 }
 
 // SetPromote installs the overflow-promotion sink (replication.Dynamic's
 // demand feed).
 func (m *Manager) SetPromote(fn func(media.VideoID, media.LinkClass, int)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.promote = fn
 }
 
@@ -199,13 +191,11 @@ func (m *Manager) SetPromote(fn func(media.VideoID, media.LinkClass, int)) {
 // accruing popularity at its home edge and counting whether that edge
 // already held the video (the edge hit ratio).
 func (m *Manager) Observe(querySite string, id media.VideoID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	sc := m.byName[m.homes[querySite]]
 	if sc == nil {
 		return
 	}
-	m.armLocked()
+	m.arm()
 	if e, ok := sc.entries[id]; ok {
 		e.hot++
 		e.life++
@@ -221,21 +211,17 @@ func (m *Manager) Observe(querySite string, id media.VideoID) {
 // zero — an idle cache leaves no pending events, so RunUntilIdle still
 // terminates — and the next Observe re-arms it.
 func (m *Manager) Start() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.started = true
-	m.armLocked()
+	m.arm()
 }
 
-func (m *Manager) armLocked() {
+func (m *Manager) arm() {
 	if !m.started || m.ticker != nil {
 		return
 	}
 	m.ticker = m.sim.Every(m.cfg.Interval, func() bool {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		m.tickLocked()
-		if m.warmLocked() {
+		m.tick()
+		if m.warm() {
 			return true
 		}
 		m.ticker = nil
@@ -243,9 +229,9 @@ func (m *Manager) armLocked() {
 	})
 }
 
-// warmLocked reports whether any popularity counter is still non-zero; a
+// warm reports whether any popularity counter is still non-zero; a
 // cold cache parks its ticker until the next observation.
-func (m *Manager) warmLocked() bool {
+func (m *Manager) warm() bool {
 	for _, sc := range m.sites {
 		if len(sc.want) > 0 {
 			return true
@@ -259,10 +245,10 @@ func (m *Manager) warmLocked() bool {
 	return false
 }
 
-// tickLocked runs one admission/eviction/promotion round across every edge
+// tick runs one admission/eviction/promotion round across every edge
 // site (in name order, so runs are deterministic) and then decays
 // popularity.
-func (m *Manager) tickLocked() {
+func (m *Manager) tick() {
 	for _, sc := range m.sites {
 		m.admit(sc)
 		m.promoteHot(sc)
@@ -499,8 +485,6 @@ func (m *Manager) decay(sc *siteCache) {
 
 // Stats summarizes the tier.
 func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	s := Stats{Sites: len(m.sites)}
 	for _, sc := range m.sites {
 		for _, e := range sc.entries {

@@ -1,7 +1,7 @@
 package edgecache
 
 import (
-	"sync"
+	"math/rand"
 	"testing"
 
 	"quasaq/internal/media"
@@ -12,18 +12,9 @@ import (
 	"quasaq/internal/storage"
 )
 
-// tick runs one cache round under the manager's lock, as the ticker does.
-func tick(m *Manager) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.tickLocked()
-}
-
 // holds reports whether the edge site has the video resident (prefix or
 // promoted full copy).
 func holds(m *Manager, edgeSite string, id media.VideoID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	sc := m.byName[edgeSite]
 	if sc == nil {
 		return false
@@ -89,13 +80,13 @@ func onePrefixBytes(t *testing.T, m *Manager, dir *metadata.Directory, v *media.
 func TestInstallBumpsEpochOnce(t *testing.T) {
 	dir, m, videos := testWorld(t, Config{MinHits: 1, PrefixGOPs: 2})
 	before := dir.Epoch()
-	tick(m) // nothing observed yet
+	m.tick() // nothing observed yet
 	if got := dir.Epoch(); got != before {
 		t.Fatalf("idle tick bumped epoch: %d -> %d", before, got)
 	}
 	m.Observe("client-a", videos[0].ID)
 	before = dir.Epoch()
-	tick(m)
+	m.tick()
 	if got := dir.Epoch(); got != before+1 {
 		t.Fatalf("one install bumped epoch by %d, want 1", got-before)
 	}
@@ -107,7 +98,7 @@ func TestInstallBumpsEpochOnce(t *testing.T) {
 	}
 	// A tick with nothing new leaves the epoch alone again.
 	before = dir.Epoch()
-	tick(m)
+	m.tick()
 	if got := dir.Epoch(); got != before {
 		t.Fatalf("steady-state tick bumped epoch: %d -> %d", before, got)
 	}
@@ -137,17 +128,17 @@ func TestEvictionBumpsEpochOncePerTransition(t *testing.T) {
 	dir, m, _ := testWorld(t, Config{MinHits: 1, PrefixGOPs: 2, ByteBudget: bigBytes})
 
 	m.Observe("client-a", big.ID)
-	tick(m)
+	m.tick()
 	if !holds(m, "edge-a", big.ID) {
 		t.Fatal("first prefix not installed")
 	}
 	// The resident's hot count decays to zero across ticks; a strictly
 	// hotter candidate then claims the space.
-	tick(m)
+	m.tick()
 	m.Observe("client-a", small.ID)
 	m.Observe("client-a", small.ID)
 	before := dir.Epoch()
-	tick(m)
+	m.tick()
 	if got := dir.Epoch(); got != before+2 {
 		t.Fatalf("evict+install bumped epoch by %d, want 2", got-before)
 	}
@@ -188,7 +179,7 @@ func TestBudgetNeverExceededUnderChurn(t *testing.T) {
 			m.Observe(clients[round%2], v.ID)
 			m.Observe(clients[round%2], v.ID)
 		}
-		tick(m)
+		m.tick()
 		for _, sc := range m.sites {
 			if sc.used > m.cfg.ByteBudget {
 				t.Fatalf("round %d: site %s uses %d bytes over budget %d",
@@ -216,39 +207,80 @@ func TestBudgetNeverExceededUnderChurn(t *testing.T) {
 	}
 }
 
-// TestConcurrentObserveTickHolds exercises Observe, Stats and cache ticks
-// (with their residency changes) from many goroutines at once; run under
-// -race (`make check`) this pins the lock discipline.
+// TestConcurrentObserveTickHolds interleaves, in a seeded order, four
+// query streams' Observe calls with cache ticks (and their
+// residency changes), as a world's sessions and the cache ticker interleave
+// on the simulation clock. After every step no observation may be lost
+// (hits plus misses equal the observations so far) and no site may exceed
+// its byte budget.
 func TestConcurrentObserveTickHolds(t *testing.T) {
 	_, m, videos := testWorld(t, Config{MinHits: 1, PrefixGOPs: 2})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			client := []string{"client-a", "client-b"}[g%2]
-			for i := 0; i < 200; i++ {
-				v := videos[(g*31+i)%len(videos)]
-				m.Observe(client, v.ID)
-				if i%16 == 0 {
-					m.Stats()
-				}
+	const streams, observes, ticks = 4, 200, 40
+	var done [streams]int
+	ticked, observed := 0, uint64(0)
+	order := rand.New(rand.NewSource(9))
+	for step := 0; observed < streams*observes || ticked < ticks; step++ {
+		g := order.Intn(streams + 1) // streams: the ticker's turn
+		if g == streams && ticked < ticks || observed == streams*observes {
+			m.tick()
+			ticked++
+		} else {
+			for g %= streams; done[g] == observes; g = (g + 1) % streams {
 			}
-		}(g)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 40; i++ {
-			tick(m)
+			i := done[g]
+			done[g]++
+			client := []string{"client-a", "client-b"}[g%2]
+			m.Observe(client, videos[(g*31+i)%len(videos)].ID)
+			observed++
 		}
-	}()
-	wg.Wait()
-	// Goroutine scheduling may drain the tick loop before the observers
-	// accrue demand; one more tick settles the admissions deterministically.
-	tick(m)
+		s := m.Stats()
+		if s.Hits+s.Misses != observed {
+			t.Fatalf("step %d: %d hits + %d misses after %d observations", step, s.Hits, s.Misses, observed)
+		}
+		for _, sc := range m.sites {
+			if sc.used > m.cfg.ByteBudget {
+				t.Fatalf("step %d: site %s uses %d bytes over budget %d", step, sc.name, sc.used, m.cfg.ByteBudget)
+			}
+		}
+	}
+	// One more tick settles the admissions of the last observations.
+	m.tick()
 	if s := m.Stats(); s.Installs == 0 {
-		t.Fatalf("concurrent workload installed nothing: %+v", s)
+		t.Fatalf("interleaved workload installed nothing: %+v", s)
+	}
+}
+
+// TestMakeRoomEvictsNothingWhenSpaceCannotBeFreed: when the free space plus
+// every strictly colder resident still falls short of a prefix, makeRoom
+// refuses before evicting anything — the cold resident stays, Evictions
+// does not move and the topology epoch stays put.
+func TestMakeRoomEvictsNothingWhenSpaceCannotBeFreed(t *testing.T) {
+	dir, m, videos := testWorld(t, Config{MinHits: 1, PrefixGOPs: 2})
+	cold, warm := videos[0], videos[1]
+	m.Observe("client-a", cold.ID)
+	m.Observe("client-a", warm.ID)
+	m.tick()
+	sc := m.byName["edge-a"]
+	if sc.entries[cold.ID] == nil || sc.entries[warm.ID] == nil {
+		t.Fatal("residents not installed")
+	}
+	sc.entries[cold.ID].hot, sc.entries[warm.ID].hot = 0, 5
+	// One byte more than the free space plus the cold resident: only
+	// evicting the warm resident as well would make room, and it is not
+	// colder than the candidate.
+	need := m.cfg.ByteBudget - sc.used + sc.entries[cold.ID].bytes + 1
+	evictions, epoch := m.Stats().Evictions, dir.Epoch()
+	if m.makeRoom(sc, need, 3) {
+		t.Fatalf("makeRoom found %d bytes with %d free", need, m.cfg.ByteBudget-sc.used)
+	}
+	if !holds(m, "edge-a", cold.ID) || !holds(m, "edge-a", warm.ID) {
+		t.Fatal("a resident was evicted although the space could not be freed")
+	}
+	if got := m.Stats().Evictions; got != evictions {
+		t.Fatalf("evictions moved %d -> %d", evictions, got)
+	}
+	if got := dir.Epoch(); got != epoch {
+		t.Fatalf("epoch moved %d -> %d", epoch, got)
 	}
 }
 
@@ -258,11 +290,11 @@ func TestConcurrentObserveTickHolds(t *testing.T) {
 func TestPromotionInPlace(t *testing.T) {
 	dir, m, videos := testWorld(t, Config{MinHits: 1, PrefixGOPs: 2, PromoteHits: 3})
 	m.Observe("client-a", videos[0].ID)
-	tick(m) // install, life=1
+	m.tick() // install, life=1
 	m.Observe("client-a", videos[0].ID)
 	m.Observe("client-a", videos[0].ID)
 	before := dir.Epoch()
-	tick(m) // life=3 crosses the threshold
+	m.tick() // life=3 crosses the threshold
 	if got := dir.Epoch(); got != before+1 {
 		t.Fatalf("in-place promotion bumped epoch by %d, want 1", got-before)
 	}
@@ -296,10 +328,10 @@ func TestPromotionOverflowFeedsReplicator(t *testing.T) {
 		promoted = append(promoted, id)
 	})
 	m.Observe("client-a", videos[0].ID)
-	tick(m)
+	m.tick()
 	m.Observe("client-a", videos[0].ID)
 	m.Observe("client-a", videos[0].ID)
-	tick(m)
+	m.tick()
 	if len(promoted) != 1 || promoted[0] != videos[0].ID {
 		t.Fatalf("promote sink saw %v, want [%s]", promoted, videos[0].ID)
 	}
@@ -308,7 +340,7 @@ func TestPromotionOverflowFeedsReplicator(t *testing.T) {
 	if !holds(m, "edge-a", videos[0].ID) {
 		t.Fatal("prefix dropped on overflow promotion")
 	}
-	tick(m)
+	m.tick()
 	if len(promoted) != 1 {
 		t.Fatalf("promotion re-fed every tick: %v", promoted)
 	}

@@ -180,9 +180,8 @@ func runFig5Panel(cfg Fig5Config, quasaq bool, contention int, label string) (*D
 	// The measured stream starts once the competition is up.
 	var measured *transport.Session
 	start := simtime.Seconds(3)
-	errCh := make(chan error, 1)
+	var err error
 	sim.ScheduleAt(start, func() {
-		var err error
 		if quasaq {
 			m := core.NewManager(cluster, core.LRB{})
 			req := qos.Requirement{MinResolution: qos.ResDVD, MinFrameRate: 23}
@@ -194,17 +193,12 @@ func runFig5Panel(cfg Fig5Config, quasaq bool, contention int, label string) (*D
 		} else {
 			measured, err = vdbms.Service("srv-a", measuredVideoID, cfg.Frames+1, nil)
 		}
-		if err != nil {
-			errCh <- err
-		}
 	})
 	// Run long enough for the measured video (120 s) plus slack; the
 	// competing 18-minute streams keep going but we do not need them.
 	sim.RunUntil(start + simtime.Seconds(200))
-	select {
-	case err := <-errCh:
+	if err != nil {
 		return nil, err
-	default:
 	}
 	if measured == nil {
 		return nil, fmt.Errorf("measured session failed to start")

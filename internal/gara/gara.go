@@ -11,30 +11,16 @@
 // end-to-end reservation spanning all four resources for the lifetime of a
 // media delivery job.
 //
-// # Concurrency
-//
-// A node is safe for concurrent use. One mutex guards all mutation —
-// including the node's link and CPU scheduler, which have no locks of their
-// own and are only ever driven through lease operations — and every
-// complete mutation publishes a fresh usage vector through an atomic
-// pointer, so Usage (the admission cost models' hottest read) never blocks
-// a writer and never observes a reservation half-applied. Reserve updates
-// four buckets; before the snapshot discipline a concurrent reader could
-// catch the window after the link booked bandwidth but before disk/memory
-// were charged — and over-report availability. Now readers see the
-// pre-state or the post-state, nothing between.
-//
-// Holder callbacks (lease revocation handlers, node watchers) always fire
-// after the lock is dropped: handlers routinely re-enter the node — a
-// failing-over session releases its lease, a watcher reads Usage() — and
-// the mutex is not reentrant.
+// A node belongs to one simulated world and is driven only by that world's
+// goroutine (DESIGN.md §14), so it holds no lock. Holder callbacks (lease
+// revocation handlers, node watchers) fire only after a mutation has
+// finished: handlers re-enter the node (a failing-over session releases its
+// lease, a watcher reads Usage) and must find its books complete.
 package gara
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"quasaq/internal/cpusched"
 	"quasaq/internal/netsim"
@@ -102,12 +88,6 @@ type Node struct {
 
 	capacity qos.ResourceVector
 
-	// mu guards every mutable field below, plus the link and CPU scheduler
-	// state reached through lease operations. usage is the lock-free read
-	// side: a complete snapshot republished at the end of every mutation.
-	mu    sync.Mutex
-	usage atomic.Pointer[qos.ResourceVector]
-
 	diskUsed float64
 	memUsed  float64
 	netResv  float64 // mirrors link reservations made through leases
@@ -134,7 +114,7 @@ type Node struct {
 
 // Instrument wires the node's lease accounting — and its link's and CPU
 // scheduler's counters — onto the metrics registry, labelled by site. Call
-// once at construction time, before the node is shared.
+// once at construction time.
 func (n *Node) Instrument(reg *obs.Registry) {
 	n.reg = reg
 	n.mGranted = reg.Counter("gara_leases_granted_total", "site", n.name)
@@ -158,15 +138,12 @@ func (n *Node) Registry() *obs.Registry { return n.reg }
 func NewNode(sim *simtime.Simulator, name string, cap NodeCapacity) *Node {
 	cpu := cpusched.New(sim, cpusched.DefaultQuantum)
 	cpu.SetMaxUtilization(cap.CPUCores)
-	n := &Node{
+	return &Node{
 		name:     name,
 		cpu:      cpu,
 		link:     netsim.NewLink(name+"-out", cap.NetBandwidth),
 		capacity: cap.Vector(),
 	}
-	var zero qos.ResourceVector
-	n.usage.Store(&zero)
-	return n
 }
 
 // Name returns the node name.
@@ -184,20 +161,8 @@ func (n *Node) Link() *netsim.Link { return n.link }
 func (n *Node) Capacity() qos.ResourceVector { return n.capacity }
 
 // Usage returns the node's current reserved/used resource vector — the
-// bucket fillings U_i of Eq. 1. The read is a single atomic pointer load of
-// the snapshot published by the last complete mutation: it never blocks
-// writers and never sees a half-applied reservation.
+// bucket fillings U_i of Eq. 1, assembled from the resource managers.
 func (n *Node) Usage() qos.ResourceVector {
-	if p := n.usage.Load(); p != nil {
-		return *p
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.usageLocked()
-}
-
-// usageLocked assembles the usage vector from the resource managers.
-func (n *Node) usageLocked() qos.ResourceVector {
 	var v qos.ResourceVector
 	v[qos.ResCPU] = n.cpu.ReservedUtilization()
 	v[qos.ResNetBandwidth] = n.netResv
@@ -206,36 +171,17 @@ func (n *Node) usageLocked() qos.ResourceVector {
 	return v
 }
 
-// publishUsageLocked snapshots the buckets for lock-free readers. Every
-// mutation path calls it exactly once, after its last bucket update.
-func (n *Node) publishUsageLocked() {
-	v := n.usageLocked()
-	n.usage.Store(&v)
-}
-
 // Down reports whether the node is crashed.
-func (n *Node) Down() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.down
-}
+func (n *Node) Down() bool { return n.down }
 
 // Watch registers fn to be called on every node state transition (crash,
-// restart). Watchers fire in registration order, outside the node lock.
+// restart). Watchers fire in registration order, after the transition is
+// complete; one registered while they fire waits for the next transition.
 func (n *Node) Watch(fn func(NodeEvent)) {
 	if fn == nil {
 		return
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.watchers = append(n.watchers, fn)
-}
-
-// watchersLocked copies the watcher list for firing after unlock.
-func (n *Node) watchersLocked() []func(NodeEvent) {
-	ws := make([]func(NodeEvent), len(n.watchers))
-	copy(ws, n.watchers)
-	return ws
 }
 
 // Fail crashes the node: every live lease is revoked (oldest first, so
@@ -243,14 +189,11 @@ func (n *Node) watchersLocked() []func(NodeEvent) {
 // partitioned, and further reservations fail with ErrNodeDown until
 // Restore. Idempotent.
 //
-// The resource teardown happens under the lock — down is set first, so no
-// new lease can slip in behind the revocation sweep, and by the time the
-// link partitions no lease-held bandwidth remains. Holder callbacks and
-// watcher notifications fire after unlock.
+// The whole resource teardown comes first — down is set before the
+// revocation sweep, and by the time the link partitions no lease-held
+// bandwidth remains. Holder callbacks and then watchers fire after it.
 func (n *Node) Fail() {
-	n.mu.Lock()
 	if n.down {
-		n.mu.Unlock()
 		return
 	}
 	n.down = true
@@ -258,18 +201,16 @@ func (n *Node) Fail() {
 	cause := fmt.Errorf("%w: %s crashed", ErrNodeDown, n.name)
 	var fire []func()
 	for _, l := range append([]*Lease(nil), n.live...) {
-		if cb, err := l.revokeLocked(cause); cb != nil {
+		if cb, err := l.withdraw(cause); cb != nil {
 			fire = append(fire, func() { cb(err) })
 		}
 	}
 	n.link.Partition()
-	n.publishUsageLocked()
-	ws := n.watchersLocked()
-	ev := NodeEvent{Node: n, Down: true}
-	n.mu.Unlock()
+	ws := n.watchers // a watcher a revoke handler registers waits for the next transition
 	for _, f := range fire {
 		f()
 	}
+	ev := NodeEvent{Node: n, Down: true}
 	for _, fn := range ws {
 		fn(ev)
 	}
@@ -279,19 +220,14 @@ func (n *Node) Fail() {
 // a process has after a crash-restart cycle (all prior leases were revoked
 // by Fail). Idempotent.
 func (n *Node) Restore() {
-	n.mu.Lock()
 	if !n.down {
-		n.mu.Unlock()
 		return
 	}
 	n.down = false
 	n.mRestores.Inc()
 	n.link.Restore()
-	n.publishUsageLocked()
-	ws := n.watchersLocked()
 	ev := NodeEvent{Node: n, Down: false}
-	n.mu.Unlock()
-	for _, fn := range ws {
+	for _, fn := range n.watchers {
 		fn(ev)
 	}
 }
@@ -300,17 +236,13 @@ func (n *Node) Restore() {
 // fault injector's operator-revocation event (e.g. a preempted allocation
 // in a shared cluster). It reports whether a lease was revoked.
 func (n *Node) RevokeOldestLease(cause error) bool {
-	n.mu.Lock()
 	if len(n.live) == 0 {
-		n.mu.Unlock()
 		return false
 	}
-	l := n.live[0]
-	n.mu.Unlock()
 	if cause == nil {
 		cause = ErrLeaseRevoked
 	}
-	l.Revoke(cause)
+	n.live[0].Revoke(cause)
 	return true
 }
 
@@ -319,10 +251,6 @@ func (n *Node) RevokeOldestLease(cause error) bool {
 // Prepare holds its resources but stays in the prepared state until Commit
 // seals it or Release/Revoke returns the resources — the two-phase
 // reservation states of the distributed control plane.
-//
-// Lease state is guarded by the owning node's mutex: a lease never changes
-// nodes, so the lock that orders node bucket updates orders lease
-// transitions too.
 type Lease struct {
 	node     *Node
 	vec      qos.ResourceVector
@@ -335,7 +263,7 @@ type Lease struct {
 	onRevoke func(cause error)
 }
 
-// Reserve atomically acquires the demand vector for a delivery job. The
+// Reserve acquires the demand vector for a delivery job. The
 // period parameter sets the CPU reservation granularity (normally the
 // stream's frame interval). Reservation is all-or-nothing: on any failure
 // every partial acquisition is rolled back and ErrRejected is returned.
@@ -343,17 +271,10 @@ func (n *Node) Reserve(name string, v qos.ResourceVector, period simtime.Time) (
 	if period <= 0 {
 		return nil, fmt.Errorf("gara: non-positive period %v", period)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	l, err := n.reserveLocked(name, v, period)
-	if err != nil {
-		return nil, err
-	}
-	n.publishUsageLocked()
-	return l, nil
+	return n.reserve(name, v, period)
 }
 
-func (n *Node) reserveLocked(name string, v qos.ResourceVector, period simtime.Time) (*Lease, error) {
+func (n *Node) reserve(name string, v qos.ResourceVector, period simtime.Time) (*Lease, error) {
 	if n.down {
 		return nil, fmt.Errorf("%w: %s", ErrNodeDown, n.name)
 	}
@@ -409,9 +330,7 @@ func (n *Node) Prepare(name string, v qos.ResourceVector, period simtime.Time) (
 	if period <= 0 {
 		return nil, fmt.Errorf("gara: non-positive period %v", period)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	l, err := n.reserveLocked(name, v, period)
+	l, err := n.reserve(name, v, period)
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +338,6 @@ func (n *Node) Prepare(name string, v qos.ResourceVector, period simtime.Time) (
 	n.prepared++
 	n.mPrepared.Inc()
 	n.mPreparedNow.Set(int64(n.prepared))
-	n.publishUsageLocked()
 	return l, nil
 }
 
@@ -429,8 +347,6 @@ func (n *Node) Prepare(name string, v qos.ResourceVector, period simtime.Time) (
 // already-committed (or Reserve-born) lease is a no-op.
 func (l *Lease) Commit() error {
 	n := l.node
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if l.released {
 		return fmt.Errorf("%w: commit %s on %s", ErrLeaseReleased, l.name, n.name)
 	}
@@ -456,42 +372,22 @@ func (l *Lease) rollbackNet() {
 }
 
 // Vector returns the reserved resource vector.
-func (l *Lease) Vector() qos.ResourceVector {
-	l.node.mu.Lock()
-	defer l.node.mu.Unlock()
-	return l.vec
-}
+func (l *Lease) Vector() qos.ResourceVector { return l.vec }
 
 // CPUJob returns the reserved CPU job backing the lease, or nil when the
 // lease reserved no CPU.
-func (l *Lease) CPUJob() *cpusched.Job {
-	l.node.mu.Lock()
-	defer l.node.mu.Unlock()
-	return l.cpuJob
-}
+func (l *Lease) CPUJob() *cpusched.Job { return l.cpuJob }
 
 // NetReservation returns the link bandwidth reservation backing the lease,
 // or nil when the lease reserved no bandwidth. Sessions read its effective
 // (congestion-adjusted) rate to pace delivery at what the network actually
 // carries rather than what was booked.
-func (l *Lease) NetReservation() *netsim.Reservation {
-	l.node.mu.Lock()
-	defer l.node.mu.Unlock()
-	return l.netResv
-}
+func (l *Lease) NetReservation() *netsim.Reservation { return l.netResv }
 
 // Release returns every resource to the node. Idempotent: double release
 // (and release after revocation) is a no-op, so CPU jobs and link
 // reservations are never returned twice.
 func (l *Lease) Release() {
-	n := l.node
-	n.mu.Lock()
-	l.releaseLocked()
-	n.publishUsageLocked()
-	n.mu.Unlock()
-}
-
-func (l *Lease) releaseLocked() {
 	if l.released {
 		return
 	}
@@ -532,39 +428,27 @@ func (l *Lease) releaseLocked() {
 
 // Revoked reports whether the node withdrew the lease (as opposed to the
 // holder releasing it).
-func (l *Lease) Revoked() bool {
-	l.node.mu.Lock()
-	defer l.node.mu.Unlock()
-	return l.revoked
-}
+func (l *Lease) Revoked() bool { return l.revoked }
 
 // SetOnRevoke registers a callback fired when the node withdraws the lease
 // (node crash, link fault, operator revocation). The callback receives an
 // error satisfying errors.Is(err, ErrLeaseRevoked). It never fires after a
-// voluntary Release, and always fires outside the node lock.
-func (l *Lease) SetOnRevoke(fn func(cause error)) {
-	l.node.mu.Lock()
-	defer l.node.mu.Unlock()
-	l.onRevoke = fn
-}
+// voluntary Release, and always fires after the lease's resources are back
+// on the node.
+func (l *Lease) SetOnRevoke(fn func(cause error)) { l.onRevoke = fn }
 
 // Revoke is the fault path of Release: the node withdraws the lease,
 // returning its resources, and notifies the holder with ErrLeaseRevoked
 // wrapping the cause. Idempotent; a released lease cannot be revoked.
 func (l *Lease) Revoke(cause error) {
-	n := l.node
-	n.mu.Lock()
-	cb, err := l.revokeLocked(cause)
-	n.publishUsageLocked()
-	n.mu.Unlock()
-	if cb != nil {
+	if cb, err := l.withdraw(cause); cb != nil {
 		cb(err)
 	}
 }
 
-// revokeLocked tears the lease down and hands back the holder callback (and
-// the error to deliver) for firing once the lock is dropped.
-func (l *Lease) revokeLocked(cause error) (func(cause error), error) {
+// withdraw tears the lease down and hands back the holder callback (and the
+// error to deliver), so Fail can finish its whole sweep before any fires.
+func (l *Lease) withdraw(cause error) (func(cause error), error) {
 	if l.released {
 		return nil, nil
 	}
@@ -573,6 +457,6 @@ func (l *Lease) revokeLocked(cause error) (func(cause error), error) {
 	if cause != nil {
 		err = fmt.Errorf("%w: %s on %s: %w", ErrLeaseRevoked, l.name, l.node.name, cause)
 	}
-	l.releaseLocked()
+	l.Release()
 	return l.onRevoke, err
 }

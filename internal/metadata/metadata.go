@@ -13,8 +13,6 @@ package metadata
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"quasaq/internal/media"
 	"quasaq/internal/qos"
@@ -84,9 +82,7 @@ func (r *Replica) ID() string {
 
 // Store is one site's authoritative metadata collection.
 type Store struct {
-	site string
-
-	mu      sync.RWMutex
+	site    string
 	byVideo map[media.VideoID][]*Replica
 }
 
@@ -104,8 +100,6 @@ func (s *Store) Add(r *Replica) error {
 	if r.Site != s.site {
 		return fmt.Errorf("metadata: replica site %q registered at store %q", r.Site, s.site)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	r.Seq = len(s.byVideo[r.Video]) + 1
 	s.byVideo[r.Video] = append(s.byVideo[r.Video], r)
 	return nil
@@ -115,8 +109,6 @@ func (s *Store) Add(r *Replica) error {
 // It reports whether the replica was present. Remaining replicas keep
 // their Seq numbers, so replica IDs stay stable across evictions.
 func (s *Store) Remove(r *Replica) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	rs := s.byVideo[r.Video]
 	for i, have := range rs {
 		if have == r {
@@ -132,8 +124,6 @@ func (s *Store) Remove(r *Replica) bool {
 
 // Local returns this site's replicas of the video.
 func (s *Store) Local(id media.VideoID) []*Replica {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return append([]*Replica(nil), s.byVideo[id]...)
 }
 
@@ -141,7 +131,6 @@ func (s *Store) Local(id media.VideoID) []*Replica {
 // the whole simulated cluster; per-site caches model the paper's metadata
 // caching.
 type Directory struct {
-	mu     sync.RWMutex
 	stores map[string]*Store
 	caches map[string]map[media.VideoID][]*Replica
 	tiers  map[string]Tier // sites absent from the map are TierOrigin
@@ -154,7 +143,7 @@ type Directory struct {
 	// Consumers that memoize anything derived from the replica topology —
 	// the plan-candidate cache above all — key their entries on this value
 	// and treat a mismatch as staleness.
-	epoch atomic.Uint64
+	epoch uint64
 }
 
 // NewDirectory creates an empty directory.
@@ -170,8 +159,6 @@ func NewDirectory() *Directory {
 // topology change, so the epoch advances; re-asserting the current tier is
 // a no-op (no spurious plan-cache invalidation).
 func (d *Directory) SetTier(site string, t Tier) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.tiers[site] == t {
 		return
 	}
@@ -180,32 +167,24 @@ func (d *Directory) SetTier(site string, t Tier) {
 	} else {
 		d.tiers[site] = t
 	}
-	d.epoch.Add(1)
+	d.epoch++
 }
 
 // Tier returns a site's topology tier; unknown sites default to origin.
-func (d *Directory) Tier(site string) Tier {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.tiers[site]
-}
+func (d *Directory) Tier(site string) Tier { return d.tiers[site] }
 
 // AddStore registers a site's store.
 func (d *Directory) AddStore(s *Store) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if _, dup := d.stores[s.Site()]; dup {
 		return fmt.Errorf("metadata: duplicate store for site %q", s.Site())
 	}
 	d.stores[s.Site()] = s
-	d.epoch.Add(1)
+	d.epoch++
 	return nil
 }
 
 // Store returns a site's store.
 func (d *Directory) Store(site string) (*Store, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	s, ok := d.stores[site]
 	if !ok {
 		return nil, fmt.Errorf("metadata: no store for site %q", site)
@@ -215,8 +194,6 @@ func (d *Directory) Store(site string) (*Store, error) {
 
 // Sites returns the registered site names, sorted.
 func (d *Directory) Sites() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	out := make([]string, 0, len(d.stores))
 	for s := range d.stores {
 		out = append(out, s)
@@ -229,8 +206,6 @@ func (d *Directory) Sites() []string {
 // the querying site: local metadata is read directly, remote metadata goes
 // through the site's cache.
 func (d *Directory) Lookup(fromSite string, id media.VideoID) []*Replica {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	var out []*Replica
 	if local, ok := d.stores[fromSite]; ok {
 		out = append(out, local.Local(id)...)
@@ -263,21 +238,15 @@ func (d *Directory) Lookup(fromSite string, id media.VideoID) []*Replica {
 // Invalidate drops cached entries for the video at every site; call after
 // replication changes (dynamic replication/migration, §2 item 1).
 func (d *Directory) Invalidate(id media.VideoID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	for _, c := range d.caches {
 		delete(c, id)
 	}
-	d.epoch.Add(1)
+	d.epoch++
 }
 
 // Epoch returns the current topology epoch. The value is opaque; only
 // equality is meaningful. Any replica/site change strictly increases it.
-func (d *Directory) Epoch() uint64 { return d.epoch.Load() }
+func (d *Directory) Epoch() uint64 { return d.epoch }
 
 // CacheStats returns cumulative remote lookups and cache hits.
-func (d *Directory) CacheStats() (remote, hits uint64) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.remoteLookups, d.cacheHits
-}
+func (d *Directory) CacheStats() (remote, hits uint64) { return d.remoteLookups, d.cacheHits }

@@ -33,12 +33,11 @@ func TestMergeFoldsEveryKind(t *testing.T) {
 		t.Fatalf("fgauge = %v, want 1.75", v)
 	}
 	h := a.Histogram("latency_ms", bounds)
-	_, counts, sum, n := h.snapshot()
-	if n != 4 || sum != 60.5 {
-		t.Fatalf("histogram n=%d sum=%v, want 4/60.5", n, sum)
+	if h.n != 4 || h.sum != 60.5 {
+		t.Fatalf("histogram n=%d sum=%v, want 4/60.5", h.n, h.sum)
 	}
-	if want := []uint64{1, 2, 1}; !reflect.DeepEqual(counts, want) {
-		t.Fatalf("bucket counts = %v, want %v", counts, want)
+	if want := []uint64{1, 2, 1}; !reflect.DeepEqual(h.counts, want) {
+		t.Fatalf("bucket counts = %v, want %v", h.counts, want)
 	}
 	// The source registry is untouched.
 	if v := b.Counter("queries_total").Value(); v != 4 {

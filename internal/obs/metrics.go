@@ -1,12 +1,13 @@
 // Package obs is the observability substrate of the reproduction: a
-// lock-cheap metrics registry (counters, gauges, fixed-bucket histograms
+// metrics registry (counters, gauges, fixed-bucket histograms
 // keyed by name+labels) and per-session span tracing on the virtual clock.
 //
 // The paper evaluates QuaSAQ entirely through per-session timelines and
 // outcome counters (Figures 5-7, the §5.2 overhead breakdown); obs gives
 // every runtime layer one shared measurement substrate instead of ad-hoc
-// per-experiment counters. Counters and gauges are atomics; histograms take
-// a short mutex per observation. Handles are nil-safe: an uninstrumented
+// per-experiment counters. A registry and its tracer belong to one
+// simulated world and are driven by that world's goroutine, like the
+// components that update them. Handles are nil-safe: an uninstrumented
 // component holds nil handles and every operation on them is a no-op, so
 // the hot paths carry no conditional wiring.
 package obs
@@ -18,26 +19,24 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Counter is a monotonically increasing uint64 metric.
 type Counter struct {
-	v atomic.Uint64
+	v uint64
 }
 
 // Inc adds one. No-op on a nil counter.
 func (c *Counter) Inc() {
 	if c != nil {
-		c.v.Add(1)
+		c.v++
 	}
 }
 
 // Add adds n. No-op on a nil counter.
 func (c *Counter) Add(n uint64) {
 	if c != nil {
-		c.v.Add(n)
+		c.v += n
 	}
 }
 
@@ -46,26 +45,26 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v
 }
 
 // Gauge is a signed integer metric that can move both ways (e.g. live
 // session count, reserved bytes, summed latencies in nanoseconds).
 type Gauge struct {
-	v atomic.Int64
+	v int64
 }
 
 // Add moves the gauge by delta. No-op on a nil gauge.
 func (g *Gauge) Add(delta int64) {
 	if g != nil {
-		g.v.Add(delta)
+		g.v += delta
 	}
 }
 
 // Set replaces the gauge value. No-op on a nil gauge.
 func (g *Gauge) Set(v int64) {
 	if g != nil {
-		g.v.Store(v)
+		g.v = v
 	}
 }
 
@@ -74,33 +73,25 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.v.Load()
+	return g.v
 }
 
-// FloatGauge is a float64 metric accumulated with CAS adds (frames lost,
-// fractional loss totals).
+// FloatGauge is a float64 metric (frames lost, fractional loss totals).
 type FloatGauge struct {
-	bits atomic.Uint64
+	v float64
 }
 
 // Add accumulates delta. No-op on a nil gauge.
 func (g *FloatGauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
+	if g != nil {
+		g.v += delta
 	}
 }
 
 // Set replaces the value. No-op on a nil gauge.
 func (g *FloatGauge) Set(v float64) {
 	if g != nil {
-		g.bits.Store(math.Float64bits(v))
+		g.v = v
 	}
 }
 
@@ -109,14 +100,12 @@ func (g *FloatGauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	return math.Float64frombits(g.bits.Load())
+	return g.v
 }
 
 // Histogram buckets observations into fixed upper-bound bins plus a +Inf
-// overflow bin. Observations are mutex-guarded per histogram (the registry
-// shards by handle, so unrelated histograms never contend).
+// overflow bin.
 type Histogram struct {
-	mu     sync.Mutex
 	bounds []float64 // ascending upper bounds
 	counts []uint64  // len(bounds)+1; last is +Inf
 	sum    float64
@@ -128,26 +117,16 @@ func (h *Histogram) Observe(x float64) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
 	i := sort.SearchFloat64s(h.bounds, x)
 	h.counts[i]++
 	h.sum += x
 	h.n++
-	h.mu.Unlock()
-}
-
-// snapshot returns bounds plus a copy of the counts.
-func (h *Histogram) snapshot() (bounds []float64, counts []uint64, sum float64, n uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.bounds, append([]uint64(nil), h.counts...), h.sum, h.n
 }
 
 // Registry holds every metric of one database instance, keyed by
-// name+labels. Lookup is mutex-guarded and intended for wiring time;
-// components cache the returned handles and update them lock-free.
+// name+labels. Lookup is intended for wiring time; components cache the
+// returned handles and update them directly.
 type Registry struct {
-	mu     sync.Mutex
 	series map[string]*metricSeries
 	order  []string // registration order of keys, for stable export
 }
@@ -188,8 +167,6 @@ func (r *Registry) lookup(name, kind string, labels []string, mk func() *metricS
 		panic(fmt.Sprintf("obs: odd label list for %s: %v", name, labels))
 	}
 	key := seriesKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if s, ok := r.series[key]; ok {
 		if s.kind != kind {
 			panic(fmt.Sprintf("obs: metric %s re-registered as %s (was %s)", key, kind, s.kind))
@@ -250,25 +227,21 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 }
 
 // merge folds another histogram's observations into h. Bucket layouts must
-// match; the other histogram is snapshotted first so the two locks are
-// never held together.
+// match.
 func (h *Histogram) merge(o *Histogram) error {
-	bounds, counts, sum, n := o.snapshot()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(bounds) != len(h.bounds) {
-		return fmt.Errorf("bucket count %d != %d", len(bounds), len(h.bounds))
+	if len(o.bounds) != len(h.bounds) {
+		return fmt.Errorf("bucket count %d != %d", len(o.bounds), len(h.bounds))
 	}
-	for i, b := range bounds {
+	for i, b := range o.bounds {
 		if h.bounds[i] != b {
 			return fmt.Errorf("bucket bound %g != %g", b, h.bounds[i])
 		}
 	}
-	for i, c := range counts {
+	for i, c := range o.counts {
 		h.counts[i] += c
 	}
-	h.sum += sum
-	h.n += n
+	h.sum += o.sum
+	h.n += o.n
 	return nil
 }
 
@@ -286,15 +259,8 @@ func (r *Registry) Merge(o *Registry) error {
 		}
 		return nil
 	}
-	o.mu.Lock()
-	keys := append([]string(nil), o.order...)
-	src := make(map[string]*metricSeries, len(keys))
-	for k, s := range o.series {
-		src[k] = s
-	}
-	o.mu.Unlock()
-	for _, k := range keys {
-		s := src[k]
+	for _, k := range o.order {
+		s := o.series[k]
 		switch s.kind {
 		case "counter":
 			r.Counter(s.name, s.labels...).Add(s.c.Value())
@@ -303,8 +269,7 @@ func (r *Registry) Merge(o *Registry) error {
 		case "fgauge":
 			r.FloatGauge(s.name, s.labels...).Add(s.f.Value())
 		case "histogram":
-			bounds, _, _, _ := s.h.snapshot()
-			if err := r.Histogram(s.name, bounds, s.labels...).merge(s.h); err != nil {
+			if err := r.Histogram(s.name, s.h.bounds, s.labels...).merge(s.h); err != nil {
 				return fmt.Errorf("obs: merge histogram %s: %w", k, err)
 			}
 		}
@@ -340,17 +305,11 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
 	keys := append([]string(nil), r.order...)
-	byKey := make(map[string]*metricSeries, len(r.series))
-	for k, s := range r.series {
-		byKey[k] = s
-	}
-	r.mu.Unlock()
 	sort.Strings(keys)
 	out := make([]MetricSnapshot, 0, len(keys))
 	for _, k := range keys {
-		s := byKey[k]
+		s := r.series[k]
 		m := MetricSnapshot{Name: s.name, Kind: s.kind}
 		if len(s.labels) > 0 {
 			m.Labels = make(map[string]string, len(s.labels)/2)
@@ -366,13 +325,13 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 		case "fgauge":
 			m.Value = s.f.Value()
 		case "histogram":
-			bounds, counts, sum, n := s.h.snapshot()
-			m.Sum, m.Count = sum, n
-			m.Buckets = make([]BucketSnapshot, len(counts))
-			for i, c := range counts {
+			h := s.h
+			m.Sum, m.Count = h.sum, h.n
+			m.Buckets = make([]BucketSnapshot, len(h.counts))
+			for i, c := range h.counts {
 				le := math.Inf(1)
-				if i < len(bounds) {
-					le = bounds[i]
+				if i < len(h.bounds) {
+					le = h.bounds[i]
 				}
 				m.Buckets[i] = BucketSnapshot{Le: le, Count: c}
 			}

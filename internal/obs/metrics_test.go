@@ -97,8 +97,8 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, x := range []float64{0.5, 1, 5, 50, 500} {
 		h.Observe(x)
 	}
-	if _, _, sum, n := h.snapshot(); n != 5 || sum != 556.5 {
-		t.Fatalf("count/sum = %d/%v, want 5/556.5", n, sum)
+	if h.n != 5 || h.sum != 556.5 {
+		t.Fatalf("count/sum = %d/%v, want 5/556.5", h.n, h.sum)
 	}
 	snap := r.Snapshot()
 	if len(snap) != 1 || snap[0].Kind != "histogram" {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"quasaq/internal/simtime"
 )
@@ -20,9 +19,7 @@ import (
 // All methods are nil-safe no-ops, so instrumented code paths need no
 // "tracing enabled?" conditionals.
 type Tracer struct {
-	now func() simtime.Time
-
-	mu     sync.Mutex
+	now    func() simtime.Time
 	events []traceEvent
 	open   map[*Span]struct{} // started, not yet ended
 	pids   map[string]int
@@ -55,7 +52,6 @@ func micros(t simtime.Time) float64 { return float64(t) / 1e3 }
 
 // ids resolves (and lazily allocates) the numeric pid/tid for a
 // process/thread pair, emitting the Chrome metadata events on first use.
-// Caller holds t.mu.
 func (t *Tracer) ids(proc, thread string) (int, int) {
 	pid, ok := t.pids[proc]
 	if !ok {
@@ -107,9 +103,7 @@ func (s *Scope) Span(name string, args map[string]any) *Span {
 		return nil
 	}
 	sp := &Span{scope: s, name: name, start: s.t.now(), args: args}
-	s.t.mu.Lock()
 	s.t.open[sp] = struct{}{}
-	s.t.mu.Unlock()
 	return sp
 }
 
@@ -119,13 +113,11 @@ func (s *Scope) Instant(name string, args map[string]any) {
 		return
 	}
 	t := s.t
-	t.mu.Lock()
 	pid, tid := t.ids(s.proc, s.thread)
 	t.events = append(t.events, traceEvent{
 		Name: name, Cat: "quasaq", Phase: "i", Scope: "t",
 		TS: micros(t.now()), PID: pid, TID: tid, Args: args,
 	})
-	t.mu.Unlock()
 }
 
 // Span is one open interval on a scope's timeline.
@@ -157,14 +149,12 @@ func (sp *Span) End() {
 	sp.done = true
 	t := sp.scope.t
 	dur := micros(t.now() - sp.start)
-	t.mu.Lock()
 	delete(t.open, sp)
 	pid, tid := t.ids(sp.scope.proc, sp.scope.thread)
 	t.events = append(t.events, traceEvent{
 		Name: sp.name, Cat: "quasaq", Phase: "X",
 		TS: micros(sp.start), Dur: &dur, PID: pid, TID: tid, Args: sp.args,
 	})
-	t.mu.Unlock()
 }
 
 // Ended reports whether End ran (false for nil).
@@ -175,8 +165,6 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.events)
 }
 
@@ -188,7 +176,6 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	if t == nil {
 		return fmt.Errorf("obs: tracing not enabled")
 	}
-	t.mu.Lock()
 	// Still-open spans (a stream running at export time) are emitted as "B"
 	// begin events so mid-run exports keep every session visible; the trace
 	// viewer extends them to the end of the timeline. Sorted for a
@@ -219,10 +206,9 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		})
 	}
 	// Copy t.events after resolving ids so metadata lazily emitted for open
-	// spans is included.
+	// spans is included; the sort below must not reorder the recorded log.
 	evs := append([]traceEvent(nil), t.events...)
 	evs = append(evs, opens...)
-	t.mu.Unlock()
 	sort.SliceStable(evs, func(i, j int) bool {
 		mi, mj := evs[i].Phase == "M", evs[j].Phase == "M"
 		if mi != mj {

@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // BlobID identifies a stored media blob on one server.
@@ -25,7 +24,6 @@ type Blob struct {
 // total footprint — the "storage space" concern of the paper's replication
 // discussion (§2, item 1).
 type BlobStore struct {
-	mu    sync.Mutex
 	next  BlobID
 	blobs map[BlobID]*Blob
 	used  int64
@@ -46,8 +44,6 @@ func (s *BlobStore) Create(size int64) (*Blob, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("storage: negative blob size %d", size)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.quota > 0 && s.used+size > s.quota {
 		return nil, ErrDiskFull
 	}
@@ -60,8 +56,6 @@ func (s *BlobStore) Create(size int64) (*Blob, error) {
 
 // Delete removes a blob and reclaims its space.
 func (s *BlobStore) Delete(id BlobID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	b, ok := s.blobs[id]
 	if !ok {
 		return ErrNoSuchBlob
@@ -72,15 +66,7 @@ func (s *BlobStore) Delete(id BlobID) error {
 }
 
 // Used returns the total bytes of stored blobs.
-func (s *BlobStore) Used() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.used
-}
+func (s *BlobStore) Used() int64 { return s.used }
 
 // Count returns the number of stored blobs.
-func (s *BlobStore) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.blobs)
-}
+func (s *BlobStore) Count() int { return len(s.blobs) }

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ErrPoolExhausted reports that every frame in the buffer pool is pinned.
@@ -17,7 +16,6 @@ type BufferPool struct {
 	vol  *Volume
 	size int
 
-	mu     sync.Mutex
 	frames map[PageID]*frame
 	lru    *list.List // unpinned frames, front = least recently used
 	hits   uint64
@@ -48,8 +46,6 @@ func NewBufferPool(vol *Volume, size int) *BufferPool {
 // Pin fetches page id, reading it from the volume on a miss, and pins it.
 // Every Pin must be matched by an Unpin.
 func (bp *BufferPool) Pin(id PageID) (*Page, error) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
 	if f, ok := bp.frames[id]; ok {
 		bp.hits++
 		if f.elem != nil {
@@ -61,7 +57,7 @@ func (bp *BufferPool) Pin(id PageID) (*Page, error) {
 	}
 	bp.misses++
 	if len(bp.frames) >= bp.size {
-		if err := bp.evictLocked(); err != nil {
+		if err := bp.evict(); err != nil {
 			return nil, err
 		}
 	}
@@ -77,8 +73,6 @@ func (bp *BufferPool) Pin(id PageID) (*Page, error) {
 // Unpin releases one pin on page id; dirty marks the page as modified so it
 // is written back before eviction.
 func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
 	f, ok := bp.frames[id]
 	if !ok || f.pins == 0 {
 		return fmt.Errorf("storage: unpin of unpinned page %d", id)
@@ -91,7 +85,7 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
 	return nil
 }
 
-func (bp *BufferPool) evictLocked() error {
+func (bp *BufferPool) evict() error {
 	e := bp.lru.Front()
 	if e == nil {
 		return ErrPoolExhausted
@@ -108,8 +102,4 @@ func (bp *BufferPool) evictLocked() error {
 }
 
 // Stats returns cumulative hit and miss counts.
-func (bp *BufferPool) Stats() (hits, misses uint64) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return bp.hits, bp.misses
-}
+func (bp *BufferPool) Stats() (hits, misses uint64) { return bp.hits, bp.misses }

@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // HeapFile is an unordered record file over a buffer pool: the storage for
 // catalog tables and metadata records. Records are addressed by OID and
@@ -12,7 +9,6 @@ type HeapFile struct {
 	pool *BufferPool
 	vol  *Volume
 
-	mu    sync.Mutex
 	pages []PageID // pages owned by this file, in allocation order
 }
 
@@ -26,8 +22,6 @@ func (h *HeapFile) Insert(rec []byte) (OID, error) {
 	if len(rec) > MaxRecord {
 		return OID{}, ErrRecordTooBig
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	// Try the most recently allocated pages first; metadata workloads are
 	// append-mostly, so this finds space in O(1) almost always.
 	for i := len(h.pages) - 1; i >= 0 && i >= len(h.pages)-2; i-- {
@@ -94,10 +88,7 @@ func (h *HeapFile) Get(oid OID) ([]byte, error) {
 // record slice is only valid during the call. Scanning stops early if fn
 // returns false.
 func (h *HeapFile) Scan(fn func(OID, []byte) bool) error {
-	h.mu.Lock()
-	pages := append([]PageID(nil), h.pages...)
-	h.mu.Unlock()
-	for _, id := range pages {
+	for _, id := range h.pages {
 		page, err := h.pool.Pin(id)
 		if err != nil {
 			return err

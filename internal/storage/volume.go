@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // PageID addresses a page within a volume.
@@ -32,7 +31,6 @@ var ErrNoSuchPage = errors.New("storage: no such page")
 type Volume struct {
 	id uint16
 
-	mu    sync.Mutex
 	pages [][]byte
 }
 
@@ -46,8 +44,6 @@ func (v *Volume) ID() uint16 { return v.id }
 
 // Alloc allocates a zeroed, initialized page and returns its id.
 func (v *Volume) Alloc() PageID {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	img := make([]byte, PageSize)
 	copy(img, NewPage().Bytes())
 	v.pages = append(v.pages, img)
@@ -56,8 +52,6 @@ func (v *Volume) Alloc() PageID {
 
 // ReadPage copies the stored image of page id into a fresh Page.
 func (v *Volume) ReadPage(id PageID) (*Page, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if int(id) >= len(v.pages) {
 		return nil, ErrNoSuchPage
 	}
@@ -66,8 +60,6 @@ func (v *Volume) ReadPage(id PageID) (*Page, error) {
 
 // WritePage stores the page image under id.
 func (v *Volume) WritePage(id PageID, p *Page) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if int(id) >= len(v.pages) {
 		return ErrNoSuchPage
 	}

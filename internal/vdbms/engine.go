@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"quasaq/internal/media"
 	"quasaq/internal/simtime"
@@ -48,7 +47,6 @@ type Result struct {
 // (milliseconds) accelerate point and range predicates, as Shore's B-tree
 // access methods did for PREDATOR.
 type Engine struct {
-	mu       sync.RWMutex
 	heap     *storage.HeapFile
 	idIdx    *storage.BTree
 	durIdx   *storage.BTree
@@ -59,10 +57,7 @@ type Engine struct {
 	shots    map[media.VideoID][]Shot
 	stats    ExecStats
 
-	// The qoe table (see qoe.go) lives on the same volume under its own
-	// lock so append-heavy guardian traffic never contends with catalog
-	// reads on the admission path.
-	qmu        sync.RWMutex
+	// The qoe table (see qoe.go) lives on the same volume.
 	qoeHeap    *storage.HeapFile
 	qoeTimeIdx *storage.BTree // TimeMillis -> OID, duplicates
 	qoeCount   int
@@ -107,18 +102,12 @@ func NewEngine() *Engine {
 }
 
 // Stats returns executor counters.
-func (e *Engine) Stats() ExecStats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.stats
-}
+func (e *Engine) Stats() ExecStats { return e.stats }
 
 // InsertVideo adds a video to the catalog, extracting content metadata
 // (shots, features) as the original VDBMS's preprocessing toolkit did at
 // insertion time.
 func (e *Engine) InsertVideo(v *media.Video) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if _, dup := e.byID[v.ID]; dup {
 		return fmt.Errorf("vdbms: duplicate video id %v", v.ID)
 	}
@@ -163,8 +152,6 @@ func (e *Engine) InsertVideo(v *media.Video) error {
 
 // Video resolves a logical OID to its video object.
 func (e *Engine) Video(id media.VideoID) (*media.Video, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	v, ok := e.videos[id]
 	if !ok {
 		return nil, fmt.Errorf("vdbms: no video %v", id)
@@ -174,8 +161,6 @@ func (e *Engine) Video(id media.VideoID) (*media.Video, error) {
 
 // All returns every catalog video, ordered by id.
 func (e *Engine) All() []*media.Video {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	out := make([]*media.Video, 0, len(e.videos))
 	for _, v := range e.videos {
 		out = append(out, v)
@@ -212,14 +197,12 @@ func (e *Engine) Execute(q *Query) ([]Result, error) {
 		refFeatures = ref.Features()
 	}
 	path := ChooseAccessPath(q.Where)
-	e.mu.Lock()
 	e.stats.Queries++
 	if path.Kind == "full-scan" {
 		e.stats.FullScans++
 	} else {
 		e.stats.IndexQueries++
 	}
-	e.mu.Unlock()
 
 	var out []Result
 	examined := uint64(0)
@@ -233,9 +216,7 @@ func (e *Engine) Execute(q *Query) ([]Result, error) {
 		if q.Where != nil && !q.Where.Eval(&row) {
 			return nil
 		}
-		e.mu.RLock()
 		v := e.videos[media.VideoID(rec.ID)]
-		e.mu.RUnlock()
 		if v == nil {
 			return nil
 		}
@@ -270,9 +251,7 @@ func (e *Engine) Execute(q *Query) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
 	e.stats.RecordsExamined += examined
-	e.mu.Unlock()
 
 	if refFeatures != nil {
 		sort.SliceStable(out, func(i, j int) bool { return out[i].Distance < out[j].Distance })
@@ -308,8 +287,6 @@ func (e *Engine) fetchIndexed(idx *storage.BTree, lo, hi int64, consider func([]
 
 // findRef resolves a SIMILAR TO reference by exact title or vNNN id.
 func (e *Engine) findRef(ref string) (*media.Video, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	for _, v := range e.videos {
 		if strings.EqualFold(v.Title, ref) || strings.EqualFold(v.ID.String(), ref) {
 			return v, nil

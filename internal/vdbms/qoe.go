@@ -109,15 +109,12 @@ func evalQoE(e Expr, r *QoERecord) bool {
 }
 
 // AppendQoE persists one QoE record through the heap file and the
-// time-keyed B+tree, under the dedicated qoe lock so guardian appends and
-// experiment queries interleave safely.
+// time-keyed B+tree.
 func (e *Engine) AppendQoE(rec QoERecord) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
 		return fmt.Errorf("vdbms: encode qoe record: %w", err)
 	}
-	e.qmu.Lock()
-	defer e.qmu.Unlock()
 	oid, err := e.qoeHeap.Insert(buf.Bytes())
 	if err != nil {
 		return fmt.Errorf("vdbms: store qoe record: %w", err)
@@ -130,11 +127,7 @@ func (e *Engine) AppendQoE(rec QoERecord) error {
 }
 
 // QoECount returns the number of persisted QoE records.
-func (e *Engine) QoECount() int {
-	e.qmu.RLock()
-	defer e.qmu.RUnlock()
-	return e.qoeCount
-}
+func (e *Engine) QoECount() int { return e.qoeCount }
 
 // QoESQL parses and executes a query against the qoe table.
 func (e *Engine) QoESQL(src string) ([]QoERecord, *Query, error) {
@@ -168,8 +161,6 @@ func (e *Engine) ExecuteQoE(q *Query) ([]QoERecord, error) {
 		return nil
 	}
 
-	e.qmu.RLock()
-	defer e.qmu.RUnlock()
 	lo, hi, bounded := qoeTimeBounds(q.Where)
 	var err error
 	if bounded {

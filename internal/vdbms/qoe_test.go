@@ -2,7 +2,7 @@ package vdbms
 
 import (
 	"fmt"
-	"sync"
+	"math/rand"
 	"testing"
 )
 
@@ -120,64 +120,62 @@ func TestQoEUnknownFieldRejected(t *testing.T) {
 	}
 }
 
-// TestQoEConcurrentAppendQuery drives guardian-style appends against
-// concurrent experiment-style queries; run under -race this is the
-// snapshot-consistency gate for the qoe table. Every query must see a
-// prefix-consistent record count (monotone, never exceeding appends so
-// far) and records must never be torn.
+// TestQoEConcurrentAppendQuery interleaves, in a seeded order, four
+// guardian-style append streams with experiment-style queries, as a world's
+// guardians and experiment hooks interleave on the simulation clock. Every
+// query must see exactly the records appended so far (no lost append) and
+// never a torn record.
 func TestQoEConcurrentAppendQuery(t *testing.T) {
 	e := NewEngine()
 	const writers, perWriter = 4, 100
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				rec := QoERecord{
-					Session:    w,
-					Video:      fmt.Sprintf("v%03d", w),
-					Metric:     "loss",
-					Kind:       "violation",
-					Counter:    i,
-					Min:        float64(i),
-					Max:        float64(i),
-					Avg:        float64(i),
-					TimeMillis: int64(i),
-				}
-				if err := e.AppendQoE(rec); err != nil {
-					t.Error(err)
-					return
-				}
+	var done [writers]int
+	appended := 0
+	order := rand.New(rand.NewSource(13))
+	for appended < writers*perWriter {
+		if w := order.Intn(writers + 1); w < writers {
+			for done[w] == perWriter {
+				w = (w + 1) % writers
 			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	for {
+			i := done[w]
+			done[w]++
+			rec := QoERecord{
+				Session:    w,
+				Video:      fmt.Sprintf("v%03d", w),
+				Metric:     "loss",
+				Kind:       "violation",
+				Counter:    i,
+				Min:        float64(i),
+				Max:        float64(i),
+				Avg:        float64(i),
+				TimeMillis: int64(i),
+			}
+			if err := e.AppendQoE(rec); err != nil {
+				t.Fatal(err)
+			}
+			appended++
+			continue
+		}
 		recs, _, err := e.QoESQL("SELECT * FROM qoe WHERE metric = 'loss'")
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(recs) != appended {
+			t.Fatalf("query saw %d records after %d appends", len(recs), appended)
 		}
 		for _, r := range recs {
 			if r.Min != r.Max || r.Metric != "loss" {
 				t.Fatalf("torn record: %+v", r)
 			}
 		}
-		select {
-		case <-done:
-			recs, _, err := e.QoESQL("SELECT * FROM qoe")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(recs) != writers*perWriter {
-				t.Fatalf("final count %d, want %d", len(recs), writers*perWriter)
-			}
-			if e.QoECount() != writers*perWriter {
-				t.Fatalf("QoECount = %d", e.QoECount())
-			}
-			return
-		default:
-		}
+	}
+	recs, _, err := e.QoESQL("SELECT * FROM qoe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != writers*perWriter {
+		t.Fatalf("final count %d, want %d", len(recs), writers*perWriter)
+	}
+	if e.QoECount() != writers*perWriter {
+		t.Fatalf("QoECount = %d", e.QoECount())
 	}
 }
