@@ -17,7 +17,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Ingest the 15-video corpus: catalog insertion, shot/feature
+	// Ingest the 15-video corpus: catalog insertion with feature
 	// extraction, offline replication of the quality ladder to every
 	// site, and QoS-profile sampling.
 	stored, err := db.AddVideos(quasaq.StandardCorpus(42))

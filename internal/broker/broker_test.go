@@ -58,7 +58,7 @@ func demand() qos.ResourceVector {
 
 func prepReq(tx uint64, ttl simtime.Time) Request {
 	return Request{
-		Op: OpPrepare, TxID: tx, Origin: "a", Name: "v",
+		Op: OpPrepare, TxID: tx, Name: "v",
 		Vec: demand(), Period: simtime.Seconds(1.0 / 25), TTL: ttl,
 	}
 }

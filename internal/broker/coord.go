@@ -69,7 +69,7 @@ func (co *Coordinator) Reserve(origin string, parts []Participant, scope *obs.Sc
 	// release in rollbackCommitted).
 	sendAbort := func(i int) {
 		co.net.Call(origin, parts[i].Site,
-			Request{Op: OpAbort, TxID: tx(i), Origin: origin},
+			Request{Op: OpAbort, TxID: tx(i)},
 			scope, func(Reply, error) {})
 	}
 
@@ -107,7 +107,7 @@ func (co *Coordinator) Reserve(origin string, parts []Participant, scope *obs.Sc
 			return
 		}
 		co.net.Call(origin, parts[i].Site,
-			Request{Op: OpCommit, TxID: tx(i), Origin: origin, TTL: ttl},
+			Request{Op: OpCommit, TxID: tx(i), TTL: ttl},
 			scope, func(rep Reply, err error) {
 				if err != nil { // partition or loss starved the retry budget
 					rollbackCommitted(fmt.Errorf("broker: commit at %s: %w", parts[i].Site, err))
@@ -139,7 +139,7 @@ func (co *Coordinator) Reserve(origin string, parts []Participant, scope *obs.Sc
 		}
 		p := parts[i]
 		co.net.Call(origin, p.Site, Request{
-			Op: OpPrepare, TxID: tx(i), Origin: origin,
+			Op: OpPrepare, TxID: tx(i),
 			Name: p.Name, Vec: p.Vec, Period: p.Period, TTL: ttl,
 		}, scope, func(rep Reply, err error) {
 			if err != nil {

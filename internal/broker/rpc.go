@@ -157,9 +157,8 @@ func (o Op) String() string {
 
 // Request is one control-plane message from a coordinator to a broker.
 type Request struct {
-	Op     Op
-	TxID   uint64
-	Origin string // coordinating site (the query site)
+	Op   Op
+	TxID uint64
 
 	// Reservation payload (PREPARE only).
 	Name   string

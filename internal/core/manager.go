@@ -333,7 +333,7 @@ func NewManagerWithConfig(c *Cluster, model CostModel, cfg GeneratorConfig) *Man
 	// is liveness-independent, but re-keying on every transition keeps the
 	// epoch rule uniform and bounds how long a post-change set survives.
 	for _, n := range c.Nodes {
-		n.Watch(func(gara.NodeEvent) { m.cache.BumpLiveness() })
+		n.Watch(m.cache.BumpLiveness)
 	}
 	return m
 }
@@ -391,7 +391,7 @@ func (m *Manager) EnableEdgeTier(sites []EdgeSite, cfg edgecache.Config) (*edgec
 		ec.AddSite(name, m.cluster.Blobs[name], st)
 		// Edge liveness transitions stale the candidate cache like any
 		// origin node's.
-		m.cluster.Nodes[name].Watch(func(gara.NodeEvent) { m.cache.BumpLiveness() })
+		m.cluster.Nodes[name].Watch(m.cache.BumpLiveness)
 	}
 	ec.Start()
 	m.edge = ec

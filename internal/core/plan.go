@@ -149,10 +149,6 @@ func DefaultGeneratorConfig(capacity qos.ResourceVector) GeneratorConfig {
 type Generator struct {
 	dir *metadata.Directory
 	cfg GeneratorConfig
-
-	// Enumeration counters: the plan-cache tests read them to show a warm
-	// lookup enumerates nothing.
-	generated, pruned uint64
 }
 
 // NewGenerator creates a plan generator over the cluster's metadata.
@@ -214,7 +210,6 @@ func (g *Generator) GenerateAll(querySite string, v *media.Video, req qos.Requir
 		// Rule: a replica below the required minimum resolution can never
 		// satisfy the query — transcoding cannot upscale (§3.4).
 		if req.MinResolution.W > 0 && !rep.Variant.Quality.Resolution.AtLeast(req.MinResolution) {
-			e.g.pruned++
 			continue
 		}
 		deliverySites := []string{rep.Site}
@@ -327,12 +322,10 @@ func (e *enumeration) slot() (*Plan, []Stage) {
 // handover) while dropping and encryption apply to both legs alike.
 func (e *enumeration) splitPlans(prefix *metadata.Replica, replicas []*metadata.Replica) {
 	if e.req.MinResolution.W > 0 && !prefix.Variant.Quality.Resolution.AtLeast(e.req.MinResolution) {
-		e.g.pruned++
 		return
 	}
 	split := prefix.PrefixFrames(e.v)
 	if split <= 0 || split >= e.v.Frames() {
-		e.g.pruned++
 		return
 	}
 	for _, tail := range replicas {
@@ -442,7 +435,6 @@ func (e *enumeration) build(rep *metadata.Replica, site string, priced *pricedQu
 	deliveredEff := delivered
 	deliveredEff.FrameRate = effFPS
 	if !e.req.SatisfiedBy(deliveredEff) {
-		e.g.pruned++
 		return nil
 	}
 
@@ -466,7 +458,6 @@ func (e *enumeration) build(rep *metadata.Replica, site string, priced *pricedQu
 	if cap := e.g.cfg.SiteCapacity; cap != (qos.ResourceVector{}) {
 		var zero qos.ResourceVector
 		if !deliveryDemand.FitsWithin(zero, cap) || !sourceDemand.FitsWithin(zero, cap) {
-			e.g.pruned++
 			return nil
 		}
 	}
@@ -504,7 +495,6 @@ func (e *enumeration) build(rep *metadata.Replica, site string, priced *pricedQu
 		Stages:           stages,
 		reserved:         reserved,
 	}
-	e.g.generated++
 	e.out = append(e.out, p)
 	return p
 }

@@ -93,7 +93,6 @@ type PlanCacheStats struct {
 	Hits          uint64 // lookups served from a fresh entry
 	Misses        uint64 // lookups that had to enumerate (includes stale)
 	Invalidations uint64 // stale entries evicted by an epoch mismatch
-	Entries       int    // live entries right now
 }
 
 // NewPlanCache creates an empty cache over the directory's topology epoch.
@@ -170,6 +169,5 @@ func (c *PlanCache) Stats() PlanCacheStats {
 		Hits:          c.hits.Value(),
 		Misses:        c.misses.Value(),
 		Invalidations: c.invalidations.Value(),
-		Entries:       len(c.entries),
 	}
 }

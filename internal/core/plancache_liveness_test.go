@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"quasaq/internal/gara"
 	"quasaq/internal/metadata"
 )
 
@@ -29,7 +28,7 @@ func TestPlanCacheLivenessBumpsOncePerTransition(t *testing.T) {
 	}
 
 	events := 0
-	c.Nodes["srv-b"].Watch(func(gara.NodeEvent) { events++ })
+	c.Nodes["srv-b"].Watch(func() { events++ })
 
 	c.Nodes["srv-b"].Fail()
 	if events != 1 {

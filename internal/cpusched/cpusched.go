@@ -81,7 +81,6 @@ func (r *taskRing) pop() Task {
 // Job is a stream of tasks belonging to one session or process.
 type Job struct {
 	cpu      *CPU
-	name     string
 	reserved bool
 	period   simtime.Time
 	slice    simtime.Time
@@ -168,14 +167,14 @@ func (c *CPU) ReservedUtilization() float64 { return c.util }
 func (c *CPU) Dispatches() uint64 { return c.dispatches }
 
 // NewBestEffortJob creates a time-shared job.
-func (c *CPU) NewBestEffortJob(name string) *Job {
-	return &Job{cpu: c, name: name}
+func (c *CPU) NewBestEffortJob() *Job {
+	return &Job{cpu: c}
 }
 
 // NewReservedJob creates a job with a (period, slice) CPU reservation,
 // subject to admission control: total reserved utilization must stay within
 // the bound. This is the CPU leg of the composite QoS API's reservation.
-func (c *CPU) NewReservedJob(name string, period, slice simtime.Time) (*Job, error) {
+func (c *CPU) NewReservedJob(period, slice simtime.Time) (*Job, error) {
 	if period <= 0 || slice <= 0 || slice > period {
 		return nil, fmt.Errorf("cpusched: invalid reservation period=%v slice=%v", period, slice)
 	}
@@ -184,7 +183,7 @@ func (c *CPU) NewReservedJob(name string, period, slice simtime.Time) (*Job, err
 		c.mRejects.Inc()
 		return nil, fmt.Errorf("%w: %.2f+%.2f > %.2f", ErrAdmission, c.util, u, c.maxUtil)
 	}
-	j := &Job{cpu: c, name: name, reserved: true, period: period, slice: slice}
+	j := &Job{cpu: c, reserved: true, period: period, slice: slice}
 	c.util += u
 	c.mUtil.Set(c.util)
 	c.reservedJobs = append(c.reservedJobs, j)

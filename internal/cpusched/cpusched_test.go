@@ -15,7 +15,7 @@ func newCPU() (*simtime.Simulator, *CPU) {
 
 func TestSingleTaskRunsImmediately(t *testing.T) {
 	sim, cpu := newCPU()
-	j := cpu.NewBestEffortJob("j")
+	j := cpu.NewBestEffortJob()
 	var done simtime.Time
 	j.Submit(3*time.Millisecond, simtime.Func(func() { done = sim.Now() }), 0)
 	sim.Run()
@@ -26,7 +26,7 @@ func TestSingleTaskRunsImmediately(t *testing.T) {
 
 func TestBestEffortFIFOWithinJob(t *testing.T) {
 	sim, cpu := newCPU()
-	j := cpu.NewBestEffortJob("j")
+	j := cpu.NewBestEffortJob()
 	var order []int
 	j.Submit(time.Millisecond, simtime.Func(func() { order = append(order, 1) }), 0)
 	j.Submit(time.Millisecond, simtime.Func(func() { order = append(order, 2) }), 0)
@@ -41,8 +41,8 @@ func TestRoundRobinAlternatesJobs(t *testing.T) {
 	// needs three turns, so completions interleave rather than run
 	// back-to-back.
 	sim, cpu := newCPU()
-	a := cpu.NewBestEffortJob("a")
-	b := cpu.NewBestEffortJob("b")
+	a := cpu.NewBestEffortJob()
+	b := cpu.NewBestEffortJob()
 	var tA, tB simtime.Time
 	a.Submit(25*time.Millisecond, simtime.Func(func() { tA = sim.Now() }), 0)
 	b.Submit(25*time.Millisecond, simtime.Func(func() { tB = sim.Now() }), 0)
@@ -61,8 +61,8 @@ func TestQuantumBurstsThroughBacklog(t *testing.T) {
 	// all overdue frames inside one quantum, yielding near-zero
 	// inter-completion gaps within the burst.
 	sim, cpu := newCPU()
-	hog := cpu.NewBestEffortJob("hog")
-	victim := cpu.NewBestEffortJob("victim")
+	hog := cpu.NewBestEffortJob()
+	victim := cpu.NewBestEffortJob()
 	hog.Submit(10*time.Millisecond, nil, 0)
 	var completions []simtime.Time
 	for i := 0; i < 4; i++ {
@@ -86,13 +86,13 @@ func TestReservationAdmissionControl(t *testing.T) {
 	_, cpu := newCPU()
 	period := 40 * time.Millisecond
 	// 0.5 + 0.3 admitted; +0.2 would exceed the 0.85 bound.
-	if _, err := cpu.NewReservedJob("a", period, 20*time.Millisecond); err != nil {
+	if _, err := cpu.NewReservedJob(period, 20*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cpu.NewReservedJob("b", period, 12*time.Millisecond); err != nil {
+	if _, err := cpu.NewReservedJob(period, 12*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cpu.NewReservedJob("c", period, 8*time.Millisecond); !errors.Is(err, ErrAdmission) {
+	if _, err := cpu.NewReservedJob(period, 8*time.Millisecond); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("err = %v, want admission rejection", err)
 	}
 	if u := cpu.ReservedUtilization(); u < 0.79 || u > 0.81 {
@@ -102,17 +102,17 @@ func TestReservationAdmissionControl(t *testing.T) {
 
 func TestReservationInvalidParams(t *testing.T) {
 	_, cpu := newCPU()
-	if _, err := cpu.NewReservedJob("x", 0, time.Millisecond); err == nil {
+	if _, err := cpu.NewReservedJob(0, time.Millisecond); err == nil {
 		t.Fatal("zero period accepted")
 	}
-	if _, err := cpu.NewReservedJob("x", time.Millisecond, 2*time.Millisecond); err == nil {
+	if _, err := cpu.NewReservedJob(time.Millisecond, 2*time.Millisecond); err == nil {
 		t.Fatal("slice > period accepted")
 	}
 }
 
 func TestFinishReleasesUtilization(t *testing.T) {
 	_, cpu := newCPU()
-	j, err := cpu.NewReservedJob("a", 40*time.Millisecond, 32*time.Millisecond)
+	j, err := cpu.NewReservedJob(40*time.Millisecond, 32*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFinishReleasesUtilization(t *testing.T) {
 	if cpu.ReservedUtilization() != 0 {
 		t.Fatalf("utilization after finish = %v", cpu.ReservedUtilization())
 	}
-	if _, err := cpu.NewReservedJob("b", 40*time.Millisecond, 32*time.Millisecond); err != nil {
+	if _, err := cpu.NewReservedJob(40*time.Millisecond, 32*time.Millisecond); err != nil {
 		t.Fatalf("capacity not reclaimed: %v", err)
 	}
 }
@@ -130,8 +130,8 @@ func TestReservedPreemptsBestEffort(t *testing.T) {
 	// A best-effort hog is mid-quantum when a reserved frame arrives; the
 	// reserved task must start immediately — the DSRT guarantee.
 	sim, cpu := newCPU()
-	hog := cpu.NewBestEffortJob("hog")
-	res, err := cpu.NewReservedJob("stream", 42*time.Millisecond, 5*time.Millisecond)
+	hog := cpu.NewBestEffortJob()
+	res, err := cpu.NewReservedJob(42*time.Millisecond, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +156,12 @@ func TestReservedJobJitterUnderContention(t *testing.T) {
 	// completion pacing despite many best-effort competitors.
 	sim, cpu := newCPU()
 	period := 40 * time.Millisecond
-	stream, err := cpu.NewReservedJob("stream", period, 5*time.Millisecond)
+	stream, err := cpu.NewReservedJob(period, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		hog := cpu.NewBestEffortJob("hog")
+		hog := cpu.NewBestEffortJob()
 		var spin simtime.Func
 		spin = func() { hog.Submit(8*time.Millisecond, spin, 0) }
 		hog.Submit(8*time.Millisecond, spin, 0)
@@ -192,9 +192,9 @@ func TestBestEffortJobStarvesUnderContention(t *testing.T) {
 	// reservation suffers large completion gaps under contention.
 	sim, cpu := newCPU()
 	period := 40 * time.Millisecond
-	stream := cpu.NewBestEffortJob("stream")
+	stream := cpu.NewBestEffortJob()
 	for i := 0; i < 10; i++ {
-		hog := cpu.NewBestEffortJob("hog")
+		hog := cpu.NewBestEffortJob()
 		var spin simtime.Func
 		spin = func() { hog.Submit(8*time.Millisecond, spin, 0) }
 		hog.Submit(8*time.Millisecond, spin, 0)
@@ -227,10 +227,10 @@ func TestEDFOrderAmongReserved(t *testing.T) {
 	sim, cpu := newCPU()
 	// A running reserved task is non-preemptible, so both later reserved
 	// tasks queue up and are dispatched in EDF order when it completes.
-	blocker, _ := cpu.NewReservedJob("blocker", 100*time.Millisecond, 10*time.Millisecond)
+	blocker, _ := cpu.NewReservedJob(100*time.Millisecond, 10*time.Millisecond)
 	blocker.Submit(5*time.Millisecond, nil, 0)
-	longP, _ := cpu.NewReservedJob("long", 100*time.Millisecond, 10*time.Millisecond)
-	shortP, _ := cpu.NewReservedJob("short", 20*time.Millisecond, 2*time.Millisecond)
+	longP, _ := cpu.NewReservedJob(100*time.Millisecond, 10*time.Millisecond)
+	shortP, _ := cpu.NewReservedJob(20*time.Millisecond, 2*time.Millisecond)
 	var order []string
 	sim.Schedule(time.Millisecond, func() {
 		longP.Submit(time.Millisecond, simtime.Func(func() { order = append(order, "long") }), 0)
@@ -247,7 +247,7 @@ func TestEDFOrderAmongReserved(t *testing.T) {
 
 func TestFinishDropsPendingTasks(t *testing.T) {
 	sim, cpu := newCPU()
-	j := cpu.NewBestEffortJob("j")
+	j := cpu.NewBestEffortJob()
 	fired := false
 	j.Submit(time.Hour, simtime.Func(func() { fired = true }), 0)
 	sim.Schedule(time.Millisecond, j.Finish)
@@ -256,7 +256,7 @@ func TestFinishDropsPendingTasks(t *testing.T) {
 		t.Fatal("task callback fired after Finish")
 	}
 	// CPU must be usable afterwards.
-	k := cpu.NewBestEffortJob("k")
+	k := cpu.NewBestEffortJob()
 	var done simtime.Time
 	k.Submit(time.Millisecond, simtime.Func(func() { done = sim.Now() }), 0)
 	sim.Run()
@@ -267,7 +267,7 @@ func TestFinishDropsPendingTasks(t *testing.T) {
 
 func TestSubmitAfterFinishIgnored(t *testing.T) {
 	sim, cpu := newCPU()
-	j := cpu.NewBestEffortJob("j")
+	j := cpu.NewBestEffortJob()
 	j.Finish()
 	fired := false
 	j.Submit(time.Millisecond, simtime.Func(func() { fired = true }), 0)
@@ -280,7 +280,7 @@ func TestSubmitAfterFinishIgnored(t *testing.T) {
 func TestDispatchOverheadAccounting(t *testing.T) {
 	sim, cpu := newCPU()
 	cpu.DispatchOverhead = 160 * time.Microsecond // the paper's 0.16 ms
-	j := cpu.NewBestEffortJob("j")
+	j := cpu.NewBestEffortJob()
 	var done simtime.Time
 	j.Submit(5*time.Millisecond, simtime.Func(func() { done = sim.Now() }), 0)
 	sim.Run()
@@ -294,7 +294,7 @@ func TestDispatchOverheadAccounting(t *testing.T) {
 
 func TestZeroServiceTask(t *testing.T) {
 	sim, cpu := newCPU()
-	j := cpu.NewBestEffortJob("j")
+	j := cpu.NewBestEffortJob()
 	var done bool
 	j.Submit(0, simtime.Func(func() { done = true }), 0)
 	sim.Run()
@@ -305,7 +305,7 @@ func TestZeroServiceTask(t *testing.T) {
 
 func TestNegativeServicePanics(t *testing.T) {
 	_, cpu := newCPU()
-	j := cpu.NewBestEffortJob("j")
+	j := cpu.NewBestEffortJob()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative service accepted")
@@ -316,8 +316,8 @@ func TestNegativeServicePanics(t *testing.T) {
 
 func TestBusyTimeConservation(t *testing.T) {
 	sim, cpu := newCPU()
-	a := cpu.NewBestEffortJob("a")
-	b := cpu.NewBestEffortJob("b")
+	a := cpu.NewBestEffortJob()
+	b := cpu.NewBestEffortJob()
 	total := 0 * time.Millisecond
 	for i := 0; i < 5; i++ {
 		a.Submit(7*time.Millisecond, nil, 0)
@@ -348,11 +348,11 @@ func (l *lateSubmit) HandleEvent(service int) { l.j.Submit(simtime.Time(service)
 
 func TestSubmitToCompletionAllocatesNothing(t *testing.T) {
 	sim, cpu := newCPU()
-	res, err := cpu.NewReservedJob("res", 40*time.Millisecond, 4*time.Millisecond)
+	res, err := cpu.NewReservedJob(40*time.Millisecond, 4*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, other := cpu.NewBestEffortJob("be"), cpu.NewBestEffortJob("other")
+	be, other := cpu.NewBestEffortJob(), cpu.NewBestEffortJob()
 	done := &counter{}
 	late := &lateSubmit{j: res, done: done}
 	// One cycle holds every dispatch outcome: be outlasts its quantum and
@@ -384,10 +384,10 @@ func TestSubmitToCompletionAllocatesNothing(t *testing.T) {
 func TestFinishedJobStaysSilentAfterReuse(t *testing.T) {
 	for _, reserved := range []bool{false, true} {
 		sim, cpu := newCPU()
-		j := cpu.NewBestEffortJob("j")
+		j := cpu.NewBestEffortJob()
 		if reserved {
 			var err error
-			if j, err = cpu.NewReservedJob("j", 40*time.Millisecond, 4*time.Millisecond); err != nil {
+			if j, err = cpu.NewReservedJob(40*time.Millisecond, 4*time.Millisecond); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -403,7 +403,7 @@ func TestFinishedJobStaysSilentAfterReuse(t *testing.T) {
 		if sim.Executed() != before || j.Backlog() != 0 {
 			t.Fatalf("reserved=%v: after Finish %d events fired, backlog %d", reserved, sim.Executed()-before, j.Backlog())
 		}
-		k := cpu.NewBestEffortJob("k")
+		k := cpu.NewBestEffortJob()
 		fresh := &counter{}
 		for i := 0; i < 5; i++ {
 			k.Submit(5*time.Millisecond, fresh, 1)

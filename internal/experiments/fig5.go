@@ -149,7 +149,7 @@ func runFig5Panel(cfg Fig5Config, quasaq bool, contention int, label string) (*D
 	// QuaSAQ's 10.1). A reserved stream preempts them; a best-effort one
 	// shares quanta with them.
 	for d := 0; d < 3; d++ {
-		daemon := node.CPU().NewBestEffortJob(fmt.Sprintf("daemon-%d", d))
+		daemon := node.CPU().NewBestEffortJob()
 		drng := rng.Fork()
 		var tick func()
 		tick = func() {

@@ -26,9 +26,8 @@ import (
 // flat baseline (nil Farm) where every plan transcodes inline on the
 // delivery site's reserved CPU.
 type TranscodeVariant struct {
-	Key   string
-	Label string
-	Farm  *transcode.FarmConfig // nil = no farm (inline baseline)
+	Key  string
+	Farm *transcode.FarmConfig // nil = no farm (inline baseline)
 }
 
 // TranscodeConfig parameterizes the sweep.
@@ -70,11 +69,11 @@ func DefaultTranscodeConfig() TranscodeConfig {
 		BaseLoad: 2,
 		Horizon:  simtime.Seconds(150),
 		Variants: []TranscodeVariant{
-			{Key: "flat", Label: "inline transcoding (no farm)"},
-			{Key: "neutral", Label: "neutral farm (instant, $0)", Farm: &transcode.FarmConfig{}},
-			{Key: "fast", Label: "fast fleet (4x, $2.40/h)", Farm: one(fast)},
-			{Key: "econ", Label: "econ fleet (0.5x, $0.30/h)", Farm: one(econ)},
-			{Key: "mixed", Label: "mixed fleet + autoscaler", Farm: &transcode.FarmConfig{
+			{Key: "flat"},
+			{Key: "neutral", Farm: &transcode.FarmConfig{}},
+			{Key: "fast", Farm: one(fast)},
+			{Key: "econ", Farm: one(econ)},
+			{Key: "mixed", Farm: &transcode.FarmConfig{
 				Classes:   []transcode.WorkerClass{fast, mixedEcon},
 				Autoscale: scale,
 			}},

@@ -43,12 +43,6 @@ var (
 	ErrLeaseReleased = errors.New("gara: lease already released")
 )
 
-// NodeEvent describes a node state transition delivered to watchers.
-type NodeEvent struct {
-	Node *Node
-	Down bool
-}
-
 // NodeCapacity configures one server's resources. The defaults mirror the
 // paper's testbed: one CPU, 3200 KB/s outbound streaming bandwidth, a disk
 // read path comfortably above the link, and 1 GB of buffer memory.
@@ -97,7 +91,7 @@ type Node struct {
 	live     []*Lease // live leases, oldest first
 
 	down     bool
-	watchers []func(NodeEvent)
+	watchers []func()
 
 	// Registry handles, nil (no-op) until Instrument is called.
 	reg          *obs.Registry
@@ -175,9 +169,10 @@ func (n *Node) Usage() qos.ResourceVector {
 func (n *Node) Down() bool { return n.down }
 
 // Watch registers fn to be called on every node state transition (crash,
-// restart). Watchers fire in registration order, after the transition is
-// complete; one registered while they fire waits for the next transition.
-func (n *Node) Watch(fn func(NodeEvent)) {
+// restart); Down tells which. Watchers fire in registration order, after
+// the transition is complete; one registered while they fire waits for the
+// next transition.
+func (n *Node) Watch(fn func()) {
 	if fn == nil {
 		return
 	}
@@ -210,9 +205,8 @@ func (n *Node) Fail() {
 	for _, f := range fire {
 		f()
 	}
-	ev := NodeEvent{Node: n, Down: true}
 	for _, fn := range ws {
-		fn(ev)
+		fn()
 	}
 }
 
@@ -226,9 +220,8 @@ func (n *Node) Restore() {
 	n.down = false
 	n.mRestores.Inc()
 	n.link.Restore()
-	ev := NodeEvent{Node: n, Down: false}
 	for _, fn := range n.watchers {
-		fn(ev)
+		fn()
 	}
 }
 
@@ -304,7 +297,7 @@ func (n *Node) reserve(name string, v qos.ResourceVector, period simtime.Time) (
 		if slice <= 0 {
 			slice = 1
 		}
-		job, err := n.cpu.NewReservedJob(name, period, slice)
+		job, err := n.cpu.NewReservedJob(period, slice)
 		if err != nil {
 			l.rollbackNet()
 			return nil, fmt.Errorf("%w: %w", ErrRejected, err)

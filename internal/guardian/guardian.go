@@ -202,15 +202,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Event is one guardian action, delivered to the observer (tests and
-// experiments): a window breach, a declared violation, a rung firing, a
+// Event is one guardian action, delivered to the observer SetObserver
+// installs: a window breach, a declared violation, a rung firing, a
 // recovery, or a save (violated session that still completed).
 type Event struct {
-	Kind      string // "breach", "violation", "recovered", "saved", or a Rung name
-	At        simtime.Time
-	Delivery  *core.Delivery
-	Rung      Rung       // valid for rung and "saved" events
-	Violation *Violation // valid for "breach", "violation", and rung events
+	Kind     string // "breach", "violation", "recovered", "saved", or a Rung name
+	Delivery *core.Delivery
 }
 
 // Stats is the guardian's counter snapshot.
@@ -347,7 +344,6 @@ func (g *Guardian) Stats() Stats {
 
 func (g *Guardian) emit(ev Event) {
 	if g.observer != nil {
-		ev.At = g.sim.Now()
 		g.observer(ev)
 	}
 }
@@ -441,7 +437,7 @@ func (g *Guardian) drop(mon *monitor) {
 func (g *Guardian) finish(mon *monitor, completedOK bool) {
 	if completedOK && mon.violated && mon.acted && mon.lastRung < RungAbandon {
 		g.met.saved[mon.lastRung].Inc()
-		g.emit(Event{Kind: "saved", Delivery: mon.d, Rung: mon.lastRung})
+		g.emit(Event{Kind: "saved", Delivery: mon.d})
 	}
 	g.drop(mon)
 }
@@ -501,7 +497,7 @@ func (mon *monitor) window() bool {
 	mon.breaches++
 	mon.run.observe(v)
 	g.met.breaches.Inc()
-	g.emit(Event{Kind: "breach", Delivery: d, Violation: v})
+	g.emit(Event{Kind: "breach", Delivery: d})
 	if mon.breaches < g.cfg.BreachWindows {
 		return true
 	}
@@ -516,7 +512,7 @@ func (mon *monitor) window() bool {
 	d.Trace().Instant("guardian_violation", map[string]any{
 		"metric": v.Metric.String(), "observed": v.Observed, "limit": v.Threshold,
 	})
-	g.emit(Event{Kind: "violation", Delivery: d, Violation: v})
+	g.emit(Event{Kind: "violation", Delivery: d})
 	mon.lastRun = mon.run
 	g.recordQoE(mon, "violation", mon.run)
 	mon.run = qoeRun{}
@@ -645,7 +641,7 @@ func (g *Guardian) act(mon *monitor, v *Violation) {
 			mon.lastRung = RungStepDown
 			g.met.rungs[RungStepDown].Inc()
 			d.Trace().Instant("guardian_stepdown", map[string]any{"drop": next.String()})
-			g.emit(Event{Kind: RungStepDown.String(), Delivery: d, Rung: RungStepDown, Violation: v})
+			g.emit(Event{Kind: RungStepDown.String(), Delivery: d})
 			return
 		case RungRenegotiate:
 			req, ok := cheaperRequirement(d)
@@ -718,7 +714,7 @@ func (g *Guardian) replan(mon *monitor, v *Violation, r Rung, req qos.Requiremen
 	mon.replanning = true
 	g.met.rungs[r].Inc()
 	d.Trace().Instant("guardian_"+r.String(), map[string]any{"req": req.String()})
-	g.emit(Event{Kind: r.String(), Delivery: d, Rung: r, Violation: v})
+	g.emit(Event{Kind: r.String(), Delivery: d})
 	opts := d.ServiceOptions()
 	opts.StartFrame = 0 // let RenegotiateAsync resume at the live position
 	opts.AvoidSites = avoid
@@ -771,7 +767,7 @@ func (g *Guardian) abandon(mon *monitor, v *Violation, replanErr error) {
 	if replanErr != nil {
 		cause = fmt.Errorf("%w (re-plan also failed: %v)", cause, replanErr)
 	}
-	g.emit(Event{Kind: RungAbandon.String(), Delivery: d, Rung: RungAbandon, Violation: v})
+	g.emit(Event{Kind: RungAbandon.String(), Delivery: d})
 	g.mgr.AbandonDelivery(d, cause)
 	g.drop(mon)
 }

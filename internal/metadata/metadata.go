@@ -122,10 +122,10 @@ func (s *Store) Remove(r *Replica) bool {
 	return false
 }
 
-// Local returns this site's replicas of the video.
-func (s *Store) Local(id media.VideoID) []*Replica {
-	return append([]*Replica(nil), s.byVideo[id]...)
-}
+// Local returns this site's replicas of the video. The slice is the
+// store's own, so read it and do not modify it; one goroutine owns a world
+// (DESIGN.md §14), so no change can race the read.
+func (s *Store) Local(id media.VideoID) []*Replica { return s.byVideo[id] }
 
 // Directory federates the per-site stores. One Directory instance serves
 // the whole simulated cluster; per-site caches model the paper's metadata

@@ -10,15 +10,10 @@ import (
 // rebuffering after the startup delay; VDBMS's burst-and-starve arrivals
 // stall repeatedly.
 type PlayoutReport struct {
-	// Startup is the time from first arrival until playback begins (the
-	// buffer warm-up).
-	Startup simtime.Time
 	// Rebuffers counts playback stalls after startup.
 	Rebuffers int
 	// Stalled is the total time playback was frozen after startup.
 	Stalled simtime.Time
-	// Played is the number of frames displayed.
-	Played int
 }
 
 // AnalyzePlayout simulates a client that buffers startupFrames frames
@@ -37,7 +32,6 @@ func AnalyzePlayout(arrivals []simtime.Time, interval simtime.Time, startupFrame
 		startupFrames = len(arrivals)
 	}
 	playStart := arrivals[startupFrames-1]
-	r.Startup = playStart - arrivals[0]
 	for i, at := range arrivals {
 		deadline := playStart + simtime.Time(i)*interval
 		if at > deadline {
@@ -47,7 +41,6 @@ func AnalyzePlayout(arrivals []simtime.Time, interval simtime.Time, startupFrame
 			r.Stalled += stall
 			playStart += stall
 		}
-		r.Played++
 	}
 	return r
 }

@@ -21,12 +21,6 @@ func TestAnalyzePlayoutSmooth(t *testing.T) {
 	if r.Rebuffers != 0 || r.Stalled != 0 {
 		t.Fatalf("smooth stream stalled: %+v", r)
 	}
-	if r.Startup != 14*iv {
-		t.Fatalf("startup = %v, want 14 intervals", r.Startup)
-	}
-	if r.Played != 100 {
-		t.Fatalf("played = %d", r.Played)
-	}
 }
 
 func TestAnalyzePlayoutWithGap(t *testing.T) {
@@ -76,15 +70,16 @@ func TestAnalyzePlayoutBurstyArrivals(t *testing.T) {
 }
 
 func TestAnalyzePlayoutEdgeCases(t *testing.T) {
-	if r := AnalyzePlayout(nil, time.Millisecond, 5); r.Played != 0 {
-		t.Fatal("empty arrivals played")
+	if r := AnalyzePlayout(nil, time.Millisecond, 5); r != (PlayoutReport{}) {
+		t.Fatalf("empty arrivals stalled: %+v", r)
 	}
-	if r := AnalyzePlayout(evenArrivals(3, time.Millisecond), 0, 5); r.Played != 0 {
-		t.Fatal("zero interval played")
+	// A zero interval is not analyzed: every frame would be late.
+	if r := AnalyzePlayout([]simtime.Time{0, time.Second}, 0, 1); r != (PlayoutReport{}) {
+		t.Fatalf("zero interval stalled: %+v", r)
 	}
-	// Startup larger than the stream clamps.
+	// Startup larger than the stream clamps to the last frame.
 	r := AnalyzePlayout(evenArrivals(3, time.Millisecond), time.Millisecond, 100)
-	if r.Played != 3 {
-		t.Fatalf("played = %d", r.Played)
+	if r != (PlayoutReport{}) {
+		t.Fatalf("clamped startup stalled: %+v", r)
 	}
 }

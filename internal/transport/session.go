@@ -170,7 +170,7 @@ func StartReserved(sim *simtime.Simulator, node *gara.Node, cfg Config, lease *g
 // delivery path.
 func StartBestEffort(sim *simtime.Simulator, node *gara.Node, cfg Config, onDone func(*Session)) (*Session, error) {
 	s := newSession(sim, node, cfg, onDone)
-	s.cpuJob = node.CPU().NewBestEffortJob(cfg.Video.Title)
+	s.cpuJob = node.CPU().NewBestEffortJob()
 	demand := cfg.Variant.Bitrate * cfg.Drop.ByteFactor(cfg.Video, cfg.Variant)
 	if demand <= 0 {
 		demand = 1

@@ -258,7 +258,7 @@ func TestBestEffortShedsUnderCPUBacklog(t *testing.T) {
 	sim := simtime.NewSimulator()
 	node := gara.NewNode(sim, "srv", gara.DefaultCapacity())
 	for i := 0; i < 120; i++ {
-		hog := node.CPU().NewBestEffortJob("hog")
+		hog := node.CPU().NewBestEffortJob()
 		var spin simtime.Func
 		spin = func() { hog.Submit(8*time.Millisecond, spin, 0) }
 		hog.Submit(8*time.Millisecond, spin, 0)

@@ -7,11 +7,13 @@ import (
 
 // AccessPath describes how the executor will locate candidate rows for a
 // query: a point lookup on the id index, a range scan on the duration
-// index, or a full heap scan. The residual predicate is always re-applied
-// to fetched rows, so index bounds only need to be a superset.
+// index, a lookup on the title or tag hash index, or a full heap scan. The
+// residual predicate is always re-applied to fetched rows, so index bounds
+// only need to be a superset.
 type AccessPath struct {
-	Kind string // "id-index", "duration-index", "full-scan"
-	// IDKey is the point key for id-index paths.
+	Kind string // "id-index", "duration-index", "title-index", "tag-index", "full-scan"
+	// IDKey is the point key for id-index paths and the hash key for
+	// title-index and tag-index paths.
 	IDKey int64
 	// Lo and Hi bound the duration index scan in milliseconds.
 	Lo, Hi int64
@@ -42,9 +44,10 @@ func conjuncts(e Expr) []Expr {
 }
 
 // ChooseAccessPath inspects the predicate for index opportunities. The
-// planner prefers the id index (point lookup) over a duration range, and
-// falls back to a full scan. Predicates under OR or NOT cannot restrict
-// the candidate set, so only top-level AND conjuncts count.
+// planner prefers the id index (point lookup), then a duration range, then
+// the title hash index (title = 'x'), then the tag hash index (tags
+// CONTAINS 'x'), and falls back to a full scan. Predicates under OR or NOT
+// cannot restrict the candidate set, so only top-level AND conjuncts count.
 func ChooseAccessPath(where Expr) AccessPath {
 	if where == nil {
 		return AccessPath{Kind: "full-scan"}
@@ -118,10 +121,10 @@ func (e *Engine) Explain(src string) (string, error) {
 	return out, nil
 }
 
-// ExecStats counts executor work for observability and tests.
+// ExecStats counts executor work for observability and tests. A query that
+// is not an index query is a full scan.
 type ExecStats struct {
 	Queries         uint64
 	IndexQueries    uint64
-	FullScans       uint64
 	RecordsExamined uint64
 }

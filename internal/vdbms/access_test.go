@@ -119,8 +119,27 @@ func TestIndexExaminesFewerRecords(t *testing.T) {
 	if got := afterFull.RecordsExamined - afterIdx.RecordsExamined; got != 15 {
 		t.Fatalf("full scan examined %d, want 15", got)
 	}
-	if afterFull.FullScans != afterIdx.FullScans+1 {
-		t.Fatal("full scan not counted")
+	if afterFull.Queries != afterIdx.Queries+1 || afterFull.IndexQueries != afterIdx.IndexQueries {
+		t.Fatal("full scan not counted as a query that used no index")
+	}
+}
+
+// TestPointQueryAllocs gates Engine.Execute on an id-index point query at
+// 210 allocations: one row decoded, so the count is the row codec's and the
+// result's, not the catalogue's size.
+func TestPointQueryAllocs(t *testing.T) {
+	e := newCatalog(t)
+	q, err := Parse("SELECT * FROM videos WHERE id = 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(50, func() {
+		if res, err := e.Execute(q); err != nil || len(res) != 1 {
+			t.Fatalf("point query = %d rows, %v", len(res), err)
+		}
+	})
+	if n > 210 {
+		t.Fatalf("point query = %v allocs/op, want <= 210", n)
 	}
 }
 

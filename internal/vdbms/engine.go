@@ -13,24 +13,14 @@ import (
 	"quasaq/internal/storage"
 )
 
-// Shot is one detected shot of a video: content metadata in the style the
-// paper lists ("shot detection, frame extraction, segmentation", §3.3).
-type Shot struct {
-	Start, End float64 // seconds
-	Keyframe   int     // representative frame index
-}
-
 // record is the stored catalog row.
 type record struct {
 	ID       uint32
 	Title    string
 	Duration float64
 	FPS      float64
-	GOPLen   int
 	Tags     []string
-	Seed     uint64
 	Features []float64
-	Shots    []Shot
 }
 
 // Result is one content-phase match: the logical video object plus its
@@ -39,7 +29,6 @@ type record struct {
 type Result struct {
 	Video    *media.Video
 	Distance float64
-	Shots    []Shot
 }
 
 // Engine is the content-phase query engine over one server's catalog.
@@ -54,7 +43,6 @@ type Engine struct {
 	tagIdx   *storage.BTree // hash index: fnv64(lower(tag)) -> OID, duplicates
 	byID     map[media.VideoID]storage.OID
 	videos   map[media.VideoID]*media.Video
-	shots    map[media.VideoID][]Shot
 	stats    ExecStats
 
 	// The qoe table (see qoe.go) lives on the same volume.
@@ -95,7 +83,6 @@ func NewEngine() *Engine {
 		tagIdx:     tagIdx,
 		byID:       make(map[media.VideoID]storage.OID),
 		videos:     make(map[media.VideoID]*media.Video),
-		shots:      make(map[media.VideoID][]Shot),
 		qoeHeap:    storage.NewHeapFile(pool, vol),
 		qoeTimeIdx: qoeTimeIdx,
 	}
@@ -104,9 +91,9 @@ func NewEngine() *Engine {
 // Stats returns executor counters.
 func (e *Engine) Stats() ExecStats { return e.stats }
 
-// InsertVideo adds a video to the catalog, extracting content metadata
-// (shots, features) as the original VDBMS's preprocessing toolkit did at
-// insertion time.
+// InsertVideo adds a video to the catalog. The row keeps the content
+// metadata that queries read: title, tags, duration, frame rate and
+// features.
 func (e *Engine) InsertVideo(v *media.Video) error {
 	if _, dup := e.byID[v.ID]; dup {
 		return fmt.Errorf("vdbms: duplicate video id %v", v.ID)
@@ -116,11 +103,8 @@ func (e *Engine) InsertVideo(v *media.Video) error {
 		Title:    v.Title,
 		Duration: simtime.ToSeconds(v.Duration),
 		FPS:      v.FrameRate,
-		GOPLen:   v.GOP.Len(),
 		Tags:     v.Tags,
-		Seed:     v.Seed,
 		Features: v.Features(),
-		Shots:    ExtractShots(v),
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
@@ -146,7 +130,6 @@ func (e *Engine) InsertVideo(v *media.Video) error {
 	}
 	e.byID[v.ID] = oid
 	e.videos[v.ID] = v
-	e.shots[v.ID] = rec.Shots
 	return nil
 }
 
@@ -198,9 +181,7 @@ func (e *Engine) Execute(q *Query) ([]Result, error) {
 	}
 	path := ChooseAccessPath(q.Where)
 	e.stats.Queries++
-	if path.Kind == "full-scan" {
-		e.stats.FullScans++
-	} else {
+	if path.Kind != "full-scan" {
 		e.stats.IndexQueries++
 	}
 
@@ -220,7 +201,7 @@ func (e *Engine) Execute(q *Query) ([]Result, error) {
 		if v == nil {
 			return nil
 		}
-		r := Result{Video: v, Shots: rec.Shots}
+		r := Result{Video: v}
 		if refFeatures != nil {
 			r.Distance = l2(refFeatures, rec.Features)
 		}
@@ -306,27 +287,4 @@ func l2(a, b []float64) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum)
-}
-
-// ExtractShots deterministically segments a video into shots of 5-15
-// seconds, standing in for VDBMS's shot-detection preprocessing.
-func ExtractShots(v *media.Video) []Shot {
-	dur := simtime.ToSeconds(v.Duration)
-	var shots []Shot
-	r := simtime.NewRand(int64(v.Seed))
-	t := 0.0
-	for t < dur {
-		length := r.Uniform(5, 15)
-		end := t + length
-		if end > dur {
-			end = dur
-		}
-		shots = append(shots, Shot{
-			Start:    t,
-			End:      end,
-			Keyframe: int((t + (end-t)/2) * v.FrameRate),
-		})
-		t = end
-	}
-	return shots
 }

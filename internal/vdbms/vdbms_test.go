@@ -240,38 +240,6 @@ func TestVideoLookup(t *testing.T) {
 	}
 }
 
-func TestShotsCoverDuration(t *testing.T) {
-	for _, v := range media.StandardCorpus(42) {
-		shots := ExtractShots(v)
-		if len(shots) == 0 {
-			t.Fatalf("%v: no shots", v.ID)
-		}
-		if shots[0].Start != 0 {
-			t.Fatalf("%v: first shot starts at %v", v.ID, shots[0].Start)
-		}
-		for i := 1; i < len(shots); i++ {
-			if shots[i].Start != shots[i-1].End {
-				t.Fatalf("%v: gap between shots %d and %d", v.ID, i-1, i)
-			}
-		}
-		last := shots[len(shots)-1]
-		if last.End < 29 { // shortest video is 30 s
-			t.Fatalf("%v: shots end early at %v", v.ID, last.End)
-		}
-	}
-}
-
-func TestResultsIncludeShots(t *testing.T) {
-	e := newCatalog(t)
-	res, _, err := e.ExecuteSQL("SELECT * FROM videos WHERE id = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || len(res[0].Shots) == 0 {
-		t.Fatal("content metadata (shots) missing from result")
-	}
-}
-
 func TestExprStringRoundTrip(t *testing.T) {
 	q, err := Parse("SELECT * FROM videos WHERE (title = 'a' OR duration < 60) AND NOT tags CONTAINS 'x'")
 	if err != nil {

@@ -19,7 +19,6 @@ type Request struct {
 	At    simtime.Time
 	Site  string
 	Video media.VideoID
-	Tier  int // index of the QoP tier drawn, for reporting
 	Req   qos.Requirement
 }
 
@@ -123,7 +122,6 @@ func (g *Generator) Next() Request {
 		At:    g.now,
 		Site:  g.cfg.Sites[g.rng.Intn(len(g.cfg.Sites))],
 		Video: g.cfg.Videos[g.pick()].ID,
-		Tier:  tier,
 		Req:   g.profile.Translate(g.tiers[tier]),
 	}
 }

@@ -17,6 +17,25 @@ func cfg(seed int64) Config {
 	}
 }
 
+// tierOf recovers the index of the QoP tier r was drawn from by its
+// translated requirement, which no other tier shares.
+func tierOf(t *testing.T, g *Generator, r Request) int {
+	t.Helper()
+	tier := -1
+	for i, q := range g.tiers {
+		if g.profile.Translate(q).String() == r.Req.String() {
+			if tier >= 0 {
+				t.Fatalf("tiers %d and %d translate alike: %v", tier, i, r.Req)
+			}
+			tier = i
+		}
+	}
+	if tier < 0 {
+		t.Fatalf("requirement %v matches no tier", r.Req)
+	}
+	return tier
+}
+
 func TestTiersCoverLadder(t *testing.T) {
 	tiers := Tiers()
 	if len(tiers) != 4 {
@@ -62,7 +81,7 @@ func TestUniformTiersAndSites(t *testing.T) {
 	sites := map[string]int{}
 	for i := 0; i < 8000; i++ {
 		r := g.Next()
-		tiers[r.Tier]++
+		tiers[tierOf(t, g, r)]++
 		sites[r.Site]++
 	}
 	for tier, c := range tiers {
@@ -81,7 +100,7 @@ func TestRequirementsMatchTiers(t *testing.T) {
 	g := New(cfg(4))
 	for i := 0; i < 100; i++ {
 		r := g.Next()
-		switch r.Tier {
+		switch tierOf(t, g, r) {
 		case 0:
 			if r.Req.MinResolution != qos.ResDVD {
 				t.Fatalf("tier 0 req = %v", r.Req)
@@ -96,7 +115,7 @@ func TestRequirementsMatchTiers(t *testing.T) {
 
 func TestDeterministicStreams(t *testing.T) {
 	same := func(x, y Request) bool {
-		return x.At == y.At && x.Site == y.Site && x.Video == y.Video && x.Tier == y.Tier
+		return x.At == y.At && x.Site == y.Site && x.Video == y.Video && x.Req.String() == y.Req.String()
 	}
 	a, b := New(cfg(7)), New(cfg(7))
 	for i := 0; i < 100; i++ {

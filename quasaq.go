@@ -111,7 +111,7 @@ type (
 	// recovery, save), delivered to the OnGuardianEvent observer.
 	GuardianEvent = guardian.Event
 	// ObservedQoS is a session's observed-QoS snapshot (delay, jitter,
-	// loss), read via Delivery.Observed.
+	// loss), read via Session.Observed (Delivery.Session).
 	ObservedQoS = transport.ObservedQoS
 	// NetMetric names a network-level QoS metric a WITH QOS clause can
 	// bound: delay, jitter, loss, throughput.

@@ -13,14 +13,26 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // unreachedAllowlist holds the names TestUnreachedNames tolerates, one per
-// line: the name, then the reason it stays.
+// line: the name, its reason class, then the reason it stays.
 const unreachedAllowlist = "testdata/unreached.txt"
+
+// reasonClasses is the closed set of reasons a name may stay unreached:
+//   - key: a field only ever written, read as part of a map key;
+//   - marshalled: a field only ever written, read by reflection when encoded;
+//   - printed: a field only ever written, read by reflection when printed
+//     with %v;
+//   - facade: a name that non-test code reaches only through a root alias,
+//     used by an example, a command or the README (DESIGN.md §3);
+//   - oracle: a name only a test's invariant check reads, where no other
+//     view of that state exists.
+var reasonClasses = map[string]bool{"key": true, "marshalled": true, "printed": true, "facade": true, "oracle": true}
 
 // TestUnreachedNames type-checks the non-test files of every package in the
 // module and fails on any name declared under internal/ that no non-test
@@ -28,6 +40,10 @@ const unreachedAllowlist = "testdata/unreached.txt"
 // allowlist line whose name is now reached, or no longer exists.
 //
 // The names judged are every package-level object, method and struct field.
+// Writing a field does not reach it: an assignment or op= target, a ++ or --
+// target, a composite-literal key or element, or a map or slice field
+// stored into through an index. A field only ever written holds state
+// nothing reads.
 // A method also counts as reached when its receiver type implements an
 // interface that has it: an interface the module declares or converts to,
 // one in the signature of a function the module calls (heap.Interface
@@ -40,13 +56,13 @@ func TestUnreachedNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allowed, err := readUnreachedAllowlist()
+	allowed, err := readUnreachedAllowlist(unreachedAllowlist)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range got {
 		if _, ok := allowed[name]; !ok {
-			t.Errorf("%s: no non-test file reaches it; delete it, or add a line to %s:\n\t%s  <why it stays>",
+			t.Errorf("%s: no non-test file reaches it; delete it, or add a line to %s:\n\t%s  <class>  <why it stays>",
 				name, unreachedAllowlist, name)
 		}
 		delete(allowed, name)
@@ -57,10 +73,45 @@ func TestUnreachedNames(t *testing.T) {
 	}
 }
 
+// TestUnreachedNamesFlagsWrites scans the fixture module under
+// testdata/writeonly, whose one package writes a field each way the scan
+// counts as a write. It must flag those four and neither the field that is
+// read nor the one whose address is taken.
+func TestUnreachedNamesFlagsWrites(t *testing.T) {
+	got, err := unreachedNames("testdata/writeonly")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"fix.T.Assigned", "fix.T.Counted", "fix.T.Indexed", "fix.T.Keyed"}
+	if !slices.Equal(got, want) {
+		t.Errorf("unreached names = %q, want %q", got, want)
+	}
+}
+
+// TestUnreachedAllowlistClasses checks that an allowlist line needs a class
+// from reasonClasses and a reason.
+func TestUnreachedAllowlistClasses(t *testing.T) {
+	for line, wantErr := range map[string]string{
+		"fix.T.Keyed  key  the fixture's map key": "",
+		"fix.T.Keyed  habit  no such class":       "unknown class",
+		"fix.T.Keyed  key":                        "needs a class and a reason",
+		"fix.T.Keyed  the reason, with no class":  "unknown class",
+	} {
+		file := filepath.Join(t.TempDir(), "unreached.txt")
+		if err := os.WriteFile(file, []byte(line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := readUnreachedAllowlist(file)
+		if wantErr == "" && err != nil || wantErr != "" && (err == nil || !strings.Contains(err.Error(), wantErr)) {
+			t.Errorf("%q: error %v, want one containing %q", line, err, wantErr)
+		}
+	}
+}
+
 // readUnreachedAllowlist maps each allowlisted name to its line number. A
-// line without a reason is an error.
-func readUnreachedAllowlist() (map[string]int, error) {
-	f, err := os.Open(unreachedAllowlist)
+// line without a reason, or with a class outside reasonClasses, is an error.
+func readUnreachedAllowlist(file string) (map[string]int, error) {
+	f, err := os.Open(file)
 	if err != nil {
 		return nil, err
 	}
@@ -72,12 +123,16 @@ func readUnreachedAllowlist() (map[string]int, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		name, reason, _ := strings.Cut(line, " ")
-		if strings.TrimSpace(reason) == "" {
-			return nil, fmt.Errorf("%s:%d: %s has no reason", unreachedAllowlist, n, name)
+		fields := strings.Fields(line)
+		name := fields[0]
+		if len(fields) < 3 {
+			return nil, fmt.Errorf("%s:%d: %s needs a class and a reason", file, n, name)
+		}
+		if !reasonClasses[fields[1]] {
+			return nil, fmt.Errorf("%s:%d: %s has unknown class %q", file, n, name, fields[1])
 		}
 		if _, dup := allowed[name]; dup {
-			return nil, fmt.Errorf("%s:%d: %s listed twice", unreachedAllowlist, n, name)
+			return nil, fmt.Errorf("%s:%d: %s listed twice", file, n, name)
 		}
 		allowed[name] = n
 	}
@@ -178,7 +233,8 @@ func unreachedNames(root string) ([]string, error) {
 		return nil, err
 	}
 	for p, info := range l.infos {
-		// A method's receiver names its own type: that is no use of it.
+		// A method's receiver names its own type, and a write stores into a
+		// field: neither is a use of it.
 		receivers := map[*ast.Ident]bool{}
 		for _, f := range l.files[p] {
 			for _, d := range f.Decls {
@@ -192,8 +248,9 @@ func unreachedNames(root string) ([]string, error) {
 				}
 			}
 		}
+		writes := fieldWrites(l.files[p], info)
 		for id, obj := range info.Uses {
-			if !receivers[id] {
+			if !receivers[id] && !writes[id] {
 				used[origin(obj)] = true
 			}
 			if fn, ok := obj.(*types.Func); ok {
@@ -221,23 +278,6 @@ func unreachedNames(root string) ([]string, error) {
 					}
 				}
 			}
-		}
-		for _, f := range l.files[p] {
-			ast.Inspect(f, func(n ast.Node) bool {
-				lit, ok := n.(*ast.CompositeLit)
-				if !ok || len(lit.Elts) == 0 {
-					return true
-				}
-				if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); keyed {
-					return true
-				}
-				if st, ok := info.Types[lit].Type.Underlying().(*types.Struct); ok {
-					for i := 0; i < st.NumFields(); i++ {
-						used[st.Field(i)] = true
-					}
-				}
-				return true
-			})
 		}
 	}
 	implemented := func(t types.Type, m *types.Func) bool {
@@ -299,6 +339,50 @@ func unreachedNames(root string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+// fieldWrites returns the identifiers in files that name a field being
+// stored into: an assignment target (op= included), a ++ or -- target, a
+// map or slice field stored into through an index (x.F[k] = v), and a
+// composite-literal key. Taking &x.F is not among them: whoever holds the
+// pointer may read through it.
+func fieldWrites(files []*ast.File, info *types.Info) map[*ast.Ident]bool {
+	writes := map[*ast.Ident]bool{}
+	write := func(id *ast.Ident) {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			writes[id] = true
+		}
+	}
+	target := func(e ast.Expr) {
+		for {
+			ix, ok := ast.Unparen(e).(*ast.IndexExpr)
+			if !ok {
+				break
+			}
+			e = ix.X
+		}
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			write(sel.Sel)
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					write(id)
+				}
+			}
+			return true
+		})
+	}
+	return writes
 }
 
 // origin maps a use of an instantiated generic method or field back to its
