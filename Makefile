@@ -9,10 +9,13 @@ GO ?= go
 # the root TestUnreachedNames, which fails on a name declared under
 # internal/ that no non-test file reaches and testdata/unreached.txt does
 # not list with a reason, and on a listed name that is reached again. A
-# field that non-test code only writes (assigns, increments, sets as a
-# literal key, or stores into through an index) is unreached too; an
-# allowlist line names its class: key, marshalled, printed, facade or
-# oracle (DESIGN.md §3).
+# field that non-test code only writes (assigns, increments, appends to,
+# sets as a literal key, or stores into through an index) is unreached
+# too. From the same type-check, TestKnobsOnlyTestsTurn fails on a config
+# field that non-test code sets only in its own package's defaulting
+# functions, or never: a knob only tests turn is a constant. An allowlist
+# line names its class: key, marshalled, printed, facade, oracle or knob
+# (DESIGN.md §3).
 check: fmt-check tidy-check vet build race shuffle fuzz-smoke
 
 # gofmt -l prints offending files and exits 0; fail when it prints.

@@ -7,21 +7,8 @@ import (
 	"time"
 
 	"quasaq/internal/faults"
+	"quasaq/internal/guardian"
 )
-
-// chaosGuardianCfg samples fast so chaos tests converge in seconds of
-// virtual time: two-second windows, two breaching windows to declare a
-// violation, two clean ones to recover.
-func chaosGuardianCfg() GuardianConfig {
-	return GuardianConfig{
-		Interval:      2 * time.Second,
-		BreachWindows: 2,
-		ClearWindows:  2,
-		// Low enough to keep judging even after a rung lands on a heavily
-		// frame-dropped plan (~1.6 fps delivers ~3 frames per window).
-		MinSamples: 2,
-	}
-}
 
 // injectNow applies one link fault to a site at the current virtual time;
 // it takes effect as soon as the clock next moves.
@@ -56,7 +43,7 @@ func terminalErr(t *testing.T, db *DB, d *Delivery) error {
 // the violated metric.
 func TestGuardianLadderOrderUnderChaos(t *testing.T) {
 	db := openLoaded(t, Options{})
-	if err := db.EnableGuardian(chaosGuardianCfg()); err != nil {
+	if err := db.EnableGuardian(GuardianConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	var rungs []string
@@ -106,8 +93,8 @@ func TestGuardianLadderOrderUnderChaos(t *testing.T) {
 	if v.Metric.String() != "loss" {
 		t.Fatalf("violated metric = %s, want loss under congestion", v.Metric)
 	}
-	if v.Windows != chaosGuardianCfg().BreachWindows {
-		t.Fatalf("violation windows = %d, want %d", v.Windows, chaosGuardianCfg().BreachWindows)
+	if v.Windows != guardian.BreachWindows {
+		t.Fatalf("violation windows = %d, want %d", v.Windows, guardian.BreachWindows)
 	}
 	// The original handle was renegotiated away mid-ladder; the shed one is
 	// its successor, not the handle Deliver returned.
@@ -129,7 +116,7 @@ func TestGuardianLadderOrderUnderChaos(t *testing.T) {
 // saved by rung 1.
 func TestGuardianRecoveryStopsEscalation(t *testing.T) {
 	db := openLoaded(t, Options{})
-	if err := db.EnableGuardian(chaosGuardianCfg()); err != nil {
+	if err := db.EnableGuardian(GuardianConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	recovered := false
@@ -194,7 +181,7 @@ func TestGuardianIdleMatchesDisabledGolden(t *testing.T) {
 	run := func(withGuardian bool) string {
 		db := openLoaded(t, Options{})
 		if withGuardian {
-			if err := db.EnableGuardian(chaosGuardianCfg()); err != nil {
+			if err := db.EnableGuardian(GuardianConfig{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -230,29 +217,51 @@ func TestGuardianIdleMatchesDisabledGolden(t *testing.T) {
 	checkGolden(t, "guardian-idle", on)
 }
 
-// TestGuardianCustomLadderAbandonError exercises a ladder of just the
-// abandon rung: the first declared violation sheds the session, and the
-// public error chain exposes both the sentinel and the violation detail.
-func TestGuardianCustomLadderAbandonError(t *testing.T) {
+// TestGuardianAbandonThroughInapplicableRungs walks the ladder for a stream
+// already at the bottom quality tier while every link is congested: the
+// renegotiate rung has no cheaper tier, so it is passed over without
+// firing, and the guardian steps down, migrates, then abandons. The public
+// error chain of the shed delivery exposes both the sentinel and the
+// violation detail.
+func TestGuardianAbandonThroughInapplicableRungs(t *testing.T) {
 	db := openLoaded(t, Options{})
-	cfg := chaosGuardianCfg()
-	cfg.Ladder = []GuardianRung{GuardianAbandon}
-	if err := db.EnableGuardian(cfg); err != nil {
+	if err := db.EnableGuardian(GuardianConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	d, err := db.Deliver("srv-b", 5, Requirement{MinResolution: ResDVD, MinFrameRate: 20})
+	var rungs []string
+	var abandoned *Delivery
+	if err := db.OnGuardianEvent(func(ev GuardianEvent) {
+		switch ev.Kind {
+		case "stepdown", "renegotiate", "migrate", "abandon":
+			rungs = append(rungs, ev.Kind)
+			if ev.Kind == "abandon" {
+				abandoned = ev.Delivery
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := db.Deliver("srv-b", 5, Requirement{MaxResolution: ResQCIF})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if d.Plan.Delivered.Resolution != ResQCIF {
+		t.Fatalf("plan delivers %v, want the bottom tier %v", d.Plan.Delivered.Resolution, ResQCIF)
+	}
 	db.Advance(2 * time.Second)
-	if err := injectNow(db, FaultLinkCongest, d.Plan.DeliverySite, 0.001); err != nil {
-		t.Fatal(err)
+	for _, site := range db.Sites() {
+		if err := injectNow(db, FaultLinkCongest, site, 0.001); err != nil {
+			t.Fatal(err)
+		}
 	}
 	db.RunUntilIdle()
-	if !d.Failed() {
-		t.Fatal("delivery survived an abandon-only ladder under congestion")
+	if want := []string{"stepdown", "migrate", "abandon"}; fmt.Sprint(rungs) != fmt.Sprint(want) {
+		t.Fatalf("ladder fired %v, want %v", rungs, want)
 	}
-	abandonErr := terminalErr(t, db, d)
+	if abandoned == nil || !abandoned.Failed() {
+		t.Fatal("delivery survived the ladder under congestion")
+	}
+	abandonErr := terminalErr(t, db, abandoned)
 	if !errors.Is(abandonErr, ErrQoSAbandoned) {
 		t.Fatalf("err = %v, want ErrQoSAbandoned", abandonErr)
 	}
@@ -260,11 +269,11 @@ func TestGuardianCustomLadderAbandonError(t *testing.T) {
 	if !errors.As(abandonErr, &v) {
 		t.Fatalf("err carries no *QoSViolation: %v", abandonErr)
 	}
-	if v.Metric.String() != "loss" || v.Site != d.Plan.DeliverySite {
-		t.Fatalf("violation = %+v, want loss at %s", v, d.Plan.DeliverySite)
+	if v.Metric.String() != "loss" || v.Site != abandoned.Plan.DeliverySite {
+		t.Fatalf("violation = %+v, want loss at %s", v, abandoned.Plan.DeliverySite)
 	}
-	if st := db.GuardianStats(); st.Abandons != 1 || st.StepDowns != 0 {
-		t.Fatalf("stats = %+v, want a single abandon and nothing else", st)
+	if st := db.GuardianStats(); st.Abandons != 1 || st.StepDowns != 1 || st.Renegotiates != 0 || st.Migrations != 1 {
+		t.Fatalf("stats = %+v, want one step-down, one migration, one abandon and no renegotiation", st)
 	}
 }
 
@@ -277,7 +286,7 @@ func TestGuardianCustomLadderAbandonError(t *testing.T) {
 func TestGuardianCoexistsWithFailoverOnDegradedLink(t *testing.T) {
 	db := openLoaded(t, Options{})
 	db.EnableFailover(DefaultFailoverPolicy())
-	if err := db.EnableGuardian(chaosGuardianCfg()); err != nil {
+	if err := db.EnableGuardian(GuardianConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.OnGuardianEvent(func(ev GuardianEvent) {

@@ -7,10 +7,11 @@
 // absorb it, and holding the admission decision open for the whole ladder.
 // The breaker converts that into a fast, cheap rejection (ErrBrokerOpen,
 // carried %w-under core.ErrRejected by the admission path) after a few
-// consecutive timeouts, then probes the site half-open after a cooldown.
+// consecutive timeouts, then probes the site half-open after a cooldown of
+// breakerCooldown RPC timeouts, one trial call at a time.
 // The retry budget bounds the *global* volume of retries to a token bucket
 // refilled as a fraction of successful calls, so retry traffic can never
-// exceed a fixed fraction of useful traffic.
+// exceed a fixed fraction (retryRefund) of useful traffic.
 //
 // Both mechanisms are strictly opt-in: the zero BreakerConfig and zero
 // RetryBudgetConfig disable them, preserving the legacy retry behaviour
@@ -30,6 +31,16 @@ import (
 // breaker carry it %w-wrapped under core.ErrRejected.
 var ErrBrokerOpen = errors.New("broker: circuit open")
 
+const (
+	// breakerCooldown is how long an open breaker rejects calls before
+	// letting a half-open probe through, in RPC timeouts.
+	breakerCooldown = 8
+	// retryRefund is the number of tokens refunded per successful call, so
+	// retry traffic is bounded to roughly a tenth of the useful traffic in
+	// steady state.
+	retryRefund = 0.1
+)
+
 // BreakerConfig tunes the per-site circuit breakers. The zero value
 // disables them.
 type BreakerConfig struct {
@@ -37,13 +48,6 @@ type BreakerConfig struct {
 	// (retry-exhausted timeouts) to one site that trips its breaker open.
 	// Zero disables the breaker entirely.
 	Threshold int
-	// Cooldown is how long an open breaker rejects calls before letting a
-	// half-open probe through. Zero defaults to 8× the RPC timeout.
-	Cooldown simtime.Time
-	// HalfOpenProbes bounds the in-flight trial calls a half-open breaker
-	// admits; further calls are rejected until a probe settles. Zero
-	// defaults to 1.
-	HalfOpenProbes int
 }
 
 // Enabled reports whether the breaker is active.
@@ -53,12 +57,9 @@ func (b BreakerConfig) Enabled() bool { return b.Threshold > 0 }
 // disables it (per-call retries are then bounded only by Config.Retries).
 type RetryBudgetConfig struct {
 	// Burst is the bucket capacity in retry tokens; each retry attempt
-	// spends one. Zero disables the budget.
+	// spends one and each successful call refunds retryRefund. Zero
+	// disables the budget.
 	Burst float64
-	// Ratio is the number of tokens refunded per successful call, so retry
-	// traffic is bounded to roughly Ratio× the useful traffic in steady
-	// state. Zero defaults to 0.1.
-	Ratio float64
 }
 
 // Enabled reports whether the retry budget is active.
@@ -92,7 +93,7 @@ type siteBreaker struct {
 	failures  int          // consecutive failures while closed
 	openedAt  simtime.Time // when the breaker last opened
 	until     simtime.Time // open holds until this instant
-	probes    int          // in-flight half-open trial calls
+	probing   bool         // a half-open trial call is in flight
 	openTotal simtime.Time // cumulative time spent open (completed spells)
 }
 
@@ -117,13 +118,13 @@ func (n *Net) admitCall(to string) bool {
 		}
 		b.openTotal += n.sim.Now() - b.openedAt
 		b.phase = breakerHalfOpen
-		b.probes = 0
+		b.probing = false
 		fallthrough
 	case breakerHalfOpen:
-		if b.probes >= n.cfg.Breaker.HalfOpenProbes {
+		if b.probing {
 			return false
 		}
-		b.probes++
+		b.probing = true
 		return true
 	default:
 		return true
@@ -138,7 +139,7 @@ func (n *Net) recordOutcome(to string, ok bool) {
 	if ok {
 		b.phase = breakerClosed
 		b.failures = 0
-		b.probes = 0
+		b.probing = false
 		return
 	}
 	switch b.phase {
@@ -152,13 +153,13 @@ func (n *Net) recordOutcome(to string, ok bool) {
 	}
 }
 
-// trip opens a breaker for the configured cooldown.
+// trip opens a breaker for the cooldown.
 func (n *Net) trip(b *siteBreaker) {
 	b.phase = breakerOpen
 	b.failures = 0
-	b.probes = 0
+	b.probing = false
 	b.openedAt = n.sim.Now()
-	b.until = b.openedAt + n.cfg.Breaker.Cooldown
+	b.until = b.openedAt + breakerCooldown*n.cfg.Timeout
 	n.met.breakerOpens.Inc()
 }
 
@@ -193,7 +194,7 @@ func (n *Net) refundRetryToken() {
 	if !n.cfg.RetryBudget.Enabled() {
 		return
 	}
-	n.tokens += n.cfg.RetryBudget.Ratio
+	n.tokens += retryRefund
 	if n.tokens > n.cfg.RetryBudget.Burst {
 		n.tokens = n.cfg.RetryBudget.Burst
 	}

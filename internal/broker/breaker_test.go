@@ -12,7 +12,7 @@ func breakerCfg() Config {
 		Latency: simtime.Seconds(0.005),
 		Timeout: simtime.Seconds(0.04),
 		Retries: 0,
-		Breaker: BreakerConfig{Threshold: 3, Cooldown: simtime.Seconds(1), HalfOpenProbes: 1},
+		Breaker: BreakerConfig{Threshold: 3},
 	}
 }
 
@@ -71,10 +71,19 @@ func TestBreakerHalfOpenProbeClosesOnSuccess(t *testing.T) {
 	if st := w.net.breaker("b").phase.String(); st != "open" {
 		t.Fatalf("breaker = %s, want open", st)
 	}
-	// Heal the partition and wait out the cooldown: the next call is the
-	// half-open probe, and its success closes the breaker.
+	// Heal the partition. Until the cooldown's last instant calls still
+	// fast-fail; then the next call is the half-open probe, and its success
+	// closes the breaker.
 	w.cut["b"] = false
-	w.sim.RunUntil(w.sim.Now() + simtime.Seconds(1.5))
+	b := w.net.breaker("b")
+	if cooldown := b.until - b.openedAt; cooldown != 8*breakerCfg().Timeout {
+		t.Fatalf("cooldown = %v, want 8 timeouts", cooldown)
+	}
+	w.sim.RunUntil(b.until - 1)
+	if err := call(w, 4); !errors.Is(err, ErrBrokerOpen) {
+		t.Fatalf("call before the cooldown ends err = %v, want ErrBrokerOpen", err)
+	}
+	w.sim.RunUntil(b.until)
 	if err := call(w, 4); err != nil {
 		t.Fatalf("probe err = %v", err)
 	}
@@ -92,7 +101,7 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	for i := uint64(1); i <= 3; i++ {
 		call(w, i)
 	}
-	w.sim.RunUntil(w.sim.Now() + simtime.Seconds(1.5))
+	w.sim.RunUntil(w.net.breaker("b").until)
 	// Still partitioned: the probe times out and the breaker trips again.
 	if err := call(w, 4); !errors.Is(err, ErrControlTimeout) {
 		t.Fatalf("probe err = %v, want ErrControlTimeout", err)
@@ -113,7 +122,7 @@ func TestRetryBudgetSuppressesRetries(t *testing.T) {
 		Latency:     simtime.Seconds(0.005),
 		Timeout:     simtime.Seconds(0.04),
 		Retries:     2,
-		RetryBudget: RetryBudgetConfig{Burst: 1, Ratio: 0.1},
+		RetryBudget: RetryBudgetConfig{Burst: 1},
 	}
 	w := newWorld(t, cfg)
 	w.cut["b"] = true

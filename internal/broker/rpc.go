@@ -87,17 +87,6 @@ func (c Config) withDefaults() Config {
 	if c.PrepareTTL <= 0 {
 		c.PrepareTTL = simtime.Time(c.Retries+2) * c.Timeout
 	}
-	if c.Breaker.Enabled() {
-		if c.Breaker.Cooldown <= 0 {
-			c.Breaker.Cooldown = 8 * c.Timeout
-		}
-		if c.Breaker.HalfOpenProbes <= 0 {
-			c.Breaker.HalfOpenProbes = 1
-		}
-	}
-	if c.RetryBudget.Enabled() && c.RetryBudget.Ratio <= 0 {
-		c.RetryBudget.Ratio = 0.1
-	}
 	return c
 }
 
@@ -112,11 +101,11 @@ func (c Config) Validate() error {
 	if c.Loss < 0 || c.Loss >= 1 {
 		return fmt.Errorf("broker: loss probability %v outside [0, 1)", c.Loss)
 	}
-	if c.Breaker.Threshold < 0 || c.Breaker.Cooldown < 0 || c.Breaker.HalfOpenProbes < 0 {
-		return fmt.Errorf("broker: negative breaker parameter in %+v", c.Breaker)
+	if c.Breaker.Threshold < 0 {
+		return fmt.Errorf("broker: negative breaker threshold %d", c.Breaker.Threshold)
 	}
-	if c.RetryBudget.Burst < 0 || c.RetryBudget.Ratio < 0 {
-		return fmt.Errorf("broker: negative retry-budget parameter in %+v", c.RetryBudget)
+	if c.RetryBudget.Burst < 0 {
+		return fmt.Errorf("broker: negative retry-budget burst %v", c.RetryBudget.Burst)
 	}
 	return nil
 }

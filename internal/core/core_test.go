@@ -63,7 +63,7 @@ func TestClusterSetup(t *testing.T) {
 
 func TestGenerateProducesSatisfyingPlans(t *testing.T) {
 	_, c := testCluster(t)
-	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
+	gen := NewGenerator(c.Dir, c.Capacity())
 	v, _ := c.Engine.Video(1)
 	req := vcdRequirement()
 	plans := gen.GenerateAll("srv-a", v, req)
@@ -90,7 +90,7 @@ func TestGenerateFig2ShapedSpace(t *testing.T) {
 	// Figure 2's structure: plans combine replicas across sites (A1),
 	// delivery sites (A2), drop strategies (A3), transcode targets (A4).
 	_, c := testCluster(t)
-	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
+	gen := NewGenerator(c.Dir, c.Capacity())
 	v, _ := c.Engine.Video(1)
 	req := qos.Requirement{MinColorDepth: 8} // loose: big space
 	plans := gen.GenerateAll("srv-a", v, req)
@@ -117,7 +117,7 @@ func TestGenerateFig2ShapedSpace(t *testing.T) {
 
 func TestGenerateNeverUpscales(t *testing.T) {
 	_, c := testCluster(t)
-	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
+	gen := NewGenerator(c.Dir, c.Capacity())
 	v, _ := c.Engine.Video(1)
 	req := qos.Requirement{MinResolution: qos.ResDVD}
 	plans := gen.GenerateAll("srv-a", v, req)
@@ -136,7 +136,7 @@ func TestGenerateNeverUpscales(t *testing.T) {
 
 func TestGenerateFrameRateRespectsDrop(t *testing.T) {
 	_, c := testCluster(t)
-	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
+	gen := NewGenerator(c.Dir, c.Capacity())
 	v, _ := c.Engine.Video(1) // 23.97 fps
 	req := qos.Requirement{MinFrameRate: 20}
 	for _, p := range gen.GenerateAll("srv-a", v, req) {
@@ -149,7 +149,7 @@ func TestGenerateFrameRateRespectsDrop(t *testing.T) {
 
 func TestGenerateEncryptionRules(t *testing.T) {
 	_, c := testCluster(t)
-	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
+	gen := NewGenerator(c.Dir, c.Capacity())
 	v, _ := c.Engine.Video(1)
 	// No security requirement: no plan may carry encryption (wasted CPU).
 	for _, p := range gen.GenerateAll("srv-a", v, qos.Requirement{}) {
@@ -175,7 +175,7 @@ func TestGenerateEncryptionRules(t *testing.T) {
 
 func TestGenerateImpossibleRequirement(t *testing.T) {
 	_, c := testCluster(t)
-	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
+	gen := NewGenerator(c.Dir, c.Capacity())
 	v, _ := c.Engine.Video(1)
 	req := qos.Requirement{MinResolution: qos.Resolution{W: 1920, H: 1080}}
 	if plans := gen.GenerateAll("srv-a", v, req); len(plans) != 0 {
@@ -217,7 +217,7 @@ func TestLRBFig3Example(t *testing.T) {
 
 func TestRandomOrderIsPermutation(t *testing.T) {
 	_, c := testCluster(t)
-	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
+	gen := NewGenerator(c.Dir, c.Capacity())
 	v, _ := c.Engine.Video(1)
 	plans := gen.GenerateAll("srv-a", v, qos.Requirement{})
 	r := NewRandom(simtime.NewRand(7))
@@ -469,7 +469,7 @@ func TestSingleCopyAblationShrinksSpace(t *testing.T) {
 	if _, err := c.LoadCorpus(media.StandardCorpus(42), replication.SingleCopyPolicy()); err != nil {
 		t.Fatal(err)
 	}
-	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
+	gen := NewGenerator(c.Dir, c.Capacity())
 	v, _ := c.Engine.Video(1)
 	plans := gen.GenerateAll("srv-a", v, qos.Requirement{MinColorDepth: 8})
 	full, _ := testClusterPlans(t)
@@ -481,14 +481,14 @@ func TestSingleCopyAblationShrinksSpace(t *testing.T) {
 func testClusterPlans(t *testing.T) (int, *Cluster) {
 	t.Helper()
 	_, c := testCluster(t)
-	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
+	gen := NewGenerator(c.Dir, c.Capacity())
 	v, _ := c.Engine.Video(1)
 	return len(gen.GenerateAll("srv-a", v, qos.Requirement{MinColorDepth: 8})), c
 }
 
 func TestPlanString(t *testing.T) {
 	_, c := testCluster(t)
-	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
+	gen := NewGenerator(c.Dir, c.Capacity())
 	v, _ := c.Engine.Video(1)
 	plans := gen.GenerateAll("srv-b", v, qos.Requirement{Security: qos.SecurityStandard})
 	for _, p := range plans {

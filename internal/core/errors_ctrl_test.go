@@ -27,7 +27,7 @@ func singleCopyCtrlWorld(t *testing.T) (*simtime.Simulator, *Cluster, *Manager, 
 	if _, err := c.LoadCorpus(media.StandardCorpus(42), replication.SingleCopyPolicy()); err != nil {
 		t.Fatal(err)
 	}
-	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
+	gen := NewGenerator(c.Dir, c.Capacity())
 	v, err := c.Engine.Video(1)
 	if err != nil {
 		t.Fatal(err)

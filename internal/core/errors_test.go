@@ -105,10 +105,7 @@ func TestAbandonedDeliveryCarriesCrashCause(t *testing.T) {
 	if _, err := c.LoadCorpus(media.StandardCorpus(42), replication.SingleCopyPolicy()); err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(c, LRB{})
-	pol := DefaultFailoverPolicy()
-	pol.MaxRetries = 1
-	m.EnableFailover(pol)
+	m := failoverManager(c)
 
 	d, err := m.Service("srv-a", 1, qos.Requirement{MinColorDepth: 8}, ServiceOptions{})
 	if err != nil {

@@ -3,41 +3,39 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"quasaq/internal/media"
 	"quasaq/internal/simtime"
 	"quasaq/internal/transport"
 )
 
-// FailoverPolicy tunes failure detection and mid-stream recovery. The zero
-// policy (immediate detection, no retries, no fallback) is usable but
-// unrealistic; DefaultFailoverPolicy models a heartbeat detector with
-// bounded exponential backoff.
-type FailoverPolicy struct {
+// The failure detector and the recovery retry budget: a 200 ms heartbeat
+// detector with three retries backing off from 500 ms.
+const (
 	// DetectionDelay models the failure detector's lag: the sim-time between
 	// a fault killing a session and the quality manager noticing.
-	DetectionDelay simtime.Time
+	DetectionDelay = 200 * time.Millisecond
 	// RetryBackoff is the wait before re-attempting after a recovery attempt
 	// finds no admittable plan; it doubles on each retry.
-	RetryBackoff simtime.Time
+	RetryBackoff = 500 * time.Millisecond
 	// MaxRetries bounds recovery retries per failure — the per-delivery
 	// failover budget. The initial attempt is not a retry.
-	MaxRetries int
+	MaxRetries = 3
+)
+
+// FailoverPolicy says what recovery does once no reserved plan survives the
+// retry budget. The zero policy abandons the delivery.
+type FailoverPolicy struct {
 	// BestEffortFallback, when set, downgrades the delivery to an unreserved
 	// best-effort stream when no reserved plan survives the budget, instead
 	// of abandoning it.
 	BestEffortFallback bool
 }
 
-// DefaultFailoverPolicy returns a 200 ms heartbeat detector with three
-// retries backing off from 500 ms.
-func DefaultFailoverPolicy() FailoverPolicy {
-	return FailoverPolicy{
-		DetectionDelay: simtime.Seconds(0.2),
-		RetryBackoff:   simtime.Seconds(0.5),
-		MaxRetries:     3,
-	}
-}
+// DefaultFailoverPolicy returns the zero policy: abandon a delivery no
+// reserved plan can carry.
+func DefaultFailoverPolicy() FailoverPolicy { return FailoverPolicy{} }
 
 // FailoverEvent describes one concluded recovery: a successful failover, a
 // best-effort downgrade, or an abandonment.
@@ -59,12 +57,7 @@ type FailoverEvent struct {
 // filtering down sites — reserves a new lease via the composite QoS API,
 // and resumes the stream on an alternate replica from the last delivered
 // position.
-func (m *Manager) EnableFailover(p FailoverPolicy) {
-	if p.DetectionDelay < 0 || p.RetryBackoff < 0 || p.MaxRetries < 0 {
-		panic("core: negative failover policy field")
-	}
-	m.failover = &p
-}
+func (m *Manager) EnableFailover(p FailoverPolicy) { m.failover = &p }
 
 // SetFailoverObserver registers fn to be called at the conclusion of every
 // recovery (success, degrade, or abandonment) — the chaos experiment's
@@ -115,7 +108,7 @@ func (m *Manager) onSessionFail(d *Delivery, cause error) {
 		return
 	}
 	d.recovering = true
-	d.recoveryEv = m.cluster.Sim.Schedule(m.failover.DetectionDelay, func() {
+	d.recoveryEv = m.cluster.Sim.Schedule(DetectionDelay, func() {
 		m.attemptFailover(d, 1)
 	})
 }
@@ -192,14 +185,13 @@ func (m *Manager) concludeFailover(d *Delivery, attempt int, lastErr error) {
 	if !d.recovering { // cancelled while reservations were in flight
 		return
 	}
-	pol := *m.failover
-	if attempt <= pol.MaxRetries {
+	if attempt <= MaxRetries {
 		m.met.failoverRetries.Inc()
-		backoff := pol.RetryBackoff << (attempt - 1)
+		backoff := RetryBackoff << (attempt - 1)
 		d.recoveryEv = m.cluster.Sim.Schedule(backoff, func() { m.attemptFailover(d, attempt+1) })
 		return
 	}
-	if pol.BestEffortFallback && m.bestEffortFallback(d, attempt) {
+	if m.failover.BestEffortFallback && m.bestEffortFallback(d, attempt) {
 		return
 	}
 	m.abandon(d, attempt, lastErr)

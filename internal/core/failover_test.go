@@ -59,7 +59,7 @@ func TestFailoverResumesOnAlternateReplica(t *testing.T) {
 	if ev.FromSite != origSite || ev.ToSite != d.Plan.DeliverySite || ev.Err != nil || ev.Degraded {
 		t.Fatalf("event = %+v", ev)
 	}
-	if ev.Latency < DefaultFailoverPolicy().DetectionDelay {
+	if ev.Latency < DetectionDelay {
 		t.Fatalf("latency %v below the detection delay", ev.Latency)
 	}
 	st := m.Stats()
@@ -105,10 +105,7 @@ func TestFailoverNoViablePlanRejectsGracefully(t *testing.T) {
 	if _, err := c.LoadCorpus(media.StandardCorpus(42), replication.SingleCopyPolicy()); err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(c, LRB{})
-	pol := DefaultFailoverPolicy()
-	pol.MaxRetries = 2
-	m.EnableFailover(pol)
+	m := failoverManager(c)
 
 	var failedErr error
 	d, err := m.Service("srv-a", 1, qos.Requirement{MinColorDepth: 8}, ServiceOptions{
@@ -134,25 +131,67 @@ func TestFailoverNoViablePlanRejectsGracefully(t *testing.T) {
 	if st.FailoverRejects != 1 || st.Failovers != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.FailoverRetries != uint64(pol.MaxRetries) {
-		t.Fatalf("retries = %d, want the full budget %d", st.FailoverRetries, pol.MaxRetries)
+	if st.FailoverRetries != MaxRetries {
+		t.Fatalf("retries = %d, want the full budget %d", st.FailoverRetries, MaxRetries)
 	}
 	if c.OutstandingSessions() != 0 {
 		t.Fatal("sessions leaked")
 	}
 }
 
+// TestFailoverRetryBackoffDoubles pins the detector and the retry budget:
+// with the only replica crashed, recovery starts DetectionDelay after the
+// failure, retries MaxRetries times after waits of 0.5, 1 and 2 s, and then
+// abandons the delivery.
+func TestFailoverRetryBackoffDoubles(t *testing.T) {
+	sim := simtime.NewSimulator()
+	c := TestbedCluster(sim)
+	if _, err := c.LoadCorpus(media.StandardCorpus(42), replication.SingleCopyPolicy()); err != nil {
+		t.Fatal(err)
+	}
+	m := failoverManager(c)
+	var abandoned []FailoverEvent
+	m.SetFailoverObserver(func(ev FailoverEvent) { abandoned = append(abandoned, ev) })
+	d, err := m.Service("srv-a", 1, qos.Requirement{MinColorDepth: 8}, ServiceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash := simtime.Seconds(5)
+	sim.ScheduleAt(crash, func() { c.Nodes[d.Plan.Replica.Site].Fail() })
+	var attempts []simtime.Time
+	for n := uint64(0); sim.Step(); {
+		if a := m.Stats().FailoverAttempts; a != n {
+			n = a
+			attempts = append(attempts, sim.Now()-crash)
+		}
+	}
+	want := []simtime.Time{
+		simtime.Seconds(0.2), simtime.Seconds(0.7), simtime.Seconds(1.7), simtime.Seconds(3.7),
+	}
+	if len(attempts) != len(want) {
+		t.Fatalf("recovery attempts at %v after the crash, want %v", attempts, want)
+	}
+	for i := range want {
+		if attempts[i] != want[i] {
+			t.Fatalf("recovery attempts at %v after the crash, want %v", attempts, want)
+		}
+	}
+	if st := m.Stats(); st.FailoverRetries != 3 || !d.Failed() {
+		t.Fatalf("retries = %d, failed = %v; want 3 retries, then abandonment", st.FailoverRetries, d.Failed())
+	}
+	if len(abandoned) != 1 || abandoned[0].Attempts != 4 || abandoned[0].Err == nil {
+		t.Fatalf("failover events = %+v, want one abandonment after 4 attempts", abandoned)
+	}
+}
+
 func TestFailoverBestEffortFallback(t *testing.T) {
 	// Saturate the cluster, then crash one site: its sessions fail over
 	// into a cluster with no reserved headroom, so with the fallback
-	// enabled (and no retries) at least some must degrade to unreserved
-	// best-effort streams instead of being rejected.
+	// enabled at least some must degrade to unreserved best-effort streams
+	// once their retries run out, instead of being rejected.
 	sim, c := testCluster(t)
 	m := NewManager(c, LRB{})
-	pol := DefaultFailoverPolicy()
-	pol.MaxRetries = 0
-	pol.BestEffortFallback = true
-	m.EnableFailover(pol)
+	m.EnableFailover(FailoverPolicy{BestEffortFallback: true})
 	var deliveries, degraded []*Delivery
 	// Recovery swaps a delivery's session and then notifies the observer,
 	// so the one delivery whose session changed since the last event is the
@@ -282,14 +321,12 @@ func TestRenegotiateDowngrade(t *testing.T) {
 
 func TestRenegotiateAfterSourceFailure(t *testing.T) {
 	// A link partition kills the session (the node itself stays up, so the
-	// query site remains valid); before the failure detector's recovery
-	// fires, the user renegotiates. The pending recovery must be cancelled
-	// and the new delivery resume from the dead session's position.
+	// query site remains valid); inside the failure detector's lag, before
+	// its recovery fires, the user renegotiates. The pending recovery must
+	// be cancelled and the new delivery resume from the dead session's
+	// position.
 	sim, c := testCluster(t)
-	m := NewManager(c, LRB{})
-	pol := DefaultFailoverPolicy()
-	pol.DetectionDelay = simtime.Seconds(30) // slow detector: renegotiate wins the race
-	m.EnableFailover(pol)
+	m := failoverManager(c)
 
 	d, err := m.Service("srv-a", 1, vcdRequirement(), ServiceOptions{})
 	if err != nil {
@@ -297,7 +334,7 @@ func TestRenegotiateAfterSourceFailure(t *testing.T) {
 	}
 	origSite := d.Plan.DeliverySite
 	sim.ScheduleAt(simtime.Seconds(10), func() { c.Nodes[origSite].Link().Partition() })
-	sim.RunUntil(simtime.Seconds(11))
+	sim.RunUntil(simtime.Seconds(10) + DetectionDelay/2)
 	if !d.Recovering() {
 		t.Fatal("delivery not in recovery after the crash")
 	}

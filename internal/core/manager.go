@@ -313,15 +313,9 @@ type Manager struct {
 
 // NewManager wires a quality manager to a cluster with a cost model.
 func NewManager(c *Cluster, model CostModel) *Manager {
-	return NewManagerWithConfig(c, model, DefaultGeneratorConfig(c.Capacity()))
-}
-
-// NewManagerWithConfig allows a custom generator configuration (used by the
-// ablation benchmarks).
-func NewManagerWithConfig(c *Cluster, model CostModel, cfg GeneratorConfig) *Manager {
 	m := &Manager{
 		cluster: c,
-		gen:     NewGenerator(c.Dir, cfg),
+		gen:     NewGenerator(c.Dir, c.Capacity()),
 		model:   model,
 		cache:   NewPlanCache(c.Dir),
 		coord:   broker.NewCoordinator(c.Ctrl, c.Obs),
@@ -357,9 +351,7 @@ func (m *Manager) EnableFarm(cfg transcode.FarmConfig) (*transcode.Farm, error) 
 	}
 	m.farm = farm
 	if !farm.Neutral() {
-		gcfg := m.gen.cfg
-		gcfg.Farm = &FarmBinding{Site: FarmSite}
-		m.gen = NewGenerator(m.cluster.Dir, gcfg)
+		m.gen.farm = true
 		m.cache.BumpLiveness()
 	}
 	return farm, nil

@@ -83,7 +83,7 @@ func TestPipelineGoldenEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c, refGen := propCluster(t)
 			pipeModel, refModel := tc.mk()
-			m := NewManagerWithConfig(c, pipeModel, DefaultGeneratorConfig(c.Capacity()))
+			m := NewManager(c, pipeModel)
 			videos := c.Engine.All()
 			i := 0
 			if err := quick.Check(func(rr randomRequirement) bool {
@@ -132,7 +132,7 @@ func TestPipelineGoldenEquivalence(t *testing.T) {
 // even under cost ties.
 func TestBestFirstMatchesStableSort(t *testing.T) {
 	_, c := testCluster(t)
-	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
+	gen := NewGenerator(c.Dir, c.Capacity())
 	v, _ := c.Engine.Video(1)
 	plans := gen.GenerateAll("srv-a", v, qos.Requirement{MinColorDepth: 8})
 	if len(plans) < 10 {
@@ -290,7 +290,7 @@ func TestServiceRejectionCarriesCause(t *testing.T) {
 // first one) fills, every other lookup hits, and misses equal fills.
 func TestPlanPipelineRaceSafety(t *testing.T) {
 	_, c := testCluster(t)
-	gen := NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
+	gen := NewGenerator(c.Dir, c.Capacity())
 	cache := NewPlanCache(c.Dir)
 	v, _ := c.Engine.Video(1)
 	req := vcdRequirement()

@@ -113,50 +113,27 @@ func (p *Plan) String() string {
 	return b.String()
 }
 
-// GeneratorConfig tunes the search space.
-type GeneratorConfig struct {
-	// Drops lists the admissible frame-dropping strategies (set A3).
-	// Defaults to all four of §4.
-	Drops []transport.DropStrategy
-	// AllowTranscode enables online transcoding targets (set A4).
-	AllowTranscode bool
-	// AllowRemote enables delivery sites other than the replica's (set A2).
-	AllowRemote bool
-	// SiteCapacity is the per-site resource capacity used by the static
-	// plan-drop rule: a plan whose demand cannot fit an *empty* site is
-	// "intolerably high cost" (§3.4) and is dropped at generation time.
-	SiteCapacity qos.ResourceVector
-	// Farm, when set, adds farm-offloaded variants of every transcoding
-	// candidate: the conversion's CPU moves off the delivery site onto the
-	// farm pseudo-site as a stage of its own, reserved as a third
-	// participant of the plan's two-phase transaction.
-	Farm *FarmBinding
-}
-
-// DefaultGeneratorConfig returns the full §4 search space.
-func DefaultGeneratorConfig(capacity qos.ResourceVector) GeneratorConfig {
-	return GeneratorConfig{
-		Drops: []transport.DropStrategy{
-			transport.DropNone, transport.DropHalfB, transport.DropAllB, transport.DropBAndP,
-		},
-		AllowTranscode: true,
-		AllowRemote:    true,
-		SiteCapacity:   capacity,
-	}
-}
-
-// Generator enumerates and statically prunes QoS-aware plans.
+// Generator enumerates and statically prunes QoS-aware plans over the
+// whole §4 search space: every replica (set A1), every origin delivery site
+// (A2), every frame-dropping strategy (A3), every transcoding target (A4)
+// and every admissible encryption (A5).
 type Generator struct {
 	dir *metadata.Directory
-	cfg GeneratorConfig
+	// capacity is the per-site resource capacity used by the static
+	// plan-drop rule: a plan whose demand cannot fit an *empty* site is
+	// "intolerably high cost" (§3.4) and is dropped at generation time.
+	capacity qos.ResourceVector
+	// farm, once a non-neutral farm is attached, adds farm-offloaded
+	// variants of every transcoding candidate: the conversion's CPU moves
+	// off the delivery site onto FarmSite as a stage of its own, reserved
+	// as a third participant of the plan's two-phase transaction.
+	farm bool
 }
 
-// NewGenerator creates a plan generator over the cluster's metadata.
-func NewGenerator(dir *metadata.Directory, cfg GeneratorConfig) *Generator {
-	if len(cfg.Drops) == 0 {
-		cfg.Drops = []transport.DropStrategy{transport.DropNone}
-	}
-	return &Generator{dir: dir, cfg: cfg}
+// NewGenerator creates a plan generator over the cluster's metadata for
+// sites of the given capacity.
+func NewGenerator(dir *metadata.Directory, capacity qos.ResourceVector) *Generator {
+	return &Generator{dir: dir, capacity: capacity}
 }
 
 // GenerateAll enumerates the plans able to answer the query for video v
@@ -166,7 +143,7 @@ func NewGenerator(dir *metadata.Directory, cfg GeneratorConfig) *Generator {
 // admitted.
 func (g *Generator) GenerateAll(querySite string, v *media.Video, req qos.Requirement) []*Plan {
 	e := enumeration{g: g, v: v, req: req, encs: g.encryptionChoices(req)}
-	for _, d := range g.cfg.Drops {
+	for d := range transport.NumDropStrategies {
 		e.frameFactor[d] = d.FrameFactor(v.GOP)
 	}
 	replicas := g.dir.Lookup(querySite, v.ID)
@@ -212,16 +189,12 @@ func (g *Generator) GenerateAll(querySite string, v *media.Video, req qos.Requir
 		if req.MinResolution.W > 0 && !rep.Variant.Quality.Resolution.AtLeast(req.MinResolution) {
 			continue
 		}
-		deliverySites := []string{rep.Site}
-		if g.cfg.AllowRemote {
-			if len(edge) == 0 {
-				deliverySites = sites
-			} else {
-				deliverySites = deliverySites[:0]
-				for _, s := range sites {
-					if !edge[s] || s == rep.Site {
-						deliverySites = append(deliverySites, s)
-					}
+		deliverySites := sites
+		if len(edge) > 0 {
+			deliverySites = make([]string, 0, 1)
+			for _, s := range sites {
+				if !edge[s] || s == rep.Site {
+					deliverySites = append(deliverySites, s)
 				}
 			}
 		}
@@ -233,7 +206,7 @@ func (g *Generator) GenerateAll(querySite string, v *media.Video, req qos.Requir
 		for _, target := range own.targets {
 			bindings += len(g.farmChoices(target))
 		}
-		e.reserve(len(deliverySites) * bindings * len(g.cfg.Drops) * len(e.encs))
+		e.reserve(len(deliverySites) * bindings * int(transport.NumDropStrategies) * len(e.encs))
 		for _, site := range deliverySites { // set A2
 			for _, target := range own.targets { // set A4
 				priced := own
@@ -241,7 +214,7 @@ func (g *Generator) GenerateAll(querySite string, v *media.Video, req qos.Requir
 					priced = e.price(*target)
 				}
 				for _, farmOff := range g.farmChoices(target) { // stage binding
-					for _, drop := range g.cfg.Drops { // set A3
+					for drop := range transport.NumDropStrategies { // set A3
 						for _, enc := range e.encs { // set A5
 							e.build(rep, site, priced, target, drop, enc, farmOff)
 						}
@@ -289,7 +262,7 @@ func (e *enumeration) price(q qos.AppQoS) *pricedQuality {
 	}
 	pq := &pricedQuality{quality: q, variant: media.NewVariant(q)}
 	pq.gopBytes = pq.variant.GOPSize(e.v, 0)
-	for _, d := range e.g.cfg.Drops {
+	for d := range transport.NumDropStrategies {
 		pq.byteFactor[d] = d.ByteFactor(e.v, pq.variant)
 	}
 	e.priced = append(e.priced, pq)
@@ -333,8 +306,8 @@ func (e *enumeration) splitPlans(prefix *metadata.Replica, replicas []*metadata.
 			continue
 		}
 		priced := e.price(prefix.Variant.Quality)
-		e.reserve(len(e.g.cfg.Drops) * len(e.encs))
-		for _, drop := range e.g.cfg.Drops { // set A3
+		e.reserve(int(transport.NumDropStrategies) * len(e.encs))
+		for drop := range transport.NumDropStrategies { // set A3
 			for _, enc := range e.encs { // set A5
 				p := e.build(prefix, prefix.Site, priced, nil, drop, enc, false)
 				if p == nil {
@@ -359,9 +332,6 @@ func (e *enumeration) splitPlans(prefix *metadata.Replica, replicas []*metadata.
 // replica can be transcoded down to that could still satisfy the query.
 func (g *Generator) transcodeTargets(rep *metadata.Replica, req qos.Requirement) []*qos.AppQoS {
 	targets := []*qos.AppQoS{nil}
-	if !g.cfg.AllowTranscode {
-		return targets
-	}
 	for _, q := range media.StandardLadder(rep.Variant.Quality.FrameRate) {
 		if transcode.Validate(rep.Variant.Quality, q) != nil {
 			continue
@@ -379,7 +349,7 @@ func (g *Generator) transcodeTargets(rep *metadata.Replica, req qos.Requirement)
 // candidate actually transcodes. Without a farm this is the single legacy
 // choice, so plan counts and order are untouched.
 func (g *Generator) farmChoices(target *qos.AppQoS) []bool {
-	if g.cfg.Farm == nil || target == nil {
+	if !g.farm || target == nil {
 		return []bool{false}
 	}
 	return []bool{false, true}
@@ -454,8 +424,8 @@ func (e *enumeration) build(rep *metadata.Replica, site string, priced *pricedQu
 
 	// Static plan-drop rule: demands no empty site could ever admit. The
 	// farm stage is exempt — its capacity is the farm's own MaxWorkers
-	// envelope, not SiteCapacity, and admission prices it dynamically.
-	if cap := e.g.cfg.SiteCapacity; cap != (qos.ResourceVector{}) {
+	// envelope, not the site capacity, and admission prices it dynamically.
+	if cap := e.g.capacity; cap != (qos.ResourceVector{}) {
 		var zero qos.ResourceVector
 		if !deliveryDemand.FitsWithin(zero, cap) || !sourceDemand.FitsWithin(zero, cap) {
 			return nil
@@ -476,7 +446,7 @@ func (e *enumeration) build(rep *metadata.Replica, site string, priced *pricedQu
 	if target != nil {
 		st := Stage{Kind: StageTranscode, Site: site, Work: transcodeCost}
 		if farmOff {
-			st.Site = e.g.cfg.Farm.Site
+			st.Site = FarmSite
 			st.Suffix = "-transcode"
 			st.Vec[qos.ResCPU] = transcodeCost
 			reserved++

@@ -114,7 +114,7 @@ func TestPlanCacheReEnumeratesAfterCrashRestore(t *testing.T) {
 }
 
 // A store registered while the cache is warm is a new delivery site for
-// every cached key (AllowRemote relays and transcodes through any origin
+// every cached key (every plan may relay and transcode through any origin
 // site), so AddStore's topology-epoch bump must stale the entry: the next
 // lookup re-enumerates and serves the grown set.
 func TestPlanCacheAddStoreStalesCandidates(t *testing.T) {

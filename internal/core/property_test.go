@@ -37,7 +37,7 @@ func propCluster(t *testing.T) (*Cluster, *Generator) {
 	if _, err := c.LoadCorpus(media.StandardCorpus(42), replication.DefaultPolicy()); err != nil {
 		t.Fatal(err)
 	}
-	return c, NewGenerator(c.Dir, DefaultGeneratorConfig(c.Capacity()))
+	return c, NewGenerator(c.Dir, c.Capacity())
 }
 
 // TestPropertyPlansSatisfyRequirement: every plan the generator emits for

@@ -99,13 +99,3 @@ func (p *Plan) FarmOffloaded() bool {
 	st := p.stage(StageTranscode)
 	return st != nil && st.Site != p.DeliverySite
 }
-
-// FarmBinding points the plan generator at the shared transcoding tier:
-// when set, every transcoding candidate is emitted twice — once running
-// inline on the delivery CPU, once offloading the conversion to the farm
-// pseudo-site — and the cost models price the farm's congestion like any
-// other bucket.
-type FarmBinding struct {
-	// Site is the farm's pseudo-site name in the cluster node table.
-	Site string
-}

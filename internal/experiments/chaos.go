@@ -21,12 +21,12 @@ import (
 // the experiment measures how well it does — failover latency, frames lost
 // during the gap, and the reject rate under faults.
 
-// ChaosConfig parameterizes a chaos run.
+// ChaosConfig parameterizes a chaos run. Every run fails over with
+// best-effort fallback.
 type ChaosConfig struct {
 	Seed     int64
 	Horizon  simtime.Time
 	Schedule faults.Schedule
-	Policy   core.FailoverPolicy
 	// Trace records per-session pipeline spans; export the result's Trace
 	// as Chrome trace_event JSON to see admissions, streams, and failovers
 	// on one timeline.
@@ -34,16 +34,12 @@ type ChaosConfig struct {
 }
 
 // DefaultChaosConfig crashes one replica site mid-run (restarting it
-// later) and transiently degrades another site's link, under the default
-// heartbeat-and-backoff failover policy with best-effort fallback.
+// later) and transiently degrades another site's link.
 func DefaultChaosConfig() ChaosConfig {
-	pol := core.DefaultFailoverPolicy()
-	pol.BestEffortFallback = true
 	return ChaosConfig{
 		Seed:     29,
 		Horizon:  simtime.Seconds(600),
 		Schedule: DefaultChaosSchedule(),
-		Policy:   pol,
 	}
 }
 
@@ -161,7 +157,7 @@ func runChaosOnce(cfg ChaosConfig) (*ChaosResult, error) {
 	if cfg.Trace {
 		mgr.EnableTracing()
 	}
-	mgr.EnableFailover(cfg.Policy)
+	mgr.EnableFailover(core.FailoverPolicy{BestEffortFallback: true})
 	mgr.SetFailoverObserver(func(ev core.FailoverEvent) {
 		res.Events = append(res.Events, ev)
 	})

@@ -141,7 +141,6 @@ func runDynamicSingle(cfg ThroughputConfig) (*dynamicPoint, error) {
 	for i := 1; i <= samples; i++ {
 		at := simtime.Time(i) * cfg.Bucket
 		sim.ScheduleAt(at, func() {
-			out.Times = append(out.Times, simtime.ToSeconds(sim.Now()))
 			out.Outstanding = append(out.Outstanding, float64(cluster.OutstandingSessions()))
 		})
 	}

@@ -77,7 +77,6 @@ type Series struct {
 	System SystemKind
 	Name   string // display override (ablation variants); System.String() when empty
 	Bucket simtime.Time
-	Times  []float64 // bucket end times, seconds
 
 	Outstanding []float64 // sampled outstanding sessions (Fig 6a / 7a)
 	SucceededPM []float64 // QoS-succeeding completions per minute (Fig 6b)
@@ -114,7 +113,7 @@ func (s *Series) Reps() int {
 // Merge folds another replica's series into s: counters sum, sampled series
 // add element-wise, and Replicas grows, so means recover by dividing by
 // Reps(). Both series must come from the same config (equal bucketing and
-// sample counts); the receiver keeps its Times axis.
+// sample counts).
 func (s *Series) Merge(o *Series) {
 	if len(o.Outstanding) != len(s.Outstanding) || o.Bucket != s.Bucket {
 		panic(fmt.Sprintf("experiments: merging mismatched series (%d/%v vs %d/%v samples)",
@@ -228,7 +227,6 @@ func RunThroughput(sys SystemKind, cfg ThroughputConfig) (*Series, error) {
 	for i := 1; i <= samples; i++ {
 		at := simtime.Time(i) * cfg.Bucket
 		sim.ScheduleAt(at, func() {
-			out.Times = append(out.Times, simtime.ToSeconds(sim.Now()))
 			out.Outstanding = append(out.Outstanding, float64(cluster.OutstandingSessions()))
 		})
 	}

@@ -15,7 +15,7 @@ import (
 
 // guardedWorld builds a testbed manager with a guardian and admits one
 // delivery per requirement, returning the guardian and the deliveries.
-func guardedWorld(t *testing.T, cfg Config, reqs ...qos.Requirement) (*Guardian, []*core.Delivery) {
+func guardedWorld(t *testing.T, reqs ...qos.Requirement) (*Guardian, []*core.Delivery) {
 	t.Helper()
 	sim := simtime.NewSimulator()
 	c := core.TestbedCluster(sim)
@@ -23,7 +23,7 @@ func guardedWorld(t *testing.T, cfg Config, reqs ...qos.Requirement) (*Guardian,
 		t.Fatal(err)
 	}
 	mgr := core.NewManager(c, core.LRB{})
-	g, err := New(mgr, cfg)
+	g, err := New(mgr, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,17 +64,16 @@ func win(offered int, loss, ideal, meanDelay, jitter float64, delaySamples int, 
 }
 
 // TestJudgeClauseMirrorsConfig is the golden equivalence pin: a clause whose
-// thresholds mirror the guardian config must reproduce the config-driven
+// thresholds mirror the guardian's relative limits must reproduce their
 // verdict on every window shape — same breach/no-breach, same metric.
 func TestJudgeClauseMirrorsConfig(t *testing.T) {
-	cfg := Config{}.withDefaults() // DelayFactor 1.25, JitterFactor 1, MaxLoss 0.05, MinSamples 6
 	const ideal = 33.0
 	mirror := baseRequirement().WithNet(
-		qos.Threshold{Metric: qos.NetLoss, Dir: qos.AtMost, Bound: cfg.MaxLoss},
-		qos.Threshold{Metric: qos.NetDelay, Dir: qos.AtMost, Bound: cfg.DelayFactor * ideal},
-		qos.Threshold{Metric: qos.NetJitter, Dir: qos.AtMost, Bound: cfg.JitterFactor * ideal},
+		qos.Threshold{Metric: qos.NetLoss, Dir: qos.AtMost, Bound: MaxLoss},
+		qos.Threshold{Metric: qos.NetDelay, Dir: qos.AtMost, Bound: DelayFactor * ideal},
+		qos.Threshold{Metric: qos.NetJitter, Dir: qos.AtMost, Bound: JitterFactor * ideal},
 	)
-	g, ds := guardedWorld(t, cfg, baseRequirement(), mirror)
+	g, ds := guardedWorld(t, baseRequirement(), mirror)
 	plain, claused := ds[0], ds[1]
 
 	var zero transport.ObservedQoS
@@ -115,14 +114,13 @@ func TestJudgeClauseMirrorsConfig(t *testing.T) {
 	}
 }
 
-// A clause term overrides the config's limit for that metric only; the
-// other metrics keep the config fallback.
+// A clause term overrides the relative limit for that metric only; the
+// other metrics keep the relative fallback.
 func TestJudgeClauseOverridesPerMetric(t *testing.T) {
-	cfg := Config{}.withDefaults() // MaxLoss 0.05
 	loose := baseRequirement().WithNet(
 		qos.Threshold{Metric: qos.NetLoss, Dir: qos.AtMost, Bound: 0.2},
 	)
-	g, ds := guardedWorld(t, cfg, loose)
+	g, ds := guardedWorld(t, loose)
 	d := ds[0]
 	var zero transport.ObservedQoS
 
@@ -133,21 +131,20 @@ func TestJudgeClauseOverridesPerMetric(t *testing.T) {
 	if v == nil || v.Metric != MetricLoss || v.Threshold != 0.2 {
 		t.Fatalf("loss 0.25 over clause cap 0.2: got %v", v)
 	}
-	// Delay has no clause term, so the config factor still governs.
+	// Delay has no clause term, so DelayFactor still governs.
 	v = g.judge(d, win(100, 0, 33, 60, 5, 20, 1<<20), zero)
 	if v == nil || v.Metric != MetricDelay {
 		t.Fatalf("config delay fallback gone: got %v", v)
 	}
 }
 
-// Throughput is clause-only: the config never bounds it, a clause floor
+// Throughput is clause-only: no relative limit bounds it, a clause floor
 // does, and loss still outranks it in precedence.
 func TestJudgeThroughputFloor(t *testing.T) {
-	cfg := Config{}.withDefaults() // Interval 2 s
 	floor := baseRequirement().WithNet(
 		qos.Threshold{Metric: qos.NetThroughput, Dir: qos.AtLeast, Bound: 50_000},
 	)
-	g, ds := guardedWorld(t, cfg, floor, baseRequirement())
+	g, ds := guardedWorld(t, floor, baseRequirement())
 	claused, plain := ds[0], ds[1]
 	var zero transport.ObservedQoS
 
@@ -175,11 +172,10 @@ func TestJudgeThroughputFloor(t *testing.T) {
 
 // Clause delay/jitter terms still need enough delay samples to form a mean.
 func TestJudgeClauseDelaySampleGate(t *testing.T) {
-	cfg := Config{}.withDefaults() // MinSamples 6
 	req := baseRequirement().WithNet(
 		qos.Threshold{Metric: qos.NetDelay, Dir: qos.AtMost, Bound: 50},
 	)
-	g, ds := guardedWorld(t, cfg, req)
+	g, ds := guardedWorld(t, req)
 	var zero transport.ObservedQoS
 	if v := g.judge(ds[0], win(100, 0, 33, 500, 0, 3, 1<<20), zero); v != nil {
 		t.Fatalf("3 delay samples judged a clause delay bound: %v", v)
@@ -241,7 +237,7 @@ func (f *fakeQoELog) AppendQoE(r vdbms.QoERecord) error {
 }
 
 func TestRecordQoEOrdinalsAndStats(t *testing.T) {
-	g, ds := guardedWorld(t, Config{}, baseRequirement(), baseRequirement())
+	g, ds := guardedWorld(t, baseRequirement(), baseRequirement())
 	log := &fakeQoELog{}
 	g.qoe = log
 	m0, m1 := g.monitors[ds[0]], g.monitors[ds[1]]
@@ -293,7 +289,7 @@ func TestRecordQoEOrdinalsAndStats(t *testing.T) {
 // New wires the manager's own vdbms engine as the QoE sink, closing the
 // loop the issue asks for: violations land in the database they came from.
 func TestNewAutoWiresEngineSink(t *testing.T) {
-	g, ds := guardedWorld(t, Config{}, baseRequirement())
+	g, ds := guardedWorld(t, baseRequirement())
 	eng, ok := g.qoe.(*vdbms.Engine)
 	if !ok || eng == nil {
 		t.Fatalf("guardian QoE sink = %T, want *vdbms.Engine", g.qoe)
@@ -318,7 +314,7 @@ func TestCheaperRequirementKeepsNetClause(t *testing.T) {
 	req := baseRequirement().WithNet(
 		qos.Threshold{Metric: qos.NetLoss, Dir: qos.AtMost, Bound: 0.1},
 	)
-	_, ds := guardedWorld(t, Config{}, req)
+	_, ds := guardedWorld(t, req)
 	cheaper, ok := cheaperRequirement(ds[0])
 	if !ok {
 		t.Fatal("no cheaper tier below the admitted plan")

@@ -25,16 +25,18 @@
 // Thresholds come from the session's own QoS clause when it carries
 // network-metric terms (WITH QOS delay/jitter/loss/throughput): the clause
 // the admission gate proved satisfiable is the contract the guardian
-// enforces. Sessions without net terms fall back to the Config-relative
-// thresholds, bit for bit as before the clause existed. Every declared
-// violation and recovery is additionally persisted as a QoE history row
-// through the vdbms engine (the paper's qoe_errors relation), so SLA
-// analysis is a SELECT over the qoe table rather than a log grep.
+// enforces. Sessions without net terms fall back to the relative
+// thresholds DelayFactor, JitterFactor and MaxLoss, bit for bit as before
+// the clause existed. Every declared violation and recovery is
+// additionally persisted as a QoE history row through the vdbms engine
+// (the paper's qoe_errors relation), so SLA analysis is a SELECT over the
+// qoe table rather than a log grep.
 package guardian
 
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"quasaq/internal/core"
 	"quasaq/internal/obs"
@@ -107,7 +109,7 @@ func (v *Violation) Error() string {
 // Rung identifies a ladder step.
 type Rung int
 
-// The ladder rungs, in default escalation order.
+// The ladder rungs, in escalation order.
 const (
 	RungStepDown Rung = iota
 	RungRenegotiate
@@ -131,76 +133,33 @@ func (r Rung) String() string {
 	}
 }
 
-// Config tunes the guardian. The zero value takes every default.
-type Config struct {
-	// Interval is the sampling window length. Default 2 s.
-	Interval simtime.Time
+// Config is the guardian's configuration. It has no fields: the sampling
+// window, the hysteresis, the thresholds and the ladder are the constants
+// below in every run.
+type Config struct{}
+
+// The guardian's operating point.
+const (
+	// Interval is the sampling window length.
+	Interval = 2 * time.Second
 	// BreachWindows is K: consecutive breaching windows before a violation
-	// is declared and a rung fires. Default 3.
-	BreachWindows int
+	// is declared and a rung fires.
+	BreachWindows = 3
 	// ClearWindows is the consecutive clean windows after which the ladder
-	// resets to its bottom rung (the condition recovered). Default 2.
-	ClearWindows int
+	// resets to its bottom rung (the condition recovered).
+	ClearWindows = 2
 	// DelayFactor bounds the window's mean inter-frame delay at
-	// DelayFactor × the ideal delay (transport.QoSOK uses 1.25). Default 1.25.
-	DelayFactor float64
+	// DelayFactor × the ideal delay (transport.QoSOK uses 1.25).
+	DelayFactor = 1.25
 	// JitterFactor bounds the window's mean |delay − ideal| at
-	// JitterFactor × the ideal delay. Default 1.0.
-	JitterFactor float64
-	// MaxLoss bounds the window's lost+shed fraction. Default 0.05.
-	MaxLoss float64
+	// JitterFactor × the ideal delay.
+	JitterFactor = 1.0
+	// MaxLoss bounds the window's lost+shed fraction.
+	MaxLoss = 0.05
 	// MinSamples is the minimum frames offered in a window for it to count
-	// at all (thin windows carry no signal). Default 6.
-	MinSamples int
-	// Ladder overrides the escalation order. Default
-	// [StepDown, Renegotiate, Migrate, Abandon].
-	Ladder []Rung
-}
-
-// withDefaults fills the zero fields.
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = simtime.Seconds(2)
-	}
-	if c.BreachWindows <= 0 {
-		c.BreachWindows = 3
-	}
-	if c.ClearWindows <= 0 {
-		c.ClearWindows = 2
-	}
-	if c.DelayFactor <= 0 {
-		c.DelayFactor = 1.25
-	}
-	if c.JitterFactor <= 0 {
-		c.JitterFactor = 1.0
-	}
-	if c.MaxLoss <= 0 {
-		c.MaxLoss = 0.05
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 6
-	}
-	if len(c.Ladder) == 0 {
-		c.Ladder = []Rung{RungStepDown, RungRenegotiate, RungMigrate, RungAbandon}
-	}
-	return c
-}
-
-// Validate rejects configs the guardian cannot run.
-func (c Config) Validate() error {
-	if c.Interval < 0 || c.BreachWindows < 0 || c.ClearWindows < 0 || c.MinSamples < 0 {
-		return fmt.Errorf("guardian: negative parameter in config %+v", c)
-	}
-	if c.DelayFactor < 0 || c.JitterFactor < 0 || c.MaxLoss < 0 || c.MaxLoss > 1 {
-		return fmt.Errorf("guardian: threshold out of range in config %+v", c)
-	}
-	for _, r := range c.Ladder {
-		if r < RungStepDown || r > RungAbandon {
-			return fmt.Errorf("guardian: unknown ladder rung %d", int(r))
-		}
-	}
-	return nil
-}
+	// at all (thin windows carry no signal).
+	MinSamples = 6
+)
 
 // Event is one guardian action, delivered to the observer SetObserver
 // installs: a window breach, a declared violation, a rung firing, a
@@ -284,7 +243,6 @@ type QoELog interface {
 type Guardian struct {
 	mgr      *core.Manager
 	sim      *simtime.Simulator
-	cfg      Config
 	monitors map[*core.Delivery]*monitor
 	met      guardianMetrics
 	observer func(Event)
@@ -294,15 +252,11 @@ type Guardian struct {
 
 // New creates a guardian and installs it as the manager's admission
 // observer: every delivery admitted from now on is monitored. QoE history
-// rows go to the manager's own vdbms engine; SetQoELog overrides.
-func New(m *core.Manager, cfg Config) (*Guardian, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// rows go to the manager's own vdbms engine. The error is always nil.
+func New(m *core.Manager, _ Config) (*Guardian, error) {
 	g := &Guardian{
 		mgr:      m,
 		sim:      m.Sim(),
-		cfg:      cfg.withDefaults(),
 		monitors: make(map[*core.Delivery]*monitor),
 		met:      newGuardianMetrics(m.Registry()),
 	}
@@ -395,7 +349,7 @@ type monitor struct {
 
 	breaches   int  // consecutive breaching windows
 	cleans     int  // consecutive clean windows
-	rung       int  // next ladder index to fire
+	rung       Rung // next ladder rung to fire
 	violated   bool // this delivery (or its re-plan ancestors) ever violated
 	acted      bool // a rung has fired
 	lastRung   Rung // highest rung that acted
@@ -421,7 +375,7 @@ func (g *Guardian) Watch(d *core.Delivery) {
 	}
 	g.monitors[d] = mon
 	g.met.watched.Inc()
-	mon.tick = g.sim.Every(g.cfg.Interval, mon.window)
+	mon.tick = g.sim.Every(Interval, mon.window)
 }
 
 // drop stops a monitor and forgets its delivery.
@@ -481,10 +435,10 @@ func (mon *monitor) window() bool {
 		mon.run = qoeRun{}
 		if mon.rung > 0 || mon.acted {
 			mon.cleans++
-			if mon.cleans >= g.cfg.ClearWindows && mon.rung > 0 {
+			if mon.cleans >= ClearWindows && mon.rung > 0 {
 				// The condition recovered (congestion receded, or a rung
 				// worked): stop escalating, restart from the bottom.
-				mon.rung = 0
+				mon.rung = RungStepDown
 				g.emit(Event{Kind: "recovered", Delivery: d})
 				if mon.lastRun.n > 0 {
 					g.recordQoE(mon, "recovered", mon.lastRun)
@@ -498,11 +452,11 @@ func (mon *monitor) window() bool {
 	mon.run.observe(v)
 	g.met.breaches.Inc()
 	g.emit(Event{Kind: "breach", Delivery: d})
-	if mon.breaches < g.cfg.BreachWindows {
+	if mon.breaches < BreachWindows {
 		return true
 	}
 	mon.breaches = 0
-	v.Windows = g.cfg.BreachWindows
+	v.Windows = BreachWindows
 	g.met.violations.Inc()
 	g.met.metricViolations[v.Metric].Inc()
 	if !mon.violated {
@@ -556,10 +510,11 @@ func (g *Guardian) recordQoE(mon *monitor, kind string, run qoeRun) {
 // judge evaluates one window (the delta between two snapshots) against the
 // session's effective thresholds, returning the violation or nil. Per
 // metric, a term in the delivery's own QoS clause (Requirement.Net) is the
-// threshold; metrics the clause leaves unbounded fall back to the Config's
-// relative limits with the exact pre-clause semantics (strict >, delay and
-// jitter gated on a positive ideal, no throughput floor at all), so a
-// clause-free session behaves bit for bit as before. Metrics are checked
+// threshold; metrics the clause leaves unbounded fall back to the relative
+// limits (MaxLoss, DelayFactor, JitterFactor) with the exact pre-clause
+// semantics (strict >, delay and jitter gated on a positive ideal, no
+// throughput floor at all), so a clause-free session behaves bit for bit as
+// before. Metrics are checked
 // in precedence order — loss outranks delay outranks jitter outranks
 // throughput: a window can breach several ways but one cause is actionable.
 func (g *Guardian) judge(d *core.Delivery, cur, prev transport.ObservedQoS) *Violation {
@@ -574,20 +529,18 @@ func (g *Guardian) judge(d *core.Delivery, cur, prev transport.ObservedQoS) *Vio
 	dLost := cur.FramesLost - prev.FramesLost
 	dShed := float64(cur.FramesShed - prev.FramesShed)
 	offered := dFrames + dLost + dShed
-	if offered < float64(g.cfg.MinSamples) {
+	if offered < MinSamples {
 		return nil // too thin to carry signal
 	}
 	ideal := cur.IdealDelayMillis
 	dDelays := cur.Delays - prev.Delays
-	delayValid := dDelays >= g.cfg.MinSamples
+	delayValid := dDelays >= MinSamples
 	win := qos.NetQoS{Loss: (dLost + dShed) / offered}
 	if delayValid {
 		win.DelayMillis = (cur.DelaySumMillis - prev.DelaySumMillis) / float64(dDelays)
 		win.JitterMillis = (cur.JitterSumMillis - prev.JitterSumMillis) / float64(dDelays)
 	}
-	if secs := simtime.ToSeconds(g.cfg.Interval); secs > 0 {
-		win.ThroughputBps = float64(cur.Bytes-prev.Bytes) / secs
-	}
+	win.ThroughputBps = float64(cur.Bytes-prev.Bytes) / simtime.ToSeconds(Interval)
 	req := d.Requirement()
 	for _, m := range qos.NetMetrics {
 		t, clause := req.NetThreshold(m)
@@ -597,18 +550,18 @@ func (g *Guardian) judge(d *core.Delivery, cur, prev transport.ObservedQoS) *Vio
 				continue // too few delay samples to form a window mean
 			}
 		case m == qos.NetLoss:
-			t = qos.Threshold{Metric: m, Dir: qos.AtMost, Bound: g.cfg.MaxLoss}
+			t = qos.Threshold{Metric: m, Dir: qos.AtMost, Bound: MaxLoss}
 		case m == qos.NetDelay || m == qos.NetJitter:
 			if ideal <= 0 || !delayValid {
 				continue
 			}
-			f := g.cfg.DelayFactor
+			f := DelayFactor
 			if m == qos.NetJitter {
-				f = g.cfg.JitterFactor
+				f = JitterFactor
 			}
 			t = qos.Threshold{Metric: m, Dir: qos.AtMost, Bound: f * ideal}
 		default:
-			continue // throughput is clause-only: the config has no floor
+			continue // throughput is clause-only: there is no default floor
 		}
 		val := win.Value(m)
 		breached := !t.Met(val)
@@ -627,8 +580,8 @@ func (g *Guardian) judge(d *core.Delivery, cur, prev transport.ObservedQoS) *Vio
 // tier) fall through to the next.
 func (g *Guardian) act(mon *monitor, v *Violation) {
 	d := mon.d
-	for mon.rung < len(g.cfg.Ladder) {
-		r := g.cfg.Ladder[mon.rung]
+	for mon.rung <= RungAbandon {
+		r := mon.rung
 		mon.rung++
 		switch r {
 		case RungStepDown:
@@ -661,8 +614,6 @@ func (g *Guardian) act(mon *monitor, v *Violation) {
 			return
 		}
 	}
-	// Ladder exhausted without an abandon rung (custom ladder): nothing
-	// left to try; the session streams on at whatever QoS it gets.
 }
 
 // resolutionLadder orders the standard resolutions for the renegotiate

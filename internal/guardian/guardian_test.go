@@ -6,43 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"quasaq/internal/simtime"
+	"quasaq/internal/core"
 )
-
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Interval != simtime.Seconds(2) || c.BreachWindows != 3 || c.ClearWindows != 2 {
-		t.Fatalf("window defaults = %+v", c)
-	}
-	if c.DelayFactor != 1.25 || c.JitterFactor != 1.0 || c.MaxLoss != 0.05 || c.MinSamples != 6 {
-		t.Fatalf("threshold defaults = %+v", c)
-	}
-	want := []Rung{RungStepDown, RungRenegotiate, RungMigrate, RungAbandon}
-	if len(c.Ladder) != len(want) {
-		t.Fatalf("ladder = %v", c.Ladder)
-	}
-	for i, r := range want {
-		if c.Ladder[i] != r {
-			t.Fatalf("ladder = %v, want %v", c.Ladder, want)
-		}
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	for _, bad := range []Config{
-		{BreachWindows: -1},
-		{MaxLoss: 1.5},
-		{DelayFactor: -1},
-		{Ladder: []Rung{Rung(9)}},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("Validate(%+v) accepted", bad)
-		}
-	}
-	if err := (Config{}).Validate(); err != nil {
-		t.Fatalf("zero config rejected: %v", err)
-	}
-}
 
 func TestStatsSaved(t *testing.T) {
 	s := Stats{SavedStepDown: 2, SavedRenegotiate: 3, SavedMigrate: 5}
@@ -64,5 +29,57 @@ func TestViolationErrorChain(t *testing.T) {
 	var got *Violation
 	if !errors.As(err, &got) || got.Metric != MetricLoss {
 		t.Fatalf("chain misses violation: %v", err)
+	}
+}
+
+// judgeWindow runs one sampling window of mon whose offered frames number
+// 100, shed of them: the baseline moves, not the session, so the window
+// carries exactly that loss and no delay samples.
+func judgeWindow(mon *monitor, shed int) {
+	mon.last = mon.sess.Observed()
+	mon.last.Frames -= 100 - shed
+	mon.last.FramesShed -= shed
+	mon.window()
+}
+
+// TestViolationAfterBreachWindows pins the hysteresis at its edge:
+// BreachWindows−1 consecutive breaching windows declare nothing, a clean
+// window restarts the count, and the BreachWindows-th consecutive one
+// declares a violation that reports BreachWindows windows.
+func TestViolationAfterBreachWindows(t *testing.T) {
+	g, ds := guardedWorld(t, baseRequirement())
+	d := ds[0]
+	mon := g.monitors[d]
+	var violations int
+	g.SetObserver(func(ev Event) {
+		if ev.Kind == "violation" {
+			violations++
+		}
+	})
+	// Shed on the first violation, so it surfaces in the error chain.
+	mon.rung = RungAbandon
+	for range 2 {
+		for i := 1; i < BreachWindows; i++ {
+			judgeWindow(mon, 50)
+		}
+		if violations != 0 || d.Failed() {
+			t.Fatalf("%d breaching windows declared a violation", BreachWindows-1)
+		}
+		judgeWindow(mon, 0)
+	}
+	if st := g.Stats(); st.Breaches != 2*(BreachWindows-1) || st.Windows != 2*BreachWindows {
+		t.Fatalf("stats = %+v, want %d breaches in %d windows", st, 2*(BreachWindows-1), 2*BreachWindows)
+	}
+	for i := 0; i < BreachWindows; i++ {
+		judgeWindow(mon, 50)
+	}
+	if violations != 1 || !d.Failed() {
+		t.Fatalf("%d consecutive breaching windows: %d violations, failed=%v; want one, shed",
+			BreachWindows, violations, d.Failed())
+	}
+	_, err := g.mgr.Renegotiate(d, baseRequirement(), core.ServiceOptions{})
+	var v *Violation
+	if !errors.As(err, &v) || v.Metric != MetricLoss || v.Windows != BreachWindows {
+		t.Fatalf("terminal error %v, want a loss violation over %d windows", err, BreachWindows)
 	}
 }

@@ -56,19 +56,19 @@ func (c WorkerClass) effSpeed() float64 {
 	return c.Speed
 }
 
+// The autoscaler's thresholds: it adds one worker when pending jobs exceed
+// queueHigh per live worker, and retires one idle worker when they drop
+// below queueLow per live worker (with queueLow 1, an empty queue).
+const (
+	queueHigh = 2
+	queueLow  = 1
+)
+
 // AutoscaleConfig tunes the farm's scaling loop. The zero value disables
 // autoscaling (the fleet stays at its initial MinWorkers).
 type AutoscaleConfig struct {
 	// Interval is the decision period; 0 disables the loop entirely.
 	Interval simtime.Time
-	// QueueHigh scales up when pending jobs exceed QueueHigh per live
-	// worker (default 2). QueueLow scales idle workers down when pending
-	// jobs drop below QueueLow per live worker (default 1, i.e. an empty
-	// queue).
-	QueueHigh, QueueLow int
-	// Step is the number of workers added or removed per decision
-	// (default 1).
-	Step int
 }
 
 // FarmConfig configures a Farm. The zero value normalizes to a single
@@ -115,18 +115,8 @@ func (cfg FarmConfig) normalize() (FarmConfig, error) {
 				c.Name, c.MinWorkers, c.MaxWorkers)
 		}
 	}
-	as := &cfg.Autoscale
-	if as.Interval < 0 {
-		return cfg, fmt.Errorf("transcode: negative autoscale interval %v", as.Interval)
-	}
-	if as.QueueHigh <= 0 {
-		as.QueueHigh = 2
-	}
-	if as.QueueLow <= 0 {
-		as.QueueLow = 1
-	}
-	if as.Step <= 0 {
-		as.Step = 1
+	if cfg.Autoscale.Interval < 0 {
+		return cfg, fmt.Errorf("transcode: negative autoscale interval %v", cfg.Autoscale.Interval)
 	}
 	return cfg, nil
 }
@@ -399,14 +389,13 @@ func (f *Farm) idle() bool {
 	return true
 }
 
-// autoscale is one scaling decision: grow when the backlog per live worker
-// crosses QueueHigh (prefer the fastest class if the last interval missed
-// deadlines, the cheapest per unit speed otherwise), shrink idle workers
-// above MinWorkers when the backlog per live worker is below QueueLow
-// (most expensive class first).
+// autoscale is one scaling decision: grow by one worker when the backlog
+// per live worker crosses queueHigh (prefer the fastest class if the last
+// interval missed deadlines, the cheapest per unit speed otherwise), retire
+// one idle worker above MinWorkers when the backlog per live worker is below
+// queueLow (most expensive class first).
 func (f *Farm) autoscale() {
 	f.accrue()
-	as := f.cfg.Autoscale
 	pending := len(f.queue)
 	live := 0
 	for _, cs := range f.classes {
@@ -415,20 +404,12 @@ func (f *Farm) autoscale() {
 	missed := f.misses > f.missesTick
 	f.missesTick = f.misses
 	switch {
-	case pending > as.QueueHigh*live:
-		for i := 0; i < as.Step; i++ {
-			cs := f.scaleUpClass(missed)
-			if cs == nil {
-				break
-			}
+	case pending > queueHigh*live:
+		if cs := f.scaleUpClass(missed); cs != nil {
 			f.addWorker(cs)
 		}
-	case pending < as.QueueLow*live || pending == 0:
-		for i := 0; i < as.Step; i++ {
-			if !f.removeIdleWorker() {
-				break
-			}
-		}
+	case pending < queueLow*live || pending == 0:
+		f.removeIdleWorker()
 	}
 }
 
@@ -482,8 +463,8 @@ func (f *Farm) addWorker(cs *classState) {
 }
 
 // removeIdleWorker retires one idle, booted worker from the most expensive
-// class holding more than MinWorkers. Reports whether one was removed.
-func (f *Farm) removeIdleWorker() bool {
+// class holding more than MinWorkers, if there is one.
+func (f *Farm) removeIdleWorker() {
 	var best *classState
 	for _, cs := range f.classes {
 		if len(cs.workers) <= cs.cfg.MinWorkers {
@@ -505,7 +486,7 @@ func (f *Farm) removeIdleWorker() bool {
 		}
 	}
 	if best == nil {
-		return false
+		return
 	}
 	f.accrue()
 	now := f.sim.Now()
@@ -519,7 +500,6 @@ func (f *Farm) removeIdleWorker() bool {
 	best.mUtil.Set(best.util())
 	f.scaleDown++
 	f.mDown.Inc()
-	return true
 }
 
 // accrue meters dollar cost for the elapsed interval at the current fleet

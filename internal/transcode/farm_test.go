@@ -135,7 +135,7 @@ func TestAutoscaleUpAndDown(t *testing.T) {
 			Name: "std", Speed: 1, Startup: simtime.Seconds(2),
 			DollarsPerHour: 3.6, MinWorkers: 1, MaxWorkers: 4,
 		}},
-		Autoscale: AutoscaleConfig{Interval: simtime.Seconds(1), QueueHigh: 1, Step: 1},
+		Autoscale: AutoscaleConfig{Interval: simtime.Seconds(1)},
 	})
 	for i := 0; i < 8; i++ {
 		f.Submit(5, simtime.Seconds(10), func(simtime.Time) {})
@@ -220,7 +220,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 				{Name: "fast", Speed: 4, Startup: simtime.Seconds(1), DollarsPerHour: 8, MinWorkers: 0, MaxWorkers: 3},
 				{Name: "econ", Speed: 1, Startup: simtime.Seconds(5), DollarsPerHour: 1, MinWorkers: 1, MaxWorkers: 5},
 			},
-			Autoscale: AutoscaleConfig{Interval: simtime.Seconds(2), QueueHigh: 1},
+			Autoscale: AutoscaleConfig{Interval: simtime.Seconds(2)},
 		})
 		for i := 0; i < 20; i++ {
 			f.Submit(float64(1+i%4), simtime.Seconds(float64(5+i)), func(simtime.Time) {})

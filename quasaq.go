@@ -55,8 +55,6 @@ type (
 	Resolution = qos.Resolution
 	// ResourceVector is a per-resource demand/usage/capacity vector.
 	ResourceVector = qos.ResourceVector
-	// NodeCapacity configures one server's resources.
-	NodeCapacity = gara.NodeCapacity
 	// QoP is a qualitative user quality request.
 	QoP = qop.QoP
 	// Profile is a user profile translating QoP to QoS.
@@ -69,7 +67,10 @@ type (
 	Session = transport.Session
 	// CostModel ranks candidate plans under current contention.
 	CostModel = core.CostModel
-	// FailoverPolicy tunes failure detection and mid-stream recovery.
+	// FailoverPolicy says what mid-stream recovery does once no reserved
+	// plan survives its retries: abandon, or fall back to an unreserved
+	// best-effort stream. Detection (a 200 ms heartbeat) and the retries
+	// (three, backing off from 500 ms) are the same in every run.
 	FailoverPolicy = core.FailoverPolicy
 	// FailoverEvent describes one concluded recovery.
 	FailoverEvent = core.FailoverEvent
@@ -97,13 +98,13 @@ type (
 	// AdmissionQueueConfig tunes the deadline-aware admission queue; the
 	// zero value disables queueing.
 	AdmissionQueueConfig = core.AdmissionQueueConfig
-	// GuardianConfig tunes the runtime QoS guardian (sampling window,
-	// hysteresis, thresholds, degradation ladder).
+	// GuardianConfig configures the runtime QoS guardian. It has no fields:
+	// the sampling window (2 s), the hysteresis (3 breaching windows to
+	// declare a violation, 2 clean ones to recover), the thresholds and the
+	// degradation ladder are the same in every run.
 	GuardianConfig = guardian.Config
 	// GuardianStats is the guardian's counter snapshot.
 	GuardianStats = guardian.Stats
-	// GuardianRung identifies one degradation-ladder step.
-	GuardianRung = guardian.Rung
 	// QoSViolation is a declared runtime QoS breach; abandonment errors
 	// carry it (errors.As).
 	QoSViolation = guardian.Violation
@@ -161,14 +162,6 @@ const (
 	StageTranscode   = core.StageTranscode
 	StageDeliver     = core.StageDeliver
 	StageTailDeliver = core.StageTailDeliver
-)
-
-// Degradation-ladder rungs for custom GuardianConfig.Ladder values.
-const (
-	GuardianStepDown    = guardian.RungStepDown
-	GuardianRenegotiate = guardian.RungRenegotiate
-	GuardianMigrate     = guardian.RungMigrate
-	GuardianAbandon     = guardian.RungAbandon
 )
 
 // Network metrics a WITH QOS clause can bound, and the two bound
@@ -268,13 +261,10 @@ func NewRandomModel(seed int64) CostModel {
 	return core.NewRandom(simtime.NewRand(seed))
 }
 
-// Options configures Open.
+// Options configures Open. The database runs on the paper's testbed:
+// three servers, srv-a, srv-b and srv-c, each with one CPU and 3200 KB/s
+// outbound.
 type Options struct {
-	// Sites lists server names; default is the paper's three servers.
-	Sites []string
-	// Capacity is the per-server capacity; default matches the testbed
-	// (3200 KB/s outbound, one CPU).
-	Capacity NodeCapacity
 	// Model is the plan cost model; default LRB.
 	Model CostModel
 	// SingleCopyReplication disables the quality ladder (ablation).
@@ -300,20 +290,11 @@ type DB struct {
 
 // Open creates an empty database.
 func Open(opts Options) (*DB, error) {
-	if len(opts.Sites) == 0 {
-		opts.Sites = []string{"srv-a", "srv-b", "srv-c"}
-	}
-	if opts.Capacity == (NodeCapacity{}) {
-		opts.Capacity = gara.DefaultCapacity()
-	}
 	if opts.Model == nil {
 		opts.Model = core.LRB{}
 	}
 	sim := simtime.NewSimulator()
-	cluster, err := core.NewCluster(sim, opts.Sites, opts.Capacity)
-	if err != nil {
-		return nil, err
-	}
+	cluster := core.TestbedCluster(sim)
 	if err := cluster.ConfigureControl(opts.Control); err != nil {
 		return nil, err
 	}
@@ -502,14 +483,15 @@ var (
 	ErrAdmissionDeadline = core.ErrAdmissionDeadline
 )
 
-// DefaultFailoverPolicy returns the standard heartbeat detector with
-// bounded exponential backoff, re-exported from the quality manager.
+// DefaultFailoverPolicy returns the policy without best-effort fallback: a
+// delivery no reserved plan can carry after its retries is abandoned.
 var DefaultFailoverPolicy = core.DefaultFailoverPolicy
 
-// EnableFailover turns on failure detection and mid-stream recovery: when
-// a fault kills an admitted session, the quality manager re-plans on the
-// surviving sites and resumes the stream from the last delivered position,
-// degrading to best-effort or rejecting with ErrNoViablePlan per policy.
+// EnableFailover turns on failure detection and mid-stream recovery: 200 ms
+// after a fault kills an admitted session, the quality manager re-plans on
+// the surviving sites and resumes the stream from the last delivered
+// position, retrying three times after 0.5, 1 and 2 s before degrading to
+// best-effort or rejecting with ErrNoViablePlan per policy.
 func (db *DB) EnableFailover(p FailoverPolicy) { db.manager.EnableFailover(p) }
 
 // OnFailover registers fn to observe every concluded recovery (success,
@@ -600,12 +582,14 @@ func (db *DB) RenegotiateAsync(d *Delivery, req Requirement, done func(*Delivery
 
 // EnableGuardian starts the runtime QoS guardian: every delivery admitted
 // from now on is sampled against its admitted requirement on the virtual
-// clock — the query's own WITH QOS network terms when present, the config's
-// relative thresholds otherwise — and sustained violations walk the graceful
-// degradation ladder (step-down, renegotiate, migrate, abandon with
-// ErrQoSAbandoned). Every declared violation and recovery is also persisted
-// to the database's qoe table (see QoEQuery). Pass the zero GuardianConfig
-// for defaults. Errors if already enabled.
+// clock in 2 s windows — the query's own WITH QOS network terms when
+// present, otherwise loss above 5% or mean delay and jitter above 1.25× and
+// 1× the ideal inter-frame delay — and a violation sustained over three
+// consecutive windows walks the graceful degradation ladder (step-down,
+// renegotiate, migrate, abandon with ErrQoSAbandoned). Every declared
+// violation and recovery is also persisted to the database's qoe table (see
+// QoEQuery). GuardianConfig has no fields; pass GuardianConfig{}. Errors if
+// already enabled.
 func (db *DB) EnableGuardian(cfg GuardianConfig) error {
 	if db.guardian != nil {
 		return errors.New("quasaq: guardian already enabled")

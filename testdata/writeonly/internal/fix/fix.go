@@ -8,6 +8,7 @@ type T struct {
 	Counted   int            // only ++'d
 	Keyed     int            // only set as a composite-literal key
 	Indexed   map[string]int // only stored into through an index
+	Appended  []int          // only grown by x.F = append(x.F, …)
 	Read      int            // assigned, then read
 	Addressed int            // taken by &t.Addressed
 }
@@ -19,6 +20,7 @@ func Run() int {
 	t.Assigned += 3
 	t.Counted++
 	t.Indexed["k"] = 4
+	t.Appended = append(t.Appended, 7)
 	t.Read = 5
 	p := &t.Addressed
 	*p = 6

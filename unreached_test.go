@@ -13,14 +13,17 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// unreachedAllowlist holds the names TestUnreachedNames tolerates, one per
-// line: the name, its reason class, then the reason it stays.
+// unreachedAllowlist holds the names TestUnreachedNames and
+// TestKnobsOnlyTestsTurn tolerate, one per line: the name, its reason class,
+// then the reason it stays.
 const unreachedAllowlist = "testdata/unreached.txt"
 
 // reasonClasses is the closed set of reasons a name may stay unreached:
@@ -31,8 +34,14 @@ const unreachedAllowlist = "testdata/unreached.txt"
 //   - facade: a name that non-test code reaches only through a root alias,
 //     used by an example, a command or the README (DESIGN.md §3);
 //   - oracle: a name only a test's invariant check reads, where no other
-//     view of that state exists.
-var reasonClasses = map[string]bool{"key": true, "marshalled": true, "printed": true, "facade": true, "oracle": true}
+//     view of that state exists;
+//   - knob: a config field only its own package's defaulting functions set,
+//     kept because a test or a second preset sets another value
+//     (TestKnobsOnlyTestsTurn).
+var reasonClasses = map[string]bool{"key": true, "marshalled": true, "printed": true, "facade": true, "oracle": true, "knob": true}
+
+// repoModule type-checks this repository's module once for every scan of it.
+var repoModule = sync.OnceValues(func() (*moduleLoader, error) { return loadModule(".") })
 
 // TestUnreachedNames type-checks the non-test files of every package in the
 // module and fails on any name declared under internal/ that no non-test
@@ -41,9 +50,9 @@ var reasonClasses = map[string]bool{"key": true, "marshalled": true, "printed": 
 //
 // The names judged are every package-level object, method and struct field.
 // Writing a field does not reach it: an assignment or op= target, a ++ or --
-// target, a composite-literal key or element, or a map or slice field
-// stored into through an index. A field only ever written holds state
-// nothing reads.
+// target, a composite-literal key or element, a map or slice field
+// stored into through an index, or x.F in x.F = append(x.F, …). A field only
+// ever written holds state nothing reads.
 // A method also counts as reached when its receiver type implements an
 // interface that has it: an interface the module declares or converts to,
 // one in the signature of a function the module calls (heap.Interface
@@ -52,7 +61,11 @@ var reasonClasses = map[string]bool{"key": true, "marshalled": true, "printed": 
 // runner.Sweep). Matching on a method's name alone would keep every method
 // that shares a name with some interface's method.
 func TestUnreachedNames(t *testing.T) {
-	got, err := unreachedNames(".")
+	l, err := repoModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := unreachedNames(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,28 +74,98 @@ func TestUnreachedNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range got {
-		if _, ok := allowed[name]; !ok {
+		if e, ok := allowed[name]; !ok || e.class == "knob" {
 			t.Errorf("%s: no non-test file reaches it; delete it, or add a line to %s:\n\t%s  <class>  <why it stays>",
 				name, unreachedAllowlist, name)
 		}
 		delete(allowed, name)
 	}
-	for name, line := range allowed {
-		t.Errorf("%s:%d: %s is reached by non-test code, or no longer exists; delete the line",
-			unreachedAllowlist, line, name)
+	for name, e := range allowed {
+		if e.class != "knob" {
+			t.Errorf("%s:%d: %s is reached by non-test code, or no longer exists; delete the line",
+				unreachedAllowlist, e.line, name)
+		}
+	}
+}
+
+// TestKnobsOnlyTestsTurn fails on a field of a config struct declared under
+// internal/ (a struct type named *Config, *Policy, *Options or *Params) that
+// non-test code sets only inside defaulting functions of the field's own
+// package, or never, unless the allowlist lists it as a knob. Such a field
+// takes one value in every run anyone sees: it is a constant. A knob line's
+// reason names the second value in use, the test or the preset that sets
+// it. The scan also fails on a knob line whose field is set elsewhere now,
+// or no longer exists.
+//
+// A defaulting function is a function or method whose receiver or one of
+// whose results is a config struct of its own package. A set is a write as
+// TestUnreachedNames counts one, an unkeyed composite literal, or taking
+// &x.F, the way a flag binding does.
+func TestKnobsOnlyTestsTurn(t *testing.T) {
+	l, err := repoModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed, err := readUnreachedAllowlist(unreachedAllowlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, err := secondValueNames(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := regexp.MustCompile(`\w+`)
+	for _, name := range knobFields(l) {
+		e, ok := allowed[name]
+		if !ok || e.class != "knob" {
+			t.Errorf("%s: only a defaulting function of its own package sets it; make it a constant, or add a line to %s:\n\t%s  knob  <the test or preset that sets a second value>",
+				name, unreachedAllowlist, name)
+			continue
+		}
+		if !slices.ContainsFunc(word.FindAllString(e.reason, -1), func(w string) bool { return named[w] }) {
+			t.Errorf("%s:%d: the reason for %s names no test function and no function of the module that sets its second value",
+				unreachedAllowlist, e.line, name)
+		}
+		delete(allowed, name)
+	}
+	for name, e := range allowed {
+		if e.class == "knob" {
+			t.Errorf("%s:%d: %s is set outside a defaulting function, or no longer exists; delete the line",
+				unreachedAllowlist, e.line, name)
+		}
+	}
+}
+
+// TestKnobsOnlyTestsTurnFlagsDefaults scans the fixture module under
+// testdata/knobs, whose config struct is set each way the scan tells apart.
+// It must flag the fields only its own defaulting functions set and the one
+// nothing sets, and no field set anywhere else.
+func TestKnobsOnlyTestsTurnFlagsDefaults(t *testing.T) {
+	l, err := loadModule("testdata/knobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := knobFields(l)
+	want := []string{"fix.Config.Defaulted", "fix.Config.Normalized", "fix.Config.Unset"}
+	if !slices.Equal(got, want) {
+		t.Errorf("knob fields = %q, want %q", got, want)
 	}
 }
 
 // TestUnreachedNamesFlagsWrites scans the fixture module under
 // testdata/writeonly, whose one package writes a field each way the scan
-// counts as a write. It must flag those four and neither the field that is
+// counts as a write. It must flag those five and neither the field that is
 // read nor the one whose address is taken.
 func TestUnreachedNamesFlagsWrites(t *testing.T) {
-	got, err := unreachedNames("testdata/writeonly")
+	l, err := loadModule("testdata/writeonly")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"fix.T.Assigned", "fix.T.Counted", "fix.T.Indexed", "fix.T.Keyed"}
+	got, err := unreachedNames(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"fix.T.Appended", "fix.T.Assigned", "fix.T.Counted", "fix.T.Indexed", "fix.T.Keyed"}
 	if !slices.Equal(got, want) {
 		t.Errorf("unreached names = %q, want %q", got, want)
 	}
@@ -92,10 +175,11 @@ func TestUnreachedNamesFlagsWrites(t *testing.T) {
 // from reasonClasses and a reason.
 func TestUnreachedAllowlistClasses(t *testing.T) {
 	for line, wantErr := range map[string]string{
-		"fix.T.Keyed  key  the fixture's map key": "",
-		"fix.T.Keyed  habit  no such class":       "unknown class",
-		"fix.T.Keyed  key":                        "needs a class and a reason",
-		"fix.T.Keyed  the reason, with no class":  "unknown class",
+		"fix.T.Keyed  key  the fixture's map key":    "",
+		"fix.T.Keyed  habit  no such class":          "unknown class",
+		"fix.T.Keyed  key":                           "needs a class and a reason",
+		"fix.T.Keyed  the reason, with no class":     "unknown class",
+		"fix.Config.Unset  knob  TestFixture sets 2": "",
 	} {
 		file := filepath.Join(t.TempDir(), "unreached.txt")
 		if err := os.WriteFile(file, []byte(line+"\n"), 0o644); err != nil {
@@ -108,15 +192,21 @@ func TestUnreachedAllowlistClasses(t *testing.T) {
 	}
 }
 
-// readUnreachedAllowlist maps each allowlisted name to its line number. A
-// line without a reason, or with a class outside reasonClasses, is an error.
-func readUnreachedAllowlist(file string) (map[string]int, error) {
+// allowEntry is one allowlist line.
+type allowEntry struct {
+	line          int
+	class, reason string
+}
+
+// readUnreachedAllowlist maps each allowlisted name to its line. A line
+// without a reason, or with a class outside reasonClasses, is an error.
+func readUnreachedAllowlist(file string) (map[string]allowEntry, error) {
 	f, err := os.Open(file)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	allowed := map[string]int{}
+	allowed := map[string]allowEntry{}
 	sc := bufio.NewScanner(f)
 	for n := 1; sc.Scan(); n++ {
 		line := strings.TrimSpace(sc.Text())
@@ -134,7 +224,7 @@ func readUnreachedAllowlist(file string) (map[string]int, error) {
 		if _, dup := allowed[name]; dup {
 			return nil, fmt.Errorf("%s:%d: %s listed twice", file, n, name)
 		}
-		allowed[name] = n
+		allowed[name] = allowEntry{line: n, class: fields[1], reason: strings.Join(fields[2:], " ")}
 	}
 	return allowed, sc.Err()
 }
@@ -187,9 +277,9 @@ func (l *moduleLoader) Import(p string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// unreachedNames returns, sorted, the names declared under root/internal
-// that no non-test file of the module reaches.
-func unreachedNames(root string) ([]string, error) {
+// loadModule type-checks the non-test files of every package of the module
+// rooted at root, skipping hidden and testdata directories.
+func loadModule(root string) (*moduleLoader, error) {
 	fset := token.NewFileSet()
 	l := &moduleLoader{
 		fset: fset, root: root, std: importer.ForCompiler(fset, "gc", nil),
@@ -218,7 +308,12 @@ func unreachedNames(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	return l, nil
+}
 
+// unreachedNames returns, sorted, the names declared under the module's
+// internal/ that no non-test file of the module reaches.
+func unreachedNames(l *moduleLoader) ([]string, error) {
 	used := map[types.Object]bool{}
 	var ifaces []*types.Interface
 	addIface := func(t types.Type) {
@@ -343,8 +438,9 @@ func unreachedNames(root string) ([]string, error) {
 
 // fieldWrites returns the identifiers in files that name a field being
 // stored into: an assignment target (op= included), a ++ or -- target, a
-// map or slice field stored into through an index (x.F[k] = v), and a
-// composite-literal key. Taking &x.F is not among them: whoever holds the
+// map or slice field stored into through an index (x.F[k] = v), a
+// composite-literal key, and the first argument of x.F = append(x.F, …),
+// read only to grow it. Taking &x.F is not among them: whoever holds the
 // pointer may read through it.
 func fieldWrites(files []*ast.File, info *types.Info) map[*ast.Ident]bool {
 	writes := map[*ast.Ident]bool{}
@@ -365,12 +461,24 @@ func fieldWrites(files []*ast.File, info *types.Info) map[*ast.Ident]bool {
 			write(sel.Sel)
 		}
 	}
+	appendBuiltin := types.Universe.Lookup("append")
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
+				for i, lhs := range n.Lhs {
 					target(lhs)
+					if len(n.Rhs) != len(n.Lhs) {
+						continue
+					}
+					call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr)
+					if !ok || len(call.Args) == 0 {
+						continue
+					}
+					if fn, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && info.Uses[fn] == appendBuiltin &&
+						types.ExprString(call.Args[0]) == types.ExprString(lhs) {
+						target(call.Args[0])
+					}
 				}
 			case *ast.IncDecStmt:
 				target(n.X)
@@ -383,6 +491,150 @@ func fieldWrites(files []*ast.File, info *types.Info) map[*ast.Ident]bool {
 		})
 	}
 	return writes
+}
+
+// knobFields returns, sorted, the fields of the config structs declared
+// under the module's internal/ that non-test code sets only inside
+// defaulting functions of the field's own package, or never
+// (TestKnobsOnlyTestsTurn).
+func knobFields(l *moduleLoader) []string {
+	fields := map[*types.Var]string{}
+	for p, pkg := range l.pkgs {
+		if !strings.HasPrefix(p, modulePath+"/internal/") {
+			continue
+		}
+		short := strings.TrimPrefix(p, modulePath+"/internal/")
+		for _, name := range pkg.Scope().Names() {
+			st := configStruct(pkg.Scope().Lookup(name).Type(), pkg)
+			for i := 0; st != nil && i < st.NumFields(); i++ {
+				if f := st.Field(i); !f.Embedded() && f.Name() != "_" {
+					fields[f] = short + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+	setElsewhere := map[*types.Var]bool{}
+	for p, info := range l.infos {
+		pkg := l.pkgs[p]
+		writes := fieldWrites(l.files[p], info)
+		for _, f := range l.files[p] {
+			for _, d := range f.Decls {
+				// A set inside a defaulting function of the field's own
+				// package is the default itself; any other set turns it.
+				var defaulting *types.Package
+				if fd, ok := d.(*ast.FuncDecl); ok && isDefaulting(fd, pkg, info) {
+					defaulting = pkg
+				}
+				set := func(obj types.Object) {
+					if v, ok := obj.(*types.Var); ok && v.IsField() && v.Pkg() != defaulting {
+						setElsewhere[v.Origin()] = true
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.Ident:
+						if writes[n] {
+							set(info.Uses[n])
+						}
+					case *ast.UnaryExpr:
+						if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
+							set(info.Uses[sel.Sel])
+						}
+					case *ast.CompositeLit:
+						st, ok := info.TypeOf(n).Underlying().(*types.Struct)
+						if !ok || len(n.Elts) == 0 {
+							break
+						}
+						if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+							for i := 0; i < st.NumFields(); i++ {
+								set(st.Field(i))
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	var out []string
+	for f, name := range fields {
+		if !setElsewhere[f] {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// configStruct returns t's struct when t is a struct type declared in pkg
+// and named *Config, *Policy, *Options or *Params, and nil otherwise.
+func configStruct(t types.Type, pkg *types.Package) *types.Struct {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() != pkg {
+		return nil
+	}
+	name := named.Obj().Name()
+	if !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Policy") &&
+		!strings.HasSuffix(name, "Options") && !strings.HasSuffix(name, "Params") {
+		return nil
+	}
+	st, _ := named.Underlying().(*types.Struct)
+	return st
+}
+
+// isDefaulting reports whether fd's receiver or one of its results is a
+// config struct of pkg.
+func isDefaulting(fd *ast.FuncDecl, pkg *types.Package, info *types.Info) bool {
+	var lists []*ast.FieldList
+	if fd.Recv != nil {
+		lists = append(lists, fd.Recv)
+	}
+	if fd.Type.Results != nil {
+		lists = append(lists, fd.Type.Results)
+	}
+	for _, list := range lists {
+		for _, field := range list.List {
+			if configStruct(info.TypeOf(field.Type), pkg) != nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// secondValueNames returns the names a knob line's reason may cite as the
+// second value in use: the test functions of l's module and the
+// package-level functions of its non-test code.
+func secondValueNames(l *moduleLoader) (map[string]bool, error) {
+	names := map[string]bool{}
+	for _, pkg := range l.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			if _, ok := pkg.Scope().Lookup(name).(*types.Func); ok {
+				names[name] = true
+			}
+		}
+	}
+	testFunc := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+	err := filepath.WalkDir(l.root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != l.root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			names[m[1]] = true
+		}
+		return err
+	})
+	return names, err
 }
 
 // origin maps a use of an instantiated generic method or field back to its
